@@ -105,6 +105,16 @@ def _parse_vector(text: str, field: str) -> tuple[int, ...]:
         raise InputError(f"{field}: expected comma-separated integers, got {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_ideal(args):
     I = _load_ideal(args.ideal)
     if args.contains is not None:
@@ -356,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--mode", choices=("vertex", "lattice"), default="vertex")
     p.add_argument("--ideal", metavar="FILE", help="avoidance ideal M for lattice mode (default: zero)")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers (results identical)")
+    p.add_argument("--workers", type=_positive_int, default=1, help="parallel workers (results identical)")
     p.set_defaults(handler=_cmd_atomic_scan)
 
     p = sub.add_parser("sagbi", help="subalgebra generators (k_b, b) over atomic degrees")

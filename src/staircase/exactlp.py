@@ -1,12 +1,19 @@
 """Exact rational feasibility of convex-combination systems.
 
 Decides whether a target point is a convex combination of a finite point
-set, entirely in fractions.Fraction arithmetic.  Phase-1 simplex with
-Bland's rule: no floats, no cycling, guaranteed termination.
+set with no floats and no fractions.Fraction arithmetic in the loop.  Each
+row of the system is scaled by the lcm of its denominators, and a phase-1
+simplex with Bland's rule (no cycling, guaranteed termination) pivots on
+an integer tableau by fraction-free, integer-preserving elimination
+(Edmonds 1967; Bareiss 1968, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination"): the tableau holds D times the
+rational tableau, where D is the previous pivot, and every update
+row <- (piv * row - f * pivrow) // D divides exactly.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -17,23 +24,39 @@ def in_convex_hull(target, points) -> bool:
     sequences.  Empty point set never contains anything.
     """
     points = [tuple(p) for p in points]
-    target = tuple(Fraction(t) for t in target)
+    target = tuple(target)
     if not points:
         return False
     dim = len(target)
     if any(len(p) != dim for p in points):
         raise ValueError("dimension mismatch between target and points")
 
-    # Equality system M l = d: one row per coordinate plus the sum-to-1 row.
-    m = len(points)
-    rows = [[Fraction(p[k]) for p in points] for k in range(dim)]
-    rows.append([Fraction(1)] * m)
-    rhs = list(target) + [Fraction(1)]
+    # Equality system M l = d: one row per coordinate plus the sum-to-1 row,
+    # each row scaled to integers.
+    rows, rhs = [], []
+    for k in range(dim):
+        row, b = _integer_row([p[k] for p in points], target[k])
+        rows.append(row)
+        rhs.append(b)
+    rows.append([1] * len(points))
+    rhs.append(1)
     return _phase_one_feasible(rows, rhs)
 
 
+def _integer_row(coeffs, b):
+    """Scale one equation by the lcm of its denominators: all ints out."""
+    coeffs = [Fraction(x) for x in coeffs]
+    b = Fraction(b)
+    scale = math.lcm(b.denominator, *(x.denominator for x in coeffs))
+    return [int(x * scale) for x in coeffs], int(b * scale)
+
+
 def _phase_one_feasible(rows, rhs) -> bool:
-    """Feasibility of {A x = b, x >= 0} by minimizing artificial variables."""
+    """Feasibility of {A x = b, x >= 0} for integer A, b.
+
+    Minimizes the sum of artificial variables on a fraction-free tableau:
+    tab and obj hold den times the rational tableau, den > 0.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
 
@@ -45,52 +68,60 @@ def _phase_one_feasible(rows, rhs) -> bool:
         if b < 0:
             row = [-x for x in row]
             b = -b
-        art = [Fraction(0)] * nrows
-        art[r] = Fraction(1)
+        art = [0] * nrows
+        art[r] = 1
         tab.append(row + art + [b])
     total = ncols + nrows
     basis = list(range(ncols, total))
 
     # Objective: minimize the artificial sum.  Reduced-cost row starts as
-    # -(sum of constraint rows) on structural columns, 0 on artificials.
-    obj = [Fraction(0)] * (total + 1)
+    # -(sum of constraint rows) on structural columns, 0 on artificials;
+    # its last entry is minus the artificial sum, 0 exactly when feasible.
+    obj = [0] * (total + 1)
     for r in range(nrows):
         for j in range(ncols):
             obj[j] -= tab[r][j]
         obj[total] -= tab[r][total]
 
-    while True:
+    den = 1
+    while obj[total] != 0:
         # Bland: entering column = lowest index with negative reduced cost.
         enter = next((j for j in range(total) if obj[j] < 0), None)
         if enter is None:
-            break
-        # Leaving row: minimum ratio, ties by lowest basis index.
+            return False
+        # Leaving row: minimum ratio rhs/coef (cross-multiplied, coefs > 0),
+        # ties by lowest basis index.
         leave = None
-        best = None
         for r in range(nrows):
             coef = tab[r][enter]
             if coef > 0:
-                ratio = tab[r][total] / coef
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
+                if leave is None:
+                    leave = r
+                    continue
+                mine = tab[r][total] * tab[leave][enter]
+                best = tab[leave][total] * coef
+                if mine < best or (mine == best and basis[r] < basis[leave]):
                     leave = r
         if leave is None:
             # Unbounded below cannot happen for a phase-1 objective.
             raise ArithmeticError("phase-1 simplex became unbounded")
-        _pivot(tab, obj, leave, enter, total)
+        den = _pivot(tab, obj, leave, enter, den)
         basis[leave] = enter
+    return True
 
-    return obj[total] == 0
 
+def _pivot(tab, obj, leave, enter, den) -> int:
+    """Integer-preserving pivot; returns the new common denominator.
 
-def _pivot(tab, obj, leave, enter, total):
-    piv = tab[leave][enter]
-    row = tab[leave] = [x / piv for x in tab[leave]]
-    for r, other in enumerate(tab):
-        if r != leave and other[enter] != 0:
-            f = other[enter]
-            tab[r] = [x - f * y for x, y in zip(other, row)]
-    if obj[enter] != 0:
-        f = obj[enter]
-        for j in range(total + 1):
-            obj[j] -= f * row[j]
+    The pivot row stays as it is; every other row, the objective included,
+    becomes (piv * row - f * pivrow) / den, which is exact in integers.
+    """
+    pivrow = tab[leave]
+    piv = pivrow[enter]
+    for r, row in enumerate(tab):
+        if r != leave:
+            f = row[enter]
+            tab[r] = [(piv * x - f * y) // den for x, y in zip(row, pivrow)]
+    f = obj[enter]
+    obj[:] = [(piv * x - f * y) // den for x, y in zip(obj, pivrow)]
+    return piv

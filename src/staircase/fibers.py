@@ -21,6 +21,7 @@ from .exactlp import in_convex_hull
 from .monomial import (
     Exponent,
     MonomialIdeal,
+    check_count,
     check_exponent,
     exponents_up_to_degree,
     minimalize,
@@ -77,10 +78,9 @@ class FiberMatrix:
             raise ValueError('matrix JSON must be {"rows": d, "cols": n, "entries": [...]}')
         entries = tuple(tuple(r) for r in data["entries"])
         mat = cls(entries)
-        if "rows" in data and data["rows"] != mat.nrows:
-            raise ValueError(f'"rows" is {data["rows"]}, entries have {mat.nrows}')
-        if "cols" in data and data["cols"] != mat.ncols:
-            raise ValueError(f'"cols" is {data["cols"]}, entries have {mat.ncols}')
+        for field, size in (("rows", mat.nrows), ("cols", mat.ncols)):
+            if field in data and check_count(data[field], field) != size:
+                raise ValueError(f'"{field}" is {data[field]}, entries have {size}')
         return mat
 
 
@@ -172,11 +172,51 @@ def in_hull(q, points) -> bool:
 
 
 def hull_vertices(points) -> list[Exponent]:
-    """Points that are not convex combinations of the others, in lex order."""
+    """Points that are not convex combinations of the others, in lex order.
+
+    Exact certificates settle most points before any LP: a lex-first or
+    lex-last maximizer of a fixed integer weight is a vertex (it is a
+    vertex of the face the weight exposes), and a point p with 2p - q in
+    the set for some q != p is the midpoint of two others, so not a
+    vertex.  Only the points neither test settles go to the exact LP.
+    """
     pts = sorted({tuple(p) for p in points})
     if not pts:
         raise ValueError("empty point set has no hull")
-    return [p for p in pts if not in_convex_hull(p, [q for q in pts if q != p])]
+    if len(pts) <= 2:
+        return pts
+    present = set(pts)
+    vertices = _exposed_points(pts)
+    for k, p in enumerate(pts):
+        if p in vertices:
+            continue
+        # one of q, 2p - q is lex-smaller than p, so earlier points suffice
+        if any(tuple(2 * x - y for x, y in zip(p, q)) in present for q in pts[:k]):
+            continue
+        if not in_convex_hull(p, [q for q in pts if q != p]):
+            vertices.add(p)
+    return sorted(vertices)
+
+
+def _exposed_points(pts: list[Exponent]) -> set[Exponent]:
+    """Lex-first and lex-last maximizers of +-e_i, +-(1,...,1), +-(1,2,...,n).
+
+    pts is lex sorted and nonempty.  The maximizers of a weight span a face
+    of the hull, and the lex-extreme points of a finite set are vertices of
+    its hull, so every point returned is a vertex.
+    """
+    n = len(pts[0])
+    weights = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    weights += [(1,) * n, tuple(range(1, n + 1))]
+    weights += [tuple(-x for x in w) for w in weights]
+    out = set()
+    for w in weights:
+        values = [sum(x * y for x, y in zip(w, p)) for p in pts]
+        top = max(values)
+        tops = [p for p, v in zip(pts, values) if v == top]
+        out.add(tops[0])
+        out.add(tops[-1])
+    return out
 
 
 @cache
@@ -210,11 +250,32 @@ def _split_pairs(A: FiberMatrix, b: Degree):
             yield b1, b2
 
 
+def _first_unsplit(points, f1, f2):
+    """First of points that is no u1 + u2 with u1 in f1, u2 in f2, or None."""
+    f2 = set(f2)
+    for point in points:
+        if not any(
+            all(x <= y for x, y in zip(u1, point))
+            and tuple(y - x for x, y in zip(u1, point)) in f2
+            for u1 in f1
+        ):
+            return point
+    return None
+
+
 def minkowski_decomposes(A: FiberMatrix, b, b1, b2) -> bool:
     """Does the hull over b equal the Minkowski sum of the hulls over b1, b2?
 
-    Decided on vertex sets: the sum polytope is the hull of pairwise sums
-    of the summands' vertices, so equality is mutual hull membership.
+    Decided by a set test, with no LP.  A point over b1 plus a point over
+    b2 is a point over b, so the sum polytope always lies in the hull P_b.
+    It is the hull of the pairwise sums of the summands' vertices, and a
+    vertex of P_b, being an extreme point, lies in the hull of a subset S
+    of P_b only if it is in S.  So equality holds iff every vertex of P_b
+    is a vertex over b1 plus a vertex over b2.  A vertex v = u1 + u2 of P_b
+    with u1, u2 any lattice points over b1, b2 is already such a sum: were
+    u1 the midpoint of two points of P_b1, v would be the midpoint of two
+    points of P_b.  So the test runs over the lattice points and needs no
+    hull over b1 or b2.
     """
     b, b1, b2 = _check_degree(A, b), _check_degree(A, b1), _check_degree(A, b2)
     if tuple(x + y for x, y in zip(b1, b2)) != b:
@@ -222,32 +283,8 @@ def minkowski_decomposes(A: FiberMatrix, b, b1, b2) -> bool:
     for part in (b1, b2):
         if not _fiber_points(A, part):
             raise ValueError(f"empty fiber over {part}")
-    v = _fiber_vertices(A, b)
-    sums = sorted(
-        {
-            tuple(x + y for x, y in zip(p, q))
-            for p in _fiber_vertices(A, b1)
-            for q in _fiber_vertices(A, b2)
-        }
-    )
-    return all(in_convex_hull(p, sums) for p in v) and all(
-        in_convex_hull(s, v) for s in sums
-    )
-
-
-def _vertices_split_over(A: FiberMatrix, b: Degree, b1: Degree, b2: Degree) -> bool:
-    # necessary for Minkowski equality: every hull vertex over b must be a
-    # sum of lattice points of the two sub-fibers
-    f1 = _fiber_points(A, b1)
-    f2 = set(_fiber_points(A, b2))
-    for v in _fiber_vertices(A, b):
-        if not any(
-            all(x <= y for x, y in zip(u1, v))
-            and tuple(y - x for x, y in zip(u1, v)) in f2
-            for u1 in f1
-        ):
-            return False
-    return True
+    split = _first_unsplit(_fiber_vertices(A, b), _fiber_points(A, b1), _fiber_points(A, b2))
+    return split is None
 
 
 def is_atomic(A: FiberMatrix, b) -> bool:
@@ -262,7 +299,7 @@ def is_atomic(A: FiberMatrix, b) -> bool:
     if not any(b):
         return False
     for b1, b2 in _split_pairs(A, b):
-        if _vertices_split_over(A, b, b1, b2) and minkowski_decomposes(A, b, b1, b2):
+        if minkowski_decomposes(A, b, b1, b2):
             return False
     return True
 
@@ -279,20 +316,6 @@ def ma_fiber(M: MonomialIdeal, A: FiberMatrix, b) -> list[Exponent]:
     return list(_ma_fiber(M, A, _check_degree(A, b)))
 
 
-def _ma_splits(M, A, fiber_b, b1, b2):
-    """First point of fiber_b with no additive split, or None if all split."""
-    f1 = _ma_fiber(M, A, b1)
-    f2 = set(_ma_fiber(M, A, b2))
-    for point in fiber_b:
-        if not any(
-            all(x <= y for x, y in zip(u1, point))
-            and tuple(y - x for x, y in zip(u1, point)) in f2
-            for u1 in f1
-        ):
-            return point
-    return None
-
-
 def ma_decomposes(M: MonomialIdeal, A: FiberMatrix, b, b1, b2):
     """Does every M-avoiding point over b split additively over b1 and b2?
 
@@ -307,7 +330,7 @@ def ma_decomposes(M: MonomialIdeal, A: FiberMatrix, b, b1, b2):
     for part in (b1, b2):
         if not _fiber_points(A, part):
             raise ValueError(f"{part} is outside the monoid NA")
-    witness = _ma_splits(M, A, _ma_fiber(M, A, b), b1, b2)
+    witness = _first_unsplit(_ma_fiber(M, A, b), _ma_fiber(M, A, b1), _ma_fiber(M, A, b2))
     return (witness is None), witness
 
 
@@ -322,7 +345,7 @@ def is_ma_atomic(M: MonomialIdeal, A: FiberMatrix, b) -> bool:
     if not any(b):
         return False
     for b1, b2 in _split_pairs(A, b):
-        if _ma_splits(M, A, fiber_b, b1, b2) is None:
+        if _first_unsplit(fiber_b, _ma_fiber(M, A, b1), _ma_fiber(M, A, b2)) is None:
             return False
     return True
 
@@ -356,6 +379,8 @@ def atomic_scan(
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if mode not in ("vertex", "lattice"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "vertex":

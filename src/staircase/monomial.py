@@ -28,6 +28,14 @@ def check_exponent(u, nvars=None) -> Exponent:
     return v
 
 
+def check_count(value, field: str) -> int:
+    """Validate a JSON count field: a nonnegative int, never a bool."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        shown = json.dumps(value, default=repr)
+        raise ValueError(f'"{field}" must be a nonnegative integer, got {shown}')
+    return value
+
+
 def divides(a, b) -> bool:
     """True iff x^a divides x^b, i.e. a <= b componentwise."""
     a, b = tuple(a), tuple(b)
@@ -171,9 +179,7 @@ class MonomialIdeal:
         """Parse {"vars": n, "gens": [[e1,...,en], ...]}; minimalizes on load."""
         if not isinstance(data, dict) or "vars" not in data or "gens" not in data:
             raise ValueError('ideal JSON must be {"vars": n, "gens": [...]}')
-        nvars = data["vars"]
-        if not isinstance(nvars, int) or nvars < 0:
-            raise ValueError('"vars" must be a nonnegative integer')
+        nvars = check_count(data["vars"], "vars")
         gens = [check_exponent(g, nvars) for g in data["gens"]]
         return minimalize(nvars, gens)
 

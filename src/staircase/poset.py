@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .monomial import Exponent, MonomialIdeal, check_exponent, minimalize
+from .monomial import Exponent, MonomialIdeal, check_count, check_exponent, minimalize
 
 XElem = tuple[int, int]
 
@@ -143,7 +143,7 @@ class FiniteOrderIdeal:
     def from_json(cls, data) -> FiniteOrderIdeal:
         if not isinstance(data, dict) or "points" not in data or "vars" not in data:
             raise ValueError('order-ideal JSON must be {"vars": n, "points": [...]}')
-        return cls(data["vars"], tuple(tuple(p) for p in data["points"]))
+        return cls(check_count(data["vars"], "vars"), tuple(tuple(p) for p in data["points"]))
 
 
 def young_complement(O: FiniteOrderIdeal) -> MonomialIdeal:

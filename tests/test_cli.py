@@ -179,6 +179,30 @@ def test_exit_codes_and_errors(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_json_count_fields_reject_bools(tmp_path, capsys):
+    cases = [
+        ("ideal", "-I", {"vars": True, "gens": [[1]]}, "vars"),
+        ("fiber", "-A", {"rows": True, "cols": 2, "entries": [[1, 1]]}, "rows"),
+        ("fiber", "-A", {"rows": 1, "cols": True, "entries": [[1]]}, "cols"),
+        ("young", "--to-ideal", {"vars": True, "points": [[0]]}, "vars"),
+    ]
+    for command, flag, payload, field in cases:
+        path = write(tmp_path, f"{field}.json", payload)
+        extra = ["-b", "1"] if command == "fiber" else []
+        assert main([command, flag, path, *extra]) == 2, payload
+        err = capsys.readouterr().err
+        assert f'"{field}" must be a nonnegative integer, got true' in err
+        assert "Traceback" not in err
+
+
+def test_atomic_scan_rejects_nonpositive_workers(matrix_file, capsys):
+    for workers in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["atomic-scan", "-A", matrix_file, "--bound", "3", "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers: must be at least 1" in capsys.readouterr().err
+
+
 def test_stdout_deterministic(matrix_file, capsys):
     main(["fiber", "-A", matrix_file, "-b", "2"])
     first = capsys.readouterr().out

@@ -1,0 +1,161 @@
+"""Differential tests of the exact hull layer against tests/oracles.py.
+
+hull_vertices settles most points by exact certificates before its LP,
+minkowski_decomposes is a set test with no LP, and in_convex_hull pivots
+on an integer tableau.  Each is checked here against an oracle that takes
+a different route: affinely-independent-subset search for membership and
+vertices, and mutual hull membership of vertex sums for Minkowski sums.
+"""
+
+import functools
+import itertools
+from fractions import Fraction
+
+from staircase import (
+    FiberMatrix,
+    fiber_points,
+    hull_vertices,
+    in_hull,
+    is_atomic,
+    minkowski_decomposes,
+)
+from staircase.exactlp import in_convex_hull
+
+import corpus
+import oracles
+
+DEMO = FiberMatrix(
+    ((1, 1, 1, 0, 0, 0), (0, 3, 2, 1, 0, 0), (5, 0, 2, 0, 1, 0), (0, 2, 1, 0, 0, 1))
+)
+DEMO_B = (6, 13, 15, 8)
+# the subset-search oracle is exponential in the point count
+ORACLE_POINTS = 10
+
+
+def test_hull_vertices_special_sets():
+    cases = [
+        [(4, 4, 4)],  # single point
+        [(2, 1)] * 5,  # one point repeated
+        [(0, 0), (1, 1), (2, 2), (3, 3), (1, 1)],  # collinear with a repeat
+        [(0, 0, 0), (1, 2, 3), (3, 6, 9), (2, 4, 6)],  # collinear, uneven steps
+        [(0,), (3,), (7,), (7,)],  # one dimension
+        [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1), (1, 0)],  # square, centre, edge
+        [(0, 0), (3, 1), (1, 3), (1, 1)],  # interior point that is no midpoint
+    ]
+    for pts in cases:
+        assert hull_vertices(pts) == oracles.hull_vertices_by_definition(pts), pts
+
+
+def test_hull_vertices_against_oracle_random():
+    rng = corpus.make_rng("exact-hull-vertices")
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        pts = [corpus.random_exponent(rng, dim, 3) for _ in range(rng.randint(1, 9))]
+        pts += rng.sample(pts, rng.randint(0, len(pts)))  # repeated points
+        assert hull_vertices(pts) == oracles.hull_vertices_by_definition(pts), pts
+
+
+def _small_fibers(salt, count):
+    """count seeded (A, b) whose fibers have at most ORACLE_POINTS points."""
+    rng = corpus.make_rng(salt)
+    out = []
+    while len(out) < count:
+        A = corpus.random_matrix(rng, rng.randint(1, 2), rng.randint(2, 4), 3)
+        b = A.apply(corpus.random_exponent(rng, A.ncols, 3))
+        if len(fiber_points(A, b)) <= ORACLE_POINTS:
+            out.append((A, b))
+    return out
+
+
+def test_hull_vertices_against_oracle_on_fibers():
+    for A, b in _small_fibers("exact-hull-fibers", 30):
+        pts = fiber_points(A, b)
+        assert hull_vertices(pts) == oracles.hull_vertices_by_definition(pts)
+
+
+def _split_pairs(A, b):
+    """Unordered nontrivial splits b1 + b2 = b with both fibers nonempty.
+
+    Every split comes from some u1 <= u with u in the fiber over b, so the
+    degrees A u1 of the sub-boxes of the fiber points are all candidates.
+    """
+    zero = (0,) * A.nrows
+    candidates = set()
+    for u in fiber_points(A, b):
+        for u1 in itertools.product(*(range(e + 1) for e in u)):
+            candidates.add(A.apply(u1))
+    for b1 in sorted(candidates):
+        b2 = tuple(x - y for x, y in zip(b, b1))
+        if b1 not in (zero, b) and b1 <= b2 and fiber_points(A, b2):
+            yield b1, b2
+
+
+@functools.cache
+def _oracle_vertices(A, b):
+    return oracles.hull_vertices_by_definition(fiber_points(A, b))
+
+
+def _minkowski_by_membership(A, b, b1, b2) -> bool:
+    verts = _oracle_vertices(A, b)
+    sums = {
+        tuple(x + y for x, y in zip(p, q))
+        for p in _oracle_vertices(A, b1)
+        for q in _oracle_vertices(A, b2)
+    }
+    return all(oracles.hull_member(v, sums) for v in verts) and all(
+        oracles.hull_member(s, verts) for s in sums
+    )
+
+
+def test_minkowski_against_membership_reference_random():
+    seen_true = seen_false = 0
+    for A, b in _small_fibers("exact-minkowski", 25):
+        splits = list(_split_pairs(A, b))
+        for b1, b2 in splits:
+            expected = _minkowski_by_membership(A, b, b1, b2)
+            assert minkowski_decomposes(A, b, b1, b2) is expected, (A, b, b1, b2)
+            seen_true += expected
+            seen_false += not expected
+        decomposable = any(_minkowski_by_membership(A, b, b1, b2) for b1, b2 in splits)
+        assert is_atomic(A, b) is (any(b) and not decomposable)
+    assert seen_true and seen_false  # both answers exercised
+
+
+def test_minkowski_against_membership_reference_worked_example():
+    splits = list(_split_pairs(DEMO, DEMO_B))
+    assert ((1, 3, 5, 2), (5, 10, 10, 6)) in splits
+    for b1, b2 in splits:
+        assert minkowski_decomposes(DEMO, DEMO_B, b1, b2) is _minkowski_by_membership(
+            DEMO, DEMO_B, b1, b2
+        ), (b1, b2)
+
+
+def test_in_convex_hull_against_oracle_negative_and_fraction_targets():
+    rng = corpus.make_rng("exact-lp")
+    for _ in range(120):
+        dim = rng.randint(1, 3)
+        pts = [
+            tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(1, 6))
+        ]
+        kind = rng.randrange(3)
+        if kind == 0:  # integer target, often outside, possibly negative
+            q = tuple(rng.randint(-4, 4) for _ in range(dim))
+        elif kind == 1:  # exact convex combination with Fraction weights
+            w = [Fraction(rng.randint(0, 4)) for _ in pts]
+            if not any(w):
+                w[0] = Fraction(1)
+            q = tuple(sum(wi * p[k] for wi, p in zip(w, pts)) / sum(w) for k in range(dim))
+        else:  # Fraction target near the points, inside or not
+            q = tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(dim))
+        expected = oracles.hull_member(q, pts)
+        assert in_convex_hull(q, pts) is expected, (q, pts)
+        assert in_hull(q, pts) is expected
+        if kind == 1:
+            assert expected
+
+
+def test_in_convex_hull_fraction_points():
+    half = Fraction(1, 2)
+    pts = [(half, 0), (0, Fraction(1, 3)), (Fraction(-5, 6), Fraction(-7, 4))]
+    for q in [(0, 0), (Fraction(1, 4), Fraction(1, 6)), (half, half), (-1, -2)]:
+        assert in_convex_hull(q, pts) is oracles.hull_member(q, pts), q

@@ -53,6 +53,9 @@ def test_matrix_json_round_trip():
     assert FiberMatrix.from_json(A.to_json()) == A
     with pytest.raises(ValueError):
         FiberMatrix.from_json({"rows": 3, "cols": 6, "entries": [list(r) for r in A.rows]})
+    for field in ("rows", "cols"):
+        with pytest.raises(ValueError, match=f'"{field}"'):
+            FiberMatrix.from_json({"rows": 1, "cols": 1, "entries": [[1]], field: True})
 
 
 def test_fiber_points_examples():
@@ -209,6 +212,8 @@ def test_atomic_scan_examples():
         atomic_scan(SEGMENT, 3, mode="nonsense")
     with pytest.raises(ValueError):
         atomic_scan(SEGMENT, 3, mode="vertex", M=ZERO2)
+    with pytest.raises(ValueError, match="workers"):
+        atomic_scan(SEGMENT, 3, workers=0)
 
 
 def test_atomic_scan_workers_match_sequential():

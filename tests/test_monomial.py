@@ -186,3 +186,5 @@ def test_json_minimalizes_and_rejects_negatives():
         MonomialIdeal.from_json({"vars": 2, "gens": [[-1, 0]]})
     with pytest.raises(ValueError):
         MonomialIdeal.from_json({"vars": 2, "gens": [[1, 0, 0]]})
+    with pytest.raises(ValueError, match='"vars"'):
+        MonomialIdeal.from_json({"vars": True, "gens": [[1]]})
