@@ -234,9 +234,9 @@ def _cmd_posetx(args):
             "pass" if ok else "fail"
         )
     violations = [
-        [list(p), descending_chain_max(p)]
+        [list(p), m]
         for p in elements_with_j_below(args.chain_bound)
-        if descending_chain_max(p) > p[1] - 1
+        if (m := descending_chain_max(p)) > p[1] - 1
     ]
     ok = not violations
     return {

@@ -1,18 +1,21 @@
 """Irreducible and irredundant primary decomposition of monomial ideals.
 
 Every proper nonzero monomial ideal is a finite intersection of ideals
-generated by pure variable powers.  Splitting any mixed generator
-x^g = x_i^{g_i} * (x^g / x_i^{g_i}) gives I = (I + first factor) cap
-(I + second factor); iterating terminates and the resulting components,
-pruned of redundancy, are unique.  Grouping them by radical support and
-intersecting groupwise yields one primary component per associated
-prime.
+m^a = (x_i^{a_i} : a_i > 0) generated by pure variable powers, and the
+irredundant such intersection is unique.  It is built by adding the
+generators one at a time, starting from the zero ideal m^0.  Because
+sums distribute over intersections of monomial ideals, adding x^g keeps
+every component that already contains x^g and replaces each other
+component m^a by the components m^{a[i := g_i]}, one for each variable
+i dividing x^g; then every component containing another is dropped.
+Grouping the components by radical support and intersecting groupwise
+yields one primary component per associated prime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 
 from .monomial import Exponent, MonomialIdeal, minimalize
 
@@ -88,18 +91,43 @@ def _support(g: Exponent) -> tuple[int, ...]:
     return tuple(i for i, e in enumerate(g) if e > 0)
 
 
-@cache
-def _irreducible_parts(I: MonomialIdeal) -> frozenset[MonomialIdeal]:
-    """Split mixed generators until every part is generated by pure powers."""
-    mixed = next((g for g in I.gens if len(_support(g)) >= 2), None)
-    if mixed is None:
-        return frozenset({I})
-    i = _support(mixed)[0]
-    power = tuple(mixed[i] if k == i else 0 for k in range(I.nvars))
-    rest = tuple(0 if k == i else e for k, e in enumerate(mixed))
-    left = minimalize(I.nvars, I.gens + (power,))
-    right = minimalize(I.nvars, I.gens + (rest,))
-    return _irreducible_parts(left) | _irreducible_parts(right)
+def _contains(a: Exponent, b: Exponent) -> bool:
+    """Is m^b a subideal of m^a?  Each x_i^{b_i} must lie in m^a."""
+    return all(0 < a[i] <= e for i, e in enumerate(b) if e > 0)
+
+
+def _irreducible_vectors(I: MonomialIdeal) -> list[Exponent]:
+    """Exponent vectors a of the irredundant irreducible components m^a.
+
+    Adds the generators one at a time.  The kept components, those that
+    contain x^g, stay an antichain and contain no new component, since a
+    kept m^a containing m^{c[i := g_i]} would contain m^c as well.  So a
+    new component is dropped iff it contains a kept or another new one.
+    """
+    comps = [(0,) * I.nvars]
+    for g in I.gens:
+        support = _support(g)
+        kept, new = [], set()
+        for a in comps:
+            if any(0 < a[i] <= g[i] for i in support):
+                kept.append(a)
+            else:
+                new.update(a[:i] + (g[i],) + a[i + 1 :] for i in support)
+        comps = kept + [
+            b
+            for b in new
+            if not any(_contains(b, c) for c in kept)
+            and not any(c != b and _contains(b, c) for c in new)
+        ]
+    return comps
+
+
+def _pure_powers(a: Exponent) -> tuple[Exponent, ...]:
+    """Generators of m^a in canonical (lex) order."""
+    n = len(a)
+    return tuple(sorted(
+        tuple(e if k == i else 0 for k in range(n)) for i, e in enumerate(a) if e > 0
+    ))
 
 
 def _check_proper_nonzero(I: MonomialIdeal):
@@ -118,26 +146,18 @@ def irreducible_decomposition(I: MonomialIdeal) -> list[MonomialIdeal]:
     is the only way redundancy can arise.
     """
     _check_proper_nonzero(I)
-    parts = sorted(_irreducible_parts(I), key=lambda C: C.gens)
-    return [
-        C
-        for C in parts
-        if not any(D is not C and C.contains(D) for D in parts)
-    ]
+    return sorted(
+        (MonomialIdeal(I.nvars, _pure_powers(a)) for a in _irreducible_vectors(I)),
+        key=lambda C: C.gens,
+    )
 
 
 def associated_primes(I: MonomialIdeal) -> list[MonomialPrime]:
     """Radicals of the irreducible components, each listed once."""
     _check_proper_nonzero(I)
-    taus = set()
-    for C in irreducible_decomposition(I):
-        sup = set()
-        for g in C.gens:
-            sup.update(_support(g))
-        taus.add(frozenset(range(I.nvars)) - sup)
+    supports = sorted({_support(a) for a in _irreducible_vectors(I)})
     return [
-        MonomialPrime(I.nvars, t)
-        for t in sorted(taus, key=lambda t: tuple(i for i in range(I.nvars) if i not in t))
+        MonomialPrime(I.nvars, frozenset(range(I.nvars)) - set(sup)) for sup in supports
     ]
 
 
@@ -149,15 +169,13 @@ def primary_decomposition(I: MonomialIdeal) -> list[PrimaryComponent]:
     decomposition is.
     """
     _check_proper_nonzero(I)
-    groups: dict[frozenset[int], list[MonomialIdeal]] = {}
-    for C in irreducible_decomposition(I):
-        sup = set()
-        for g in C.gens:
-            sup.update(_support(g))
-        groups.setdefault(frozenset(sup), []).append(C)
-    out = []
-    for sup, comps in groups.items():
-        prime = MonomialPrime(I.nvars, frozenset(range(I.nvars)) - sup)
-        out.append(PrimaryComponent(prime, reduce(lambda a, b: a.intersect(b), comps)))
-    out.sort(key=lambda pc: pc.prime.generators)
-    return out
+    groups: dict[tuple[int, ...], list[MonomialIdeal]] = {}
+    for a in _irreducible_vectors(I):
+        groups.setdefault(_support(a), []).append(MonomialIdeal(I.nvars, _pure_powers(a)))
+    return [
+        PrimaryComponent(
+            MonomialPrime(I.nvars, frozenset(range(I.nvars)) - set(sup)),
+            reduce(lambda a, b: a.intersect(b), groups[sup]),
+        )
+        for sup in sorted(groups)
+    ]

@@ -101,8 +101,16 @@ def _check_degree(A: FiberMatrix, b) -> Degree:
 
 
 def _enumerate_fiber(A: FiberMatrix, b: Degree, first_only: bool) -> list[Exponent]:
-    """Depth-first assignment of exponents with residual-feasibility pruning."""
+    """Depth-first assignment of exponents with residual-feasibility pruning.
+
+    At the root, b_r must be a multiple of the gcd of row r; a zero row
+    has gcd 0 and admits only b_r = 0.
+    """
     d, n = A.nrows, A.ncols
+    for row, br in zip(A.rows, b):
+        g = math.gcd(*row)
+        if (br % g if g else br):
+            return []
     cols = [A.column(i) for i in range(n)]
     pos_rows = [[r for r in range(d) if cols[i][r] > 0] for i in range(n)]
     # rows that no column beyond i can still serve; their residual must be 0
@@ -361,7 +369,8 @@ def _atomic_at(args) -> bool:
     mode, M, A, b = args
     if mode == "vertex":
         return is_atomic(A, b)
-    return is_ma_atomic(M, A, b)
+    # with every point over b in M there is nothing to decompose
+    return bool(_ma_fiber(M, A, b)) and is_ma_atomic(M, A, b)
 
 
 def atomic_scan(
@@ -375,7 +384,7 @@ def atomic_scan(
 
     mode "vertex" uses Minkowski decomposability of hulls; mode "lattice"
     uses additive splitting of the (M,A) fiber points, with M defaulting
-    to the zero ideal.
+    to the zero ideal, and skips degrees whose points all lie in M.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")

@@ -10,8 +10,8 @@ form arbitrarily large antichains of dual order ideals.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import cache
 
 from .monomial import Exponent, MonomialIdeal, check_count, check_exponent, minimalize
 
@@ -94,18 +94,41 @@ def elements_with_j_below(j_max: int) -> list[XElem]:
     return [(i, j) for j in range(1, j_max + 1) for i in range(j)]
 
 
-@cache
+def _chain_max_rows():
+    """Yield, for j = 0, 1, 2, ..., the chain maxima of (0, j), ..., (j - 1, j).
+
+    Below (i, j) lie the (i, j') with i < j' < j and every (x, y) with
+    y < i, so the maximum for (i, j) is one more than the larger of two
+    running maxima over elements already computed, and 0 when nothing
+    lies below.
+    """
+    row_max = []  # row_max[i]: largest value yet in row i, -1 if none
+    below = [-1]  # below[i]: largest value over all rows y < i, -1 if none
+    for j in itertools.count():
+        row_max.append(-1)
+        row = [1 + max(row_max[i], below[i]) for i in range(j)]
+        for i, m in enumerate(row):
+            row_max[i] = max(row_max[i], m)
+        below.append(max(below[j], *row, -1))
+        yield row
+
+
+# The rows computed so far: _chain_rows[j][i] is the chain maximum below (i, j).
+_chain_rows: list[list[int]] = []
+_chain_row_source = _chain_max_rows()
+
+
 def descending_chain_max(p) -> int:
     """Largest k admitting a chain q_1 < ... < q_k < p.
 
     Elements below (i, j) all have second coordinate < j, so the search
-    is finite and the value is at most j - 1.
+    is finite and the value is at most j - 1.  Rows are computed bottom
+    up, in increasing j, and kept for later calls.
     """
-    p = check_xelem(p)
-    below = [q for q in elements_with_j_below(p[1] - 1) if x_less(q, p)]
-    if not below:
-        return 0
-    return 1 + max(descending_chain_max(q) for q in below)
+    i, j = check_xelem(p)
+    while len(_chain_rows) <= j:
+        _chain_rows.append(next(_chain_row_source))
+    return _chain_rows[j][i]
 
 
 @dataclass(frozen=True)

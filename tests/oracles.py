@@ -3,7 +3,8 @@
 Each oracle takes a different route from the code under test: membership
 by raw divisor scan, fibers by full box enumeration, hull membership by
 affinely-independent-subset search instead of a feasibility tableau,
-chains by subset enumeration.
+chains by subset enumeration, irreducible components by splitting mixed
+generators instead of adding generators one at a time.
 """
 
 from __future__ import annotations
@@ -37,6 +38,63 @@ def ideals_equal_up_to(gens1, gens2, nvars: int, bound: int) -> bool:
 
 def intersection_members(components, m) -> bool:
     return all(member(gens, m) for gens in components)
+
+
+def minimal_gens(gens) -> tuple[tuple[int, ...], ...]:
+    """The divisibility-minimal members of gens, deduplicated and sorted."""
+    gens = set(map(tuple, gens))
+    return tuple(sorted(g for g in gens if not any(h != g and divides(h, g) for h in gens)))
+
+
+def irreducible_by_splitting(nvars: int, gens) -> list[tuple[tuple[int, ...], ...]]:
+    """Irredundant irreducible components of a proper nonzero ideal.
+
+    Splits a mixed generator x^g = x_i^{g_i} * (x^g / x_i^{g_i}), giving
+    I = (I + (x_i^{g_i})) cap (I + (x^g / x_i^{g_i})), until every part is
+    generated by pure powers, then drops each part that contains another.
+    Components are generator tuples, sorted.
+    """
+    parts = set()
+    seen = set()
+    stack = [minimal_gens(gens)]
+    while stack:
+        ideal = stack.pop()
+        if ideal in seen:
+            continue
+        seen.add(ideal)
+        mixed = next((g for g in ideal if sum(1 for e in g if e) >= 2), None)
+        if mixed is None:
+            parts.add(ideal)
+            continue
+        i = next(k for k, e in enumerate(mixed) if e)
+        power = tuple(mixed[i] if k == i else 0 for k in range(nvars))
+        rest = tuple(0 if k == i else e for k, e in enumerate(mixed))
+        stack.append(minimal_gens(ideal + (power,)))
+        stack.append(minimal_gens(ideal + (rest,)))
+    return sorted(
+        C for C in parts
+        if not any(D != C and all(member(C, d) for d in D) for D in parts)
+    )
+
+
+def primary_by_grouping(components) -> list[tuple[tuple[int, ...], tuple]]:
+    """(prime variables, generators) per support, from irreducible components.
+
+    Components with the same support are intersected by pairwise lcms.
+    """
+    groups = {}
+    for C in components:
+        support = tuple(sorted({k for g in C for k, e in enumerate(g) if e}))
+        groups.setdefault(support, []).append(C)
+    out = []
+    for support, comps in sorted(groups.items()):
+        meet = comps[0]
+        for C in comps[1:]:
+            meet = minimal_gens(
+                tuple(max(x, y) for x, y in zip(g, h)) for g in meet for h in C
+            )
+        out.append((support, meet))
+    return out
 
 
 def box_fiber_points(rows, b) -> list[tuple[int, ...]]:
@@ -110,6 +168,26 @@ def hull_member(q, points) -> bool:
 def hull_vertices_by_definition(points) -> list[tuple[int, ...]]:
     pts = sorted({tuple(p) for p in points})
     return [p for p in pts if not hull_member(p, [q for q in pts if q != p])]
+
+
+def pair_chain_max_recursive(p) -> int:
+    """Longest chain strictly below p in the pair poset, by recursion.
+
+    (i, j) < (i', j') iff j < j' and (i = i' or j < i'); every element
+    below (i, j) has second coordinate < j.  Recursion depth is about j.
+    """
+    memo = {}
+
+    def below(p):
+        if p not in memo:
+            i, j = p
+            lower = [
+                (x, y) for y in range(1, j) for x in range(y) if x == i or y < i
+            ]
+            memo[p] = 1 + max((below(q) for q in lower), default=-1)
+        return memo[p]
+
+    return below(tuple(p))
 
 
 def longest_chain_by_subsets(family) -> int:

@@ -111,6 +111,14 @@ def test_atomic_scan_payload(matrix_file):
     )
 
 
+def test_atomic_scan_lattice_with_ideal_skips_empty_fibers(tmp_path):
+    identity = write(tmp_path, "id.json", {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 1]]})
+    x0 = write(tmp_path, "x0.json", {"vars": 2, "gens": [[1, 0]]})
+    report = run(["atomic-scan", "-A", identity, "--bound", "3", "--mode", "lattice", "--ideal", x0])
+    assert report.payload == [[0, 1]]
+    assert main(["atomic-scan", "-A", identity, "--bound", "3", "--mode", "lattice", "--ideal", x0]) == 0
+
+
 def test_atomic_scan_rejects_ideal_in_vertex_mode(matrix_file, tmp_path):
     zero = write(tmp_path, "zero.json", {"vars": 2, "gens": []})
     assert main(["atomic-scan", "-A", matrix_file, "--bound", "3", "--ideal", zero]) == 2
@@ -139,6 +147,8 @@ def test_posetx_checks():
     assert ok.status == "pass" and ok.payload["ok"] is True
     bound = run(["posetx", "--chain-bound", "6"])
     assert bound.status == "pass" and bound.payload["violations"] == []
+    deep = run(["posetx", "--chain-bound", "1200"])
+    assert deep.status == "pass" and deep.payload["ok"] is True
 
 
 def test_young_directions(tmp_path):

@@ -170,3 +170,32 @@ def test_prime_validation():
     p = MonomialPrime(3, frozenset({1}))
     assert p.generators == (0, 2)
     assert p.as_ideal().gens == ((0, 0, 1), (1, 0, 0))
+
+
+# The 18-generator ideal in 6 variables from the ROADMAP's probes, the
+# slowest decomposition the benchmark runs.
+ROADMAP_18 = minimalize(6, [
+    (0, 3, 3, 2, 2, 2), (0, 3, 4, 4, 0, 3), (1, 0, 1, 4, 1, 0), (1, 0, 3, 0, 3, 1),
+    (1, 1, 3, 0, 3, 0), (1, 3, 0, 4, 4, 3), (1, 3, 1, 0, 4, 3), (1, 3, 2, 1, 3, 4),
+    (2, 0, 1, 3, 4, 3), (2, 3, 3, 1, 1, 4), (3, 1, 0, 4, 4, 3), (3, 3, 0, 0, 3, 1),
+    (3, 3, 1, 3, 0, 2), (3, 3, 4, 0, 2, 4), (4, 0, 4, 3, 0, 0), (4, 2, 0, 2, 3, 3),
+    (4, 4, 4, 1, 0, 4), (4, 4, 4, 2, 0, 3),
+])
+
+
+def test_decompositions_match_splitting_reference():
+    rng = corpus.make_rng("splitting-reference")
+    ideals = [ROADMAP_18]
+    for nvars in range(1, 7):
+        for _ in range(12):
+            ideals.append(corpus.random_ideal(rng, nvars, 4, 18))
+    for I in ideals:
+        if I.is_unit():
+            continue
+        reference = oracles.irreducible_by_splitting(I.nvars, I.gens)
+        primary = oracles.primary_by_grouping(reference)
+        assert [C.gens for C in irreducible_decomposition(I)] == reference, I
+        assert [
+            (pc.prime.generators, pc.component.gens) for pc in primary_decomposition(I)
+        ] == primary, I
+        assert [p.generators for p in associated_primes(I)] == [sup for sup, _ in primary]

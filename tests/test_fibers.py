@@ -81,6 +81,21 @@ def test_fiber_points_against_box_oracle():
             assert A.apply(v) == b
 
 
+def test_fiber_points_row_gcd_and_zero_row_against_box_oracle():
+    # rows with a common factor, and zero rows, are settled at the root
+    rng = corpus.make_rng("fiber-gcd")
+    for _ in range(40):
+        A = corpus.random_matrix(rng, rng.randint(1, 2), rng.randint(2, 4), 3)
+        k = rng.randint(2, 3)
+        rows = (tuple(k * e for e in A.rows[0]),) + A.rows[1:] + ((0,) * A.ncols,)
+        A = FiberMatrix(rows)
+        b = A.apply(corpus.random_exponent(rng, A.ncols, 2))
+        bumped = [b, (b[0] + 1,) + b[1:], b[:-1] + (1,)]
+        for target in bumped:
+            assert fiber_points(A, target) == sorted(oracles.box_fiber_points(A.rows, target))
+    assert fiber_points(FiberMatrix(((2,) * 8,)), (31,)) == []
+
+
 def test_hull_vertices_examples():
     assert hull_vertices([(3, 0), (2, 1), (1, 2), (0, 3)]) == [(0, 3), (3, 0)]
     assert hull_vertices([(5, 7)]) == [(5, 7)]
@@ -214,6 +229,15 @@ def test_atomic_scan_examples():
         atomic_scan(SEGMENT, 3, mode="vertex", M=ZERO2)
     with pytest.raises(ValueError, match="workers"):
         atomic_scan(SEGMENT, 3, workers=0)
+
+
+def test_lattice_scan_skips_degrees_inside_the_avoidance_ideal():
+    # over (1, 0) and (1, 1) every point lies in M = (x_0): nothing to decompose
+    M = minimalize(2, [(1, 0)])
+    assert atomic_scan(IDENTITY2, 3, mode="lattice", M=M) == [(0, 1)]
+    assert atomic_scan(IDENTITY2, 3, mode="lattice", M=M, workers=2) == [(0, 1)]
+    with pytest.raises(ValueError, match="empty"):
+        is_ma_atomic(M, IDENTITY2, (1, 0))
 
 
 def test_atomic_scan_workers_match_sequential():

@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 
 import pytest
 
@@ -99,7 +101,7 @@ def test_descending_chain_max_examples():
 
 
 def test_descending_chain_max_is_achieved():
-    # cross-check the memoized recursion against a plain stack search
+    # cross-check against a plain stack search
     def chains_below(p):
         best = 0
         stack = [(p, 0)]
@@ -113,6 +115,21 @@ def test_descending_chain_max_is_achieved():
 
     for p in elements_with_j_below(6):
         assert descending_chain_max(p) == chains_below(p)
+
+
+def test_descending_chain_max_matches_recursive_definition():
+    for p in elements_with_j_below(30):
+        assert descending_chain_max(p) == oracles.pair_chain_max_recursive(p), p
+
+
+def test_descending_chain_max_deep_element_without_recursion():
+    # the recursive definition would need about 1200 nested calls here
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        assert descending_chain_max((0, 1200)) == 1199
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_antichain_size_bound():
