@@ -23,6 +23,7 @@ from .monomial import (
     MonomialIdeal,
     check_count,
     check_exponent,
+    check_vectors,
     exponents_up_to_degree,
     minimalize,
 )
@@ -76,7 +77,7 @@ class FiberMatrix:
     def from_json(cls, data) -> FiberMatrix:
         if not isinstance(data, dict) or "entries" not in data:
             raise ValueError('matrix JSON must be {"rows": d, "cols": n, "entries": [...]}')
-        entries = tuple(tuple(r) for r in data["entries"])
+        entries = tuple(tuple(r) for r in check_vectors(data["entries"], "entries"))
         mat = cls(entries)
         for field, size in (("rows", mat.nrows), ("cols", mat.ncols)):
             if field in data and check_count(data[field], field) != size:
@@ -100,47 +101,78 @@ def _check_degree(A: FiberMatrix, b) -> Degree:
     return check_exponent(b)
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """What enumeration and the divisor walk need of one matrix, built once.
+
+    divisors is the memo of divisor sets D(b) (see _split_pairs), each a
+    sorted tuple, or None for a degree found outside NA; it fills as
+    degrees are asked for and is shared by every later call.
+    """
+
+    cols: tuple[Degree, ...]
+    pos_rows: tuple[tuple[int, ...], ...]
+    # rows that no column beyond i can still serve; their residual must be 0
+    dead_after: tuple[tuple[int, ...], ...]
+    gcds: tuple[int, ...]
+    divisors: dict[Degree, tuple[Degree, ...] | None]
+
+
+@cache
+def _plan(A: FiberMatrix) -> _Plan:
+    d, n = A.nrows, A.ncols
+    cols = tuple(A.column(i) for i in range(n))
+    return _Plan(
+        cols=cols,
+        pos_rows=tuple(tuple(r for r in range(d) if c[r] > 0) for c in cols),
+        dead_after=tuple(
+            tuple(r for r in range(d) if not any(A.rows[r][i + 1 :])) for i in range(n)
+        ),
+        gcds=tuple(math.gcd(*row) for row in A.rows),
+        divisors={},
+    )
+
+
 def _enumerate_fiber(A: FiberMatrix, b: Degree, first_only: bool) -> list[Exponent]:
     """Depth-first assignment of exponents with residual-feasibility pruning.
 
     At the root, b_r must be a multiple of the gcd of row r; a zero row
-    has gcd 0 and admits only b_r = 0.
+    has gcd 0 and admits only b_r = 0.  The last exponent is not branched
+    on: the residual fixes it, so it is solved by one divmod on the first
+    row where the last column is positive and checked on every row.
     """
-    d, n = A.nrows, A.ncols
-    for row, br in zip(A.rows, b):
-        g = math.gcd(*row)
-        if (br % g if g else br):
-            return []
-    cols = [A.column(i) for i in range(n)]
-    pos_rows = [[r for r in range(d) if cols[i][r] > 0] for i in range(n)]
-    # rows that no column beyond i can still serve; their residual must be 0
-    dead_after = [
-        [r for r in range(d) if all(A.rows[r][j] == 0 for j in range(i + 1, n))]
-        for i in range(n)
-    ]
+    plan = _plan(A)
+    if any(br % g if g else br for br, g in zip(b, plan.gcds)):
+        return []
+    cols, pos_rows, dead_after = plan.cols, plan.pos_rows, plan.dead_after
+    last = len(cols) - 1
+    col_last = cols[last]
+    pivot = pos_rows[last][0]
     residual = list(b)
-    u = [0] * n
+    u = [0] * len(cols)
     out: list[Exponent] = []
 
     def rec(i: int) -> bool:
-        if i == n:
-            if not any(residual):
-                out.append(tuple(u))
-                return first_only
-            return False
-        coli = cols[i]
-        ub = min(residual[r] // coli[r] for r in pos_rows[i])
+        if i == last:
+            v, rem = divmod(residual[pivot], col_last[pivot])
+            if rem or residual != [v * x for x in col_last]:
+                return False
+            u[last] = v
+            out.append(tuple(u))
+            return first_only
+        coli, rows = cols[i], pos_rows[i]
+        ub = min(residual[r] // coli[r] for r in rows)
         stop = False
+        dead = dead_after[i]
         for v in range(ub + 1):
             u[i] = v
-            if all(residual[r] == 0 for r in dead_after[i]):
-                if rec(i + 1):
-                    stop = True
-                    break
+            if not (dead and any(residual[r] for r in dead)) and rec(i + 1):
+                stop = True
+                break
             if v < ub:
-                for r in pos_rows[i]:
+                for r in rows:
                     residual[r] -= coli[r]
-        for r in pos_rows[i]:
+        for r in rows:
             residual[r] += v * coli[r]
         return stop
 
@@ -227,35 +259,59 @@ def _exposed_points(pts: list[Exponent]) -> set[Exponent]:
     return out
 
 
-@cache
-def _degrees_within(A: FiberMatrix, b: Degree) -> frozenset[Degree]:
-    """NA intersected with the box [0, b], by breadth-first column additions."""
-    cols = [A.column(i) for i in range(A.ncols)]
-    zero = (0,) * A.nrows
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for c in cols:
-                h = tuple(gi + ci for gi, ci in zip(g, c))
-                if h not in seen and all(hi <= bi for hi, bi in zip(h, b)):
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return frozenset(seen)
+def _divisors(A: FiberMatrix, b: Degree) -> tuple[Degree, ...] | None:
+    """Sorted D(b) from the matrix's memo, filled by a walk on an explicit stack.
+
+    A degree is finished once every b - c >= 0 below it is in the memo; the
+    stack holds the degrees still waiting, so a deep degree needs no
+    recursion.
+    """
+    plan = _plan(A)
+    memo, cols = plan.divisors, plan.cols
+    stack = [b]
+    while stack:
+        top = stack[-1]
+        if top in memo:
+            stack.pop()
+            continue
+        below = [h for c in cols if min(h := tuple(x - y for x, y in zip(top, c))) >= 0]
+        todo = [h for h in below if h not in memo]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        parts = [memo[h] for h in below if memo[h] is not None]
+        if parts or not any(top):
+            memo[top] = tuple(sorted(set((top,)).union(*parts)))
+        else:
+            memo[top] = None
+    return memo[b]
 
 
 def _split_pairs(A: FiberMatrix, b: Degree):
-    """Nontrivial unordered pairs (b1, b2) in NA with b1 + b2 = b, b1 <= b2 lex."""
-    zero = (0,) * A.nrows
-    reachable = _degrees_within(A, b)
-    for b1 in sorted(reachable):
-        if b1 == zero or b1 == b:
-            continue
+    """Nontrivial unordered pairs (b1, b2) in NA with b1 + b2 = b, b1 <= b2 lex.
+
+    The b1 are the divisor set D(b) = {b1 in NA : b - b1 in NA} less 0 and
+    b, taken in sorted order.  D(0) = {0}; for b != 0, D(b) is {b} joined
+    with the D(b - c) over the columns c with b - c >= 0 in NA, and b is
+    outside NA, with no D(b), when there is no such c.  Proof: b - c in NA
+    and b1 in D(b - c) give b - b1 = c + (b - c - b1) in NA, so b1 is in
+    D(b); conversely, for b1 in D(b) other than b, the nonzero b - b1 in
+    NA is c + x for a column c and some x in NA, and then b - c = b1 + x
+    is in NA and b1 is in D(b - c).  Finally b is in D(b) iff b is in NA,
+    and a nonzero b is in NA iff b - c is for some column c.  D(b) is
+    symmetric under b1 -> b - b1, which reverses lex order, so every b2 is
+    in it too and the pairs run out where b1 passes b - b1.
+    """
+    divisors = _divisors(A, b)
+    if divisors is None:
+        return
+    # divisors[0] is 0; past the middle, b1 > b2 and the pairs repeat mirrored
+    for b1 in divisors[1:]:
         b2 = tuple(bi - ci for bi, ci in zip(b, b1))
-        if b2 in reachable and b1 <= b2:
-            yield b1, b2
+        if b1 > b2:
+            return
+        yield b1, b2
 
 
 def _first_unsplit(points, f1, f2):

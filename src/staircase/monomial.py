@@ -36,6 +36,16 @@ def check_count(value, field: str) -> int:
     return value
 
 
+def check_vectors(value, field: str) -> list:
+    """Validate a JSON field holding vectors: a list whose items are lists."""
+    if not isinstance(value, list) or not all(isinstance(v, list) for v in value):
+        shown = json.dumps(value, default=repr)
+        if len(shown) > 60:
+            shown = shown[:57] + "..."
+        raise ValueError(f'"{field}" must be a list of lists, got {shown}')
+    return value
+
+
 def divides(a, b) -> bool:
     """True iff x^a divides x^b, i.e. a <= b componentwise."""
     a, b = tuple(a), tuple(b)
@@ -180,7 +190,7 @@ class MonomialIdeal:
         if not isinstance(data, dict) or "vars" not in data or "gens" not in data:
             raise ValueError('ideal JSON must be {"vars": n, "gens": [...]}')
         nvars = check_count(data["vars"], "vars")
-        gens = [check_exponent(g, nvars) for g in data["gens"]]
+        gens = [check_exponent(g, nvars) for g in check_vectors(data["gens"], "gens")]
         return minimalize(nvars, gens)
 
     @classmethod

@@ -13,7 +13,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .monomial import Exponent, MonomialIdeal, check_count, check_exponent, minimalize
+from .monomial import (
+    Exponent,
+    MonomialIdeal,
+    check_count,
+    check_exponent,
+    check_vectors,
+    minimalize,
+)
 
 XElem = tuple[int, int]
 
@@ -166,7 +173,8 @@ class FiniteOrderIdeal:
     def from_json(cls, data) -> FiniteOrderIdeal:
         if not isinstance(data, dict) or "points" not in data or "vars" not in data:
             raise ValueError('order-ideal JSON must be {"vars": n, "points": [...]}')
-        return cls(check_count(data["vars"], "vars"), tuple(tuple(p) for p in data["points"]))
+        points = check_vectors(data["points"], "points")
+        return cls(check_count(data["vars"], "vars"), tuple(tuple(p) for p in points))
 
 
 def young_complement(O: FiniteOrderIdeal) -> MonomialIdeal:

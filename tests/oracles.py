@@ -3,8 +3,10 @@
 Each oracle takes a different route from the code under test: membership
 by raw divisor scan, fibers by full box enumeration, hull membership by
 affinely-independent-subset search instead of a feasibility tableau,
-chains by subset enumeration, irreducible components by splitting mixed
-generators instead of adding generators one at a time.
+splits of a degree from the sub-boxes of its fiber points instead of a
+memo of divisor sets, chains by subset enumeration, irreducible
+components by splitting mixed generators instead of adding generators
+one at a time.
 """
 
 from __future__ import annotations
@@ -109,6 +111,26 @@ def box_fiber_points(rows, b) -> list[tuple[int, ...]]:
         if all(sum(rows[r][i] * u[i] for i in range(n)) == b[r] for r in range(d)):
             out.append(u)
     return out
+
+
+def split_pairs_from_points(rows, b, points) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Nontrivial unordered splits b1 + b2 = b in NA, b1 <= b2 lex, sorted.
+
+    points is the fiber over b.  Every split comes from some u1 <= u with u
+    in that fiber, so the degrees A u1 of the sub-boxes of the points are
+    all candidates, and each b2 = A (u - u1) is in NA.  No points, no splits.
+    """
+    zero = (0,) * len(rows)
+    candidates = set()
+    for u in points:
+        for u1 in itertools.product(*(range(e + 1) for e in u)):
+            candidates.add(tuple(sum(x * y for x, y in zip(row, u1)) for row in rows))
+    splits = []
+    for b1 in sorted(candidates):
+        b2 = tuple(x - y for x, y in zip(b, b1))
+        if b1 not in (zero, tuple(b)) and b1 <= b2:
+            splits.append((b1, b2))
+    return splits
 
 
 def _solve_exact(matrix, rhs):

@@ -4,6 +4,8 @@ import pytest
 
 from staircase.cli import main, run
 
+import corpus
+
 
 def write(tmp_path, name, payload):
     path = tmp_path / name
@@ -203,6 +205,49 @@ def test_json_count_fields_reject_bools(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f'"{field}" must be a nonnegative integer, got true' in err
         assert "Traceback" not in err
+
+
+# (commands reading the file, the rest of its JSON, the field made malformed)
+VECTOR_FIELDS = (
+    ((["fiber", "-b", "1"], ["atomic-scan", "--bound", "2"]), "-A", {}, "entries"),
+    ((["ideal"], ["decompose"]), "-I", {"vars": 2}, "gens"),
+    ((["young"],), "--to-ideal", {"vars": 2}, "points"),
+)
+
+
+def _not_vectors(rng):
+    """A JSON value that is not a list of lists."""
+    scalars = [rng.randint(-3, 9), True, None, "ab", 1.5, {"a": [1]}]
+    if rng.random() < 0.4:
+        return rng.choice(scalars)
+    items = [[rng.randint(0, 3) for _ in range(2)] for _ in range(rng.randint(0, 2))]
+    items.insert(rng.randint(0, len(items)), rng.choice(scalars))
+    return items
+
+
+def _bad_vectors(rng):
+    """A list of lists whose entries are still malformed."""
+    bad = rng.choice([-1, True, None, "ab", 1.5, [1], {"a": 1}])
+    items = [[rng.randint(0, 3) for _ in range(2)] for _ in range(rng.randint(1, 3))]
+    row = rng.choice(items)
+    row[rng.randrange(len(row))] = bad
+    return items
+
+
+def test_malformed_vector_fields_exit_2(tmp_path, capsys):
+    rng = corpus.make_rng("cli-malformed")
+    for commands, flag, rest, field in VECTOR_FIELDS:
+        cases = [(5, True), ([5, 6], True)]
+        cases += [(_not_vectors(rng), True) for _ in range(8)]
+        cases += [(_bad_vectors(rng), False) for _ in range(8)]
+        for value, names_field in cases:
+            path = write(tmp_path, "bad.json", {**rest, field: value})
+            for command, *extra in commands:
+                assert main([command, flag, path, *extra]) == 2, (command, value)
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith("error: ") and "Traceback" not in err
+                if names_field:
+                    assert f'"{field}" must be a list of lists' in err, err
 
 
 def test_atomic_scan_rejects_nonpositive_workers(matrix_file, capsys):

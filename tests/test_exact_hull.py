@@ -8,7 +8,6 @@ vertices, and mutual hull membership of vertex sums for Minkowski sums.
 """
 
 import functools
-import itertools
 from fractions import Fraction
 
 from staircase import (
@@ -73,23 +72,6 @@ def test_hull_vertices_against_oracle_on_fibers():
         assert hull_vertices(pts) == oracles.hull_vertices_by_definition(pts)
 
 
-def _split_pairs(A, b):
-    """Unordered nontrivial splits b1 + b2 = b with both fibers nonempty.
-
-    Every split comes from some u1 <= u with u in the fiber over b, so the
-    degrees A u1 of the sub-boxes of the fiber points are all candidates.
-    """
-    zero = (0,) * A.nrows
-    candidates = set()
-    for u in fiber_points(A, b):
-        for u1 in itertools.product(*(range(e + 1) for e in u)):
-            candidates.add(A.apply(u1))
-    for b1 in sorted(candidates):
-        b2 = tuple(x - y for x, y in zip(b, b1))
-        if b1 not in (zero, b) and b1 <= b2 and fiber_points(A, b2):
-            yield b1, b2
-
-
 @functools.cache
 def _oracle_vertices(A, b):
     return oracles.hull_vertices_by_definition(fiber_points(A, b))
@@ -110,7 +92,7 @@ def _minkowski_by_membership(A, b, b1, b2) -> bool:
 def test_minkowski_against_membership_reference_random():
     seen_true = seen_false = 0
     for A, b in _small_fibers("exact-minkowski", 25):
-        splits = list(_split_pairs(A, b))
+        splits = oracles.split_pairs_from_points(A.rows, b, fiber_points(A, b))
         for b1, b2 in splits:
             expected = _minkowski_by_membership(A, b, b1, b2)
             assert minkowski_decomposes(A, b, b1, b2) is expected, (A, b, b1, b2)
@@ -122,7 +104,7 @@ def test_minkowski_against_membership_reference_random():
 
 
 def test_minkowski_against_membership_reference_worked_example():
-    splits = list(_split_pairs(DEMO, DEMO_B))
+    splits = oracles.split_pairs_from_points(DEMO.rows, DEMO_B, fiber_points(DEMO, DEMO_B))
     assert ((1, 3, 5, 2), (5, 10, 10, 6)) in splits
     for b1, b2 in splits:
         assert minkowski_decomposes(DEMO, DEMO_B, b1, b2) is _minkowski_by_membership(

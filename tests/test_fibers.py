@@ -1,7 +1,11 @@
+import inspect
+import itertools
 import math
+import sys
 
 import pytest
 
+from staircase import fibers
 from staircase import (
     FiberMatrix,
     MonomialIdeal,
@@ -94,6 +98,69 @@ def test_fiber_points_row_gcd_and_zero_row_against_box_oracle():
         for target in bumped:
             assert fiber_points(A, target) == sorted(oracles.box_fiber_points(A.rows, target))
     assert fiber_points(FiberMatrix(((2,) * 8,)), (31,)) == []
+
+
+def _last_column_matrices(rng, count):
+    """Seeded one-column matrices, alternating with matrices whose last
+    column is 0 in row 0.  Enumeration solves the last exponent on the
+    first row where the last column is positive: with one column nothing
+    is branched on, and in the others that row lies below row 0."""
+    out = []
+    for k in range(count):
+        if k % 2 == 0:
+            out.append(corpus.random_matrix(rng, rng.randint(1, 3), 1, 4))
+            continue
+        A = corpus.random_matrix(rng, rng.randint(2, 3), rng.randint(2, 3), 3)
+        rows = [list(r) for r in A.rows]
+        rows[0][-1] = 0
+        rows[rng.randrange(1, len(rows))][-1] = rng.randint(1, 3)
+        out.append(FiberMatrix(tuple(map(tuple, rows))))
+    return out
+
+
+def test_fiber_points_solved_last_exponent_against_box_oracle():
+    rng = corpus.make_rng("fiber-last-column")
+    for A in _last_column_matrices(rng, 40):
+        b = A.apply(corpus.random_exponent(rng, A.ncols, 3))
+        # one past b in every row is often outside NA
+        for target in (b, tuple(x + 1 for x in b)):
+            assert fiber_points(A, target) == sorted(oracles.box_fiber_points(A.rows, target))
+
+
+def test_split_pairs_against_subbox_oracle():
+    rng = corpus.make_rng("split-pairs")
+    matrices = [
+        corpus.random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), 3) for _ in range(24)
+    ]
+    matrices += [
+        FiberMatrix(((1, 2, 0), (0, 0, 0), (0, 1, 3))),  # a zero row
+        FiberMatrix(((2,), (3,))),  # a single column
+        FiberMatrix(((3, 5),)),  # NA misses 1, 2, 4, 7
+    ]
+    outside = 0
+    for A in matrices:
+        degrees = {A.apply(corpus.random_exponent(rng, A.ncols, 3)) for _ in range(6)}
+        degrees |= {tuple(x + 1 for x in b) for b in degrees}
+        # the matrix's divisor memo outlives each call, so the order varies
+        for b in rng.sample(sorted(degrees), len(degrees)):
+            points = oracles.box_fiber_points(A.rows, b)
+            outside += not points
+            expected = oracles.split_pairs_from_points(A.rows, b, points)
+            assert list(fibers._split_pairs(A, b)) == expected, (A, b)
+    assert outside  # degrees outside NA give no pairs
+
+
+def test_divisor_walk_deep_degree_without_recursion():
+    # D(3000) sits 250 column steps above D(0); recursion would need as many frames
+    A = FiberMatrix(((12, 18),))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        pairs = list(fibers._split_pairs(A, (3000,)))
+    finally:
+        sys.setrecursionlimit(limit)
+    # NA is 0 and the multiples of 6 from 12 on
+    assert pairs == [((k,), (3000 - k,)) for k in range(12, 1501, 6)]
 
 
 def test_hull_vertices_examples():
@@ -392,12 +459,16 @@ def test_monoid_lift_examples():
 
 
 def test_monoid_lift_membership_definition():
+    # monoid_lift tests membership in NG through the first-point-only search
     rng = corpus.make_rng("lift-member")
-    for _ in range(10):
-        G = corpus.random_matrix(rng, 2, 3, 2)
-        degrees = [G.apply(corpus.random_exponent(rng, 3, 2)) for _ in range(2)]
+    matrices = itertools.chain(
+        (corpus.random_matrix(rng, 2, 3, 2) for _ in range(10)),
+        _last_column_matrices(corpus.make_rng("lift-last-column"), 10),
+    )
+    for G in matrices:
+        degrees = [G.apply(corpus.random_exponent(rng, G.ncols, 2)) for _ in range(2)]
         lifted = monoid_lift(G, degrees, 4)
-        for a in oracles.monomials_up_to(3, 4):
+        for a in oracles.monomials_up_to(G.ncols, 4):
             value = G.apply(a)
             expected = any(
                 all(v >= w for v, w in zip(value, bj))
