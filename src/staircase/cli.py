@@ -4,6 +4,10 @@ Results go to standard output as deterministic JSON (sorted keys); a
 one-line human summary with the wall-clock duration goes to standard
 error.  Exit codes: 0 success or verification pass, 1 verification
 failure, 2 usage or input errors.
+
+The argument parser is built once per process, on the first call to run()
+or main(), and reused after that.  So STAIRCASE_SEED, the default of
+--seed, is read once, when the parser is first built.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache
 
 from .chains import (
     IdealFamily,
@@ -70,30 +75,10 @@ def _load_json(path: str):
         raise InputError(f"{path}: malformed JSON ({exc})") from exc
 
 
-def _load_ideal(path: str) -> MonomialIdeal:
+def _load(path: str, cls):
+    """Read one JSON file and build cls from it; bad content is an InputError."""
     try:
-        return MonomialIdeal.from_json(_load_json(path))
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _load_matrix(path: str) -> FiberMatrix:
-    try:
-        return FiberMatrix.from_json(_load_json(path))
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _load_family(path: str) -> IdealFamily:
-    try:
-        return IdealFamily.from_json(_load_json(path))
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _load_order_ideal(path: str) -> FiniteOrderIdeal:
-    try:
-        return FiniteOrderIdeal.from_json(_load_json(path))
+        return cls.from_json(_load_json(path))
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -116,13 +101,13 @@ def _positive_int(text: str) -> int:
 
 
 def _cmd_ideal(args):
-    I = _load_ideal(args.ideal)
+    I = _load(args.ideal, MonomialIdeal)
     if args.contains is not None:
-        return {"contains": I.contains(_load_ideal(args.contains))}, None
+        return {"contains": I.contains(_load(args.contains, MonomialIdeal))}, None
     if args.intersect is not None:
-        return I.intersect(_load_ideal(args.intersect)).to_json(), None
+        return I.intersect(_load(args.intersect, MonomialIdeal)).to_json(), None
     if args.sum is not None:
-        return I.sum(_load_ideal(args.sum)).to_json(), None
+        return I.sum(_load(args.sum, MonomialIdeal)).to_json(), None
     if args.quotient is not None:
         return I.quotient(_parse_vector(args.quotient, "--quotient")).to_json(), None
     if args.member is not None:
@@ -139,7 +124,7 @@ def _cmd_ideal(args):
 
 
 def _cmd_decompose(args):
-    I = _load_ideal(args.ideal)
+    I = _load(args.ideal, MonomialIdeal)
     if args.irreducible:
         return [C.to_json() for C in irreducible_decomposition(I)], None
     if args.primes:
@@ -148,11 +133,11 @@ def _cmd_decompose(args):
 
 
 def _cmd_hilbert(args):
-    I = _load_ideal(args.ideal)
+    I = _load(args.ideal, MonomialIdeal)
     numer = hilbert_numerator(I)
     payload = {"numerator": [[list(e), c] for e, c in sorted(numer.items())]}
     if args.table_bound is not None:
-        D = _load_matrix(args.grading) if args.grading else _identity_grading(I.nvars)
+        D = _load(args.grading, FiberMatrix) if args.grading else _identity_grading(I.nvars)
         payload["table"] = [
             [list(b), hilbert_function(I, D, b)]
             for b in reachable_degrees(D, args.table_bound)
@@ -165,7 +150,7 @@ def _identity_grading(n: int) -> FiberMatrix:
 
 
 def _cmd_antichain(args):
-    F = _load_family(args.family)
+    F = _load(args.family, IdealFamily)
     witness = find_comparable_pair(F)
     ok = witness is None
     payload = {
@@ -177,9 +162,9 @@ def _cmd_antichain(args):
 
 
 def _cmd_chain(args):
-    F = _load_family(args.family)
+    F = _load(args.family, IdealFamily)
     if args.refine is not None:
-        blocks = refine_by_standard_trace(F, _load_ideal(args.refine))
+        blocks = refine_by_standard_trace(F, _load(args.refine, MonomialIdeal))
         return {"blocks": blocks}, None
     if args.group_primes:
         return {"blocks": group_by_associated_primes(F)}, None
@@ -188,7 +173,7 @@ def _cmd_chain(args):
 
 
 def _cmd_fiber(args):
-    A = _load_matrix(args.matrix)
+    A = _load(args.matrix, FiberMatrix)
     f = fiber(A, _parse_vector(args.degree, "-b"))
     return {
         "degree": list(f.degree),
@@ -198,8 +183,8 @@ def _cmd_fiber(args):
 
 
 def _cmd_atomic_scan(args):
-    A = _load_matrix(args.matrix)
-    M = _load_ideal(args.ideal) if args.ideal else None
+    A = _load(args.matrix, FiberMatrix)
+    M = _load(args.ideal, MonomialIdeal) if args.ideal else None
     if M is not None and args.mode != "lattice":
         raise InputError("--ideal only applies to --mode lattice")
     degrees = atomic_scan(A, args.bound, mode=args.mode, M=M, workers=args.workers)
@@ -207,14 +192,14 @@ def _cmd_atomic_scan(args):
 
 
 def _cmd_sagbi(args):
-    A = _load_matrix(args.matrix)
+    A = _load(args.matrix, FiberMatrix)
     coeffs = _parse_vector(args.coeffs, "--coeffs")
     pairs = sagbi_generators(A, coeffs, args.bound)
     return [[k, list(b)] for k, b in pairs], None
 
 
 def _cmd_vertex_ideal(args):
-    A = _load_matrix(args.matrix)
+    A = _load(args.matrix, FiberMatrix)
     return {
         "standard": [list(u) for u in vertex_ideal_standard(A, args.bound)],
         "gens": vertex_ideal_gens_truncated(A, args.bound).to_json(),
@@ -222,7 +207,7 @@ def _cmd_vertex_ideal(args):
 
 
 def _cmd_lift(args):
-    G = _load_matrix(args.matrix)
+    G = _load(args.matrix, FiberMatrix)
     degrees = [_parse_vector(d, "--degree") for d in args.degree]
     return monoid_lift(G, degrees, args.bound).to_json(), None
 
@@ -249,9 +234,9 @@ def _cmd_posetx(args):
 
 def _cmd_young(args):
     if args.to_ideal is not None:
-        O = _load_order_ideal(args.to_ideal)
+        O = _load(args.to_ideal, FiniteOrderIdeal)
         return young_complement(O).to_json(), None
-    I = _load_ideal(args.to_order_ideal)
+    I = _load(args.to_order_ideal, MonomialIdeal)
     try:
         return young_cocomplement(I).to_json(), None
     except ValueError as exc:
@@ -404,9 +389,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call."""
+    return _build_parser()
+
+
 def run(argv) -> RunReport:
     """Parse argv, execute one operation, and return the report."""
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     payload, status = args.handler(args)
     return RunReport(args.command, payload, status, time.perf_counter() - start)

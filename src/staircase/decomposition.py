@@ -123,7 +123,8 @@ def _irreducible_vectors(I: MonomialIdeal) -> list[Exponent]:
 
 
 def _pure_powers(a: Exponent) -> tuple[Exponent, ...]:
-    """Generators of m^a in canonical (lex) order."""
+    """Generators of m^a in canonical (lex) order: powers of distinct
+    variables, so an antichain, fit for MonomialIdeal._trusted."""
     n = len(a)
     return tuple(sorted(
         tuple(e if k == i else 0 for k in range(n)) for i, e in enumerate(a) if e > 0
@@ -147,7 +148,7 @@ def irreducible_decomposition(I: MonomialIdeal) -> list[MonomialIdeal]:
     """
     _check_proper_nonzero(I)
     return sorted(
-        (MonomialIdeal(I.nvars, _pure_powers(a)) for a in _irreducible_vectors(I)),
+        (MonomialIdeal._trusted(I.nvars, _pure_powers(a)) for a in _irreducible_vectors(I)),
         key=lambda C: C.gens,
     )
 
@@ -171,7 +172,8 @@ def primary_decomposition(I: MonomialIdeal) -> list[PrimaryComponent]:
     _check_proper_nonzero(I)
     groups: dict[tuple[int, ...], list[MonomialIdeal]] = {}
     for a in _irreducible_vectors(I):
-        groups.setdefault(_support(a), []).append(MonomialIdeal(I.nvars, _pure_powers(a)))
+        component = MonomialIdeal._trusted(I.nvars, _pure_powers(a))
+        groups.setdefault(_support(a), []).append(component)
     return [
         PrimaryComponent(
             MonomialPrime(I.nvars, frozenset(range(I.nvars)) - set(sup)),

@@ -16,6 +16,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache
+from operator import mul
 
 from .exactlp import in_convex_hull
 from .monomial import (
@@ -63,8 +64,11 @@ class FiberMatrix:
         return tuple(r[i] for r in self.rows)
 
     def apply(self, u) -> Degree:
-        u = check_exponent(u, self.ncols)
-        return tuple(sum(r[i] * u[i] for i in range(self.ncols)) for r in self.rows)
+        return self._apply(check_exponent(u, self.ncols))
+
+    def _apply(self, u: Exponent) -> Degree:
+        # apply() for an exponent tuple of length ncols, unchecked
+        return tuple(sum(map(mul, r, u)) for r in self.rows)
 
     def to_json(self) -> dict:
         return {
@@ -370,7 +374,7 @@ def is_atomic(A: FiberMatrix, b) -> bool:
 
 @cache
 def _ma_fiber(M: MonomialIdeal, A: FiberMatrix, b: Degree) -> tuple[Exponent, ...]:
-    return tuple(u for u in _fiber_points(A, b) if not M.member(u))
+    return tuple(u for u in _fiber_points(A, b) if not M._member(u))
 
 
 def ma_fiber(M: MonomialIdeal, A: FiberMatrix, b) -> list[Exponent]:
@@ -416,7 +420,7 @@ def is_ma_atomic(M: MonomialIdeal, A: FiberMatrix, b) -> bool:
 
 def _scan_universe(A: FiberMatrix, bound: int) -> list[Degree]:
     zero = (0,) * A.nrows
-    degs = {A.apply(u) for u in exponents_up_to_degree(A.ncols, bound)}
+    degs = {A._apply(u) for u in exponents_up_to_degree(A.ncols, bound)}
     degs.discard(zero)
     return sorted(degs)
 
@@ -453,6 +457,8 @@ def atomic_scan(
             raise ValueError("vertex mode takes no ideal")
     elif M is None:
         M = MonomialIdeal.zero(A.ncols)
+    elif M.nvars != A.ncols:
+        raise ValueError(f"ideal has {M.nvars} variables, matrix has {A.ncols} columns")
     universe = _scan_universe(A, bound)
     jobs = [(mode, M, A, b) for b in universe]
     if workers > 1:
@@ -478,7 +484,7 @@ def vertex_ideal_standard(A: FiberMatrix, bound: int) -> list[Exponent]:
     return [
         u
         for u in exponents_up_to_degree(A.ncols, bound)
-        if u in _fiber_vertices(A, A.apply(u))
+        if u in _fiber_vertices(A, A._apply(u))
     ]
 
 
@@ -489,7 +495,7 @@ def vertex_ideal_gens_truncated(A: FiberMatrix, bound: int) -> MonomialIdeal:
     non_vertices = [
         u
         for u in exponents_up_to_degree(A.ncols, bound)
-        if u not in _fiber_vertices(A, A.apply(u))
+        if u not in _fiber_vertices(A, A._apply(u))
     ]
     return minimalize(A.ncols, non_vertices)
 
@@ -527,7 +533,7 @@ def monoid_lift(G: FiberMatrix, ideal_degrees, bound: int) -> MonomialIdeal:
     degrees = [_check_degree(G, b) for b in ideal_degrees]
     members = []
     for a in exponents_up_to_degree(G.ncols, bound):
-        value = G.apply(a)
+        value = G._apply(a)
         for bj in degrees:
             gap = tuple(v - w for v, w in zip(value, bj))
             if all(g >= 0 for g in gap) and _fiber_nonempty(G, gap):

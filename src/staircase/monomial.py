@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from operator import le
 
 Exponent = tuple[int, ...]
 
@@ -51,12 +52,17 @@ def divides(a, b) -> bool:
     a, b = tuple(a), tuple(b)
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return all(ai <= bi for ai, bi in zip(a, b))
+    return _divides(a, b)
+
+
+def _divides(a: Exponent, b: Exponent) -> bool:
+    # divides() for tuples of equal length, unchecked
+    return all(map(le, a, b))
 
 
 def lcm_exponent(a: Exponent, b: Exponent) -> Exponent:
     """Componentwise max: the exponent of lcm(x^a, x^b)."""
-    return tuple(max(ai, bi) for ai, bi in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,14 @@ class MonomialIdeal:
     """Canonical form: generators are a divisibility antichain, sorted lex.
 
     Construct through minimalize() unless the generators are already
-    canonical; __post_init__ rejects non-canonical input.
+    canonical.  The public constructor MonomialIdeal(nvars, gens) checks
+    every generator's entries and length, their sorted distinct order and
+    the antichain property, and rejects non-canonical input.  The private
+    _trusted() skips all of these checks.  It is only for canonical
+    antichains the library has just built: in minimalize() and
+    from_json() after they check their input vectors, in sum(),
+    intersect() and quotient(), and for the pure-power components in
+    decomposition.py.  Never pass outside input to it.
     """
 
     nvars: int
@@ -78,8 +91,16 @@ class MonomialIdeal:
         if self.gens != tuple(sorted(set(self.gens))):
             raise ValueError("generators not in canonical (sorted, distinct) order")
         for g, h in itertools.combinations(self.gens, 2):
-            if divides(g, h) or divides(h, g):
+            if _divides(g, h) or _divides(h, g):
                 raise ValueError(f"generators {g} and {h} are not an antichain")
+
+    @classmethod
+    def _trusted(cls, nvars: int, gens: tuple[Exponent, ...]) -> MonomialIdeal:
+        """Build without __post_init__: gens must already be canonical."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "nvars", nvars)
+        object.__setattr__(ideal, "gens", gens)
+        return ideal
 
     @classmethod
     def zero(cls, nvars: int) -> MonomialIdeal:
@@ -101,13 +122,16 @@ class MonomialIdeal:
 
     def member(self, m) -> bool:
         """True iff x^m lies in the ideal (some generator divides m)."""
-        m = check_exponent(m, self.nvars)
-        return any(divides(g, m) for g in self.gens)
+        return self._member(check_exponent(m, self.nvars))
+
+    def _member(self, u: Exponent) -> bool:
+        # member() for an exponent tuple of the right length, unchecked
+        return any(_divides(g, u) for g in self.gens)
 
     def contains(self, other: MonomialIdeal) -> bool:
         """True iff other is a subideal of self (every generator of other is a member)."""
         self._check_same_ring(other)
-        return all(self.member(g) for g in other.gens)
+        return all(self._member(g) for g in other.gens)
 
     def __le__(self, other: MonomialIdeal) -> bool:
         """Containment as sets: self <= other iff self is a subideal of other."""
@@ -119,12 +143,12 @@ class MonomialIdeal:
     def sum(self, other: MonomialIdeal) -> MonomialIdeal:
         """Ideal sum, generated by the union of the generators."""
         self._check_same_ring(other)
-        return minimalize(self.nvars, self.gens + other.gens)
+        return _minimal(self.nvars, self.gens + other.gens)
 
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
         """Ideal intersection: pairwise lcms of generators, minimalized."""
         self._check_same_ring(other)
-        return minimalize(
+        return _minimal(
             self.nvars,
             (lcm_exponent(g, h) for g in self.gens for h in other.gens),
         )
@@ -132,7 +156,7 @@ class MonomialIdeal:
     def quotient(self, m) -> MonomialIdeal:
         """Colon ideal (self : x^m), generated by max(g - m, 0) over generators g."""
         m = check_exponent(m, self.nvars)
-        return minimalize(
+        return _minimal(
             self.nvars,
             (tuple(max(gi - mi, 0) for gi, mi in zip(g, m)) for g in self.gens),
         )
@@ -168,7 +192,7 @@ class MonomialIdeal:
         return [
             u
             for u in itertools.product(*(range(b) for b in bounds))
-            if not self.member(u)
+            if not self._member(u)
         ]
 
     def standard_monomials_up_to(self, bound: int) -> list[Exponent]:
@@ -178,7 +202,7 @@ class MonomialIdeal:
         return [
             u
             for u in exponents_up_to_degree(self.nvars, bound)
-            if not self.member(u)
+            if not self._member(u)
         ]
 
     def to_json(self) -> dict:
@@ -191,7 +215,7 @@ class MonomialIdeal:
             raise ValueError('ideal JSON must be {"vars": n, "gens": [...]}')
         nvars = check_count(data["vars"], "vars")
         gens = [check_exponent(g, nvars) for g in check_vectors(data["gens"], "gens")]
-        return minimalize(nvars, gens)
+        return _minimal(nvars, gens)
 
     @classmethod
     def loads(cls, text: str) -> MonomialIdeal:
@@ -205,14 +229,20 @@ class MonomialIdeal:
 
 def minimalize(nvars: int, gens) -> MonomialIdeal:
     """Canonicalize a generating set to its antichain of minimal generators."""
-    vecs = sorted({check_exponent(g, nvars) for g in gens})
+    if nvars < 0:
+        raise ValueError("nvars must be nonnegative")
+    return _minimal(nvars, [check_exponent(g, nvars) for g in gens])
+
+
+def _minimal(nvars: int, vecs) -> MonomialIdeal:
+    # minimalize() for exponent tuples already known to be valid
     minimal: list[Exponent] = []
-    for v in vecs:
-        # vecs is lex sorted, so no later vector divides an earlier one
-        # unless equal; one forward sweep suffices.
-        if not any(divides(m, v) for m in minimal):
+    for v in sorted(set(vecs)):
+        # lex sorted, so no later vector divides an earlier one unless
+        # equal; one forward sweep suffices and keeps the order.
+        if not any(_divides(m, v) for m in minimal):
             minimal.append(v)
-    return MonomialIdeal(nvars, tuple(sorted(minimal)))
+    return MonomialIdeal._trusted(nvars, tuple(minimal))
 
 
 def exponents_up_to_degree(nvars: int, bound: int):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from staircase import cli
 from staircase.cli import main, run
 
 import corpus
@@ -272,3 +273,39 @@ def test_seed_env_accepted(matrix_file, monkeypatch):
     report = run(["fiber", "-A", matrix_file, "-b", "1"])
     assert report.payload["points"] == [[0, 1], [1, 0]]
     main(["--seed", "3", "fiber", "-A", matrix_file, "-b", "1"])
+
+
+def test_shared_parser_leaks_no_state(tmp_path, ideal_file, capsys, monkeypatch):
+    g = write(tmp_path, "g.json", {"rows": 1, "cols": 2, "entries": [[2, 3]]})
+    calls = [
+        # --degree is action="append" with default=[]: later calls must not see earlier lists
+        ["lift", "-G", g, "--degree", "2", "--bound", "4"],
+        ["lift", "-G", g, "--degree", "3", "--degree", "5", "--bound", "4"],
+        ["lift", "-G", g, "--bound", "4"],
+        ["ideal", "-I", ideal_file, "--member", "2,1"],
+        ["ideal", "-I", ideal_file],
+        ["decompose", "-I", ideal_file, "--irreducible", "--primes"],  # usage error
+        ["decompose", "-I", ideal_file],
+    ]
+
+    def run_all():
+        seen = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            seen.append((code, capsys.readouterr().out))
+        return seen
+
+    shared = run_all()
+    again = run_all()  # a handler that mutated a shared default would show here
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli._build_parser)
+    fresh = run_all()
+    assert shared == again == fresh
+    assert shared[5] == (("SystemExit", 2), "")
+    lifts = [json.loads(out) for _, out in shared[:3]]
+    assert lifts[0] != lifts[1] and lifts[2] == {"vars": 2, "gens": []}
+    assert json.loads(shared[3][1]) == {"member": True}
+    assert "ideal" in json.loads(shared[4][1])

@@ -199,3 +199,22 @@ def test_decompositions_match_splitting_reference():
             (pc.prime.generators, pc.component.gens) for pc in primary_decomposition(I)
         ] == primary, I
         assert [p.generators for p in associated_primes(I)] == [sup for sup, _ in primary]
+
+
+def test_trusted_components_pass_public_check():
+    rng = corpus.make_rng("trusted-components")
+    ideals = [ROADMAP_18]
+    for nvars in range(1, 6):
+        ideals += [corpus.random_ideal(rng, nvars, 4, 10) for _ in range(8)]
+    for I in ideals:
+        if I.is_unit():
+            continue
+        irreducible = irreducible_decomposition(I)
+        primary = primary_decomposition(I)
+        for C in irreducible + [pc.component for pc in primary]:
+            assert MonomialIdeal(C.nvars, C.gens) == C, C
+        reference = oracles.irreducible_by_splitting(I.nvars, I.gens)
+        assert [C.gens for C in irreducible] == reference
+        assert [
+            (pc.prime.generators, pc.component.gens) for pc in primary
+        ] == oracles.primary_by_grouping(reference)

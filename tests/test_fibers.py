@@ -294,6 +294,9 @@ def test_atomic_scan_examples():
         atomic_scan(SEGMENT, 3, mode="nonsense")
     with pytest.raises(ValueError):
         atomic_scan(SEGMENT, 3, mode="vertex", M=ZERO2)
+    # every point would lie in a unit ideal; the ring mismatch must still raise
+    with pytest.raises(ValueError, match="3 variables"):
+        atomic_scan(SEGMENT, 3, mode="lattice", M=MonomialIdeal.unit(3))
     with pytest.raises(ValueError, match="workers"):
         atomic_scan(SEGMENT, 3, workers=0)
 

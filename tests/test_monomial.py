@@ -188,3 +188,62 @@ def test_json_minimalizes_and_rejects_negatives():
         MonomialIdeal.from_json({"vars": 2, "gens": [[1, 0, 0]]})
     with pytest.raises(ValueError, match='"vars"'):
         MonomialIdeal.from_json({"vars": True, "gens": [[1]]})
+
+
+def _passes_public_check(I):
+    """The public constructor's full check accepts I and rebuilds it exactly."""
+    rebuilt = MonomialIdeal(I.nvars, I.gens)
+    return (
+        rebuilt == I
+        and hash(rebuilt) == hash(I)
+        and type(I.gens) is tuple
+        and all(type(g) is tuple and all(type(e) is int for e in g) for g in I.gens)
+    )
+
+
+def test_trusted_results_pass_public_check_and_match_oracles():
+    rng = corpus.make_rng("trusted-path")
+    for nvars in range(1, 5):
+        for _ in range(10):
+            raw = [corpus.random_exponent(rng, nvars, 4) for _ in range(rng.randint(0, 8))]
+            I = minimalize(nvars, raw)
+            J = corpus.random_ideal(rng, nvars, 4, 6)
+            m = corpus.random_exponent(rng, nvars, 3)
+            loaded = MonomialIdeal.from_json({"vars": nvars, "gens": [list(g) for g in raw]})
+            cases = [
+                (I, raw, lambda u: oracles.member(raw, u)),
+                (loaded, raw, lambda u: oracles.member(raw, u)),
+                (I.sum(J), I.gens + J.gens,
+                 lambda u: oracles.member(I.gens, u) or oracles.member(J.gens, u)),
+                (I.intersect(J), [tuple(map(max, g, h)) for g in I.gens for h in J.gens],
+                 lambda u: oracles.intersection_members([I.gens, J.gens], u)),
+                (I.quotient(m), [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in I.gens],
+                 lambda u: oracles.member(I.gens, tuple(a + b for a, b in zip(u, m)))),
+            ]
+            for result, generators, member in cases:
+                assert _passes_public_check(result), result
+                assert result.gens == oracles.minimal_gens(generators)
+                for u in oracles.monomials_up_to(nvars, 5):
+                    assert result.member(u) == member(u), (result, u)
+
+
+def test_public_paths_still_reject_bad_input():
+    for gens in ([(True, 0)], [(1, -1)], [(1, 0, 0)], [(1,)]):
+        with pytest.raises(ValueError):
+            MonomialIdeal(2, tuple(gens))
+        with pytest.raises(ValueError):
+            minimalize(2, gens)
+    with pytest.raises(ValueError, match="canonical"):
+        MonomialIdeal(2, ((1, 0), (0, 1)))  # unsorted
+    with pytest.raises(ValueError, match="canonical"):
+        MonomialIdeal(2, ((0, 1), (0, 1)))  # repeated
+    with pytest.raises(ValueError, match="antichain"):
+        MonomialIdeal(2, ((1, 0), (1, 1)))
+    with pytest.raises(ValueError):
+        minimalize(-1, [])
+    I = minimalize(2, [(1, 0)])
+    for m in ((True, 0), (1, -1), (1, 0, 0)):
+        with pytest.raises(ValueError):
+            I.member(m)
+        with pytest.raises(ValueError):
+            I.quotient(m)
