@@ -7,16 +7,28 @@ vertices in rational arithmetic, decides Minkowski decomposability and
 both flavours of atomicity, scans for atomic degrees, builds vertex
 ideals and subalgebra generators from them, and lifts monomial ideals
 through a monoid parameterization.
+
+Fibers come from one graded cover per matrix when a caller builds one.
+Pick y >= 0 with every entry of yA at least 1: the unit vector of a row
+of ones (yA = 1, and a point's weight is |u|), or y = (1, ..., 1), whose
+yA are the column sums, each >= 1 as no column is zero.  The cover at
+weight W enumerates once, in lex order, every u with (yA).u <= W and
+buckets it by Au.  Every u over b has (yA).u = y.(Au) = y.b, so when
+y.b <= W the bucket of b is its whole fiber, already lex sorted, and a
+degree with no bucket is outside NA.  atomic_scan and monoid_lift build
+the cover for a row of ones at their bound, when the matrix has such a
+row; reachable_degrees builds it for y = (1, ..., 1) at its bound.  A
+depth-first search finds every other fiber: those of matrices with no
+row of ones, single queries, and degrees above the covered weight.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
-from operator import mul
+from operator import add, mul
 
 from .exactlp import in_convex_hull
 from .monomial import (
@@ -105,13 +117,33 @@ def _check_degree(A: FiberMatrix, b) -> Degree:
     return check_exponent(b)
 
 
-@dataclass(frozen=True)
+@dataclass
+class _Cover:
+    """A graded cover: every u with (yA).u <= covered, bucketed by Au.
+
+    y is the unit vector of row grade, a row of ones, or (1, ..., 1) when
+    grade is None; weights is yA.  Each bucket is one lex-sorted tuple.
+    """
+
+    grade: int | None
+    weights: tuple[int, ...]
+    buckets: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
+    covered: int = -1
+
+    def weight(self, b: Degree) -> int:
+        """y.b, the weight every point over b has."""
+        return sum(b) if self.grade is None else b[self.grade]
+
+
+@dataclass
 class _Plan:
     """What enumeration and the divisor walk need of one matrix, built once.
 
     divisors is the memo of divisor sets D(b) (see _split_pairs), each a
     sorted tuple, or None for a degree found outside NA; it fills as
-    degrees are asked for and is shared by every later call.
+    degrees are asked for and is shared by every later call.  ones is the
+    index of a row of ones, or None, and cover the graded cover, None
+    until a caller first asks for one.
     """
 
     cols: tuple[Degree, ...]
@@ -120,6 +152,8 @@ class _Plan:
     dead_after: tuple[tuple[int, ...], ...]
     gcds: tuple[int, ...]
     divisors: dict[Degree, tuple[Degree, ...] | None]
+    ones: int | None
+    cover: _Cover | None = None
 
 
 @cache
@@ -134,16 +168,77 @@ def _plan(A: FiberMatrix) -> _Plan:
         ),
         gcds=tuple(math.gcd(*row) for row in A.rows),
         divisors={},
+        ones=next((r for r, row in enumerate(A.rows) if set(row) == {1}), None),
     )
 
 
-def _enumerate_fiber(A: FiberMatrix, b: Degree, first_only: bool) -> list[Exponent]:
+def _bucketed(cols, weights, top: int, above: int = -1) -> dict[Degree, tuple[Exponent, ...]]:
+    """Every u with above < weights.u <= top, bucketed by Au.
+
+    The columns are extended one at a time, each prefix by every value
+    its remaining weight allows; prefixes stay in lex order, so the points
+    do too, and each bucket is one lex-sorted tuple.  weights are all >= 1.
+    """
+    level = [((), (0,) * len(cols[0]), 0)]
+    for c, w in zip(cols, weights):
+        nxt = []
+        for u, deg, wt in level:
+            v = 0
+            while wt <= top:
+                nxt.append((u + (v,), deg, wt))
+                v += 1
+                wt += w
+                deg = tuple(map(add, deg, c))
+        level = nxt
+    buckets: dict[Degree, list[Exponent]] = {}
+    for u, deg, wt in level:
+        if wt > above:
+            buckets.setdefault(deg, []).append(u)
+    return {b: tuple(pts) for b, pts in buckets.items()}
+
+
+def _cover(A: FiberMatrix, top: int, grade: int | None) -> dict[Degree, tuple[Exponent, ...]]:
+    """The buckets of the matrix's cover for y given by grade, complete up to weight top.
+
+    A cover for another y is replaced.  A degree's points all share its
+    weight, so growing from W to top adds whole new buckets for the
+    weights in (W, top] and leaves the old ones.
+    """
+    plan = _plan(A)
+    cover = plan.cover
+    if cover is None or cover.grade != grade:
+        weights = tuple(map(sum, plan.cols)) if grade is None else A.rows[grade]
+        cover = plan.cover = _Cover(grade, weights)
+    if top > cover.covered:
+        cover.buckets.update(_bucketed(plan.cols, cover.weights, top, cover.covered))
+        cover.covered = top
+    return cover.buckets
+
+
+def _degree_groups(A: FiberMatrix, bound: int) -> dict[Degree, tuple[Exponent, ...]]:
+    """The u with |u| <= bound, grouped by Au, each group lex sorted.
+
+    With a row of ones, |u| is u's weight in the cover for that row, so
+    the groups are its buckets up to weight bound; else they come from the
+    same enumeration with unit weights, kept for this call only.
+    """
+    plan = _plan(A)
+    r = plan.ones
+    if r is not None:
+        return {b: pts for b, pts in _cover(A, bound, r).items() if b[r] <= bound}
+    return _bucketed(plan.cols, (1,) * A.ncols, bound)
+
+
+def _enumerate_fiber(A: FiberMatrix, b: Degree) -> list[Exponent]:
     """Depth-first assignment of exponents with residual-feasibility pruning.
 
-    At the root, b_r must be a multiple of the gcd of row r; a zero row
-    has gcd 0 and admits only b_r = 0.  The last exponent is not branched
-    on: the residual fixes it, so it is solved by one divmod on the first
-    row where the last column is positive and checked on every row.
+    This serves the degrees the graded cover does not reach: scans on a
+    matrix with no row of ones, single queries such as a deep degree on
+    a one-row matrix, and degrees above the covered weight.  At the root,
+    b_r must be a multiple of the gcd of row r; a zero row has gcd 0 and
+    admits only b_r = 0.  The last exponent is not branched on: the
+    residual fixes it, so it is solved by one divmod on the first row
+    where the last column is positive and checked on every row.
     """
     plan = _plan(A)
     if any(br % g if g else br for br, g in zip(b, plan.gcds)):
@@ -156,29 +251,25 @@ def _enumerate_fiber(A: FiberMatrix, b: Degree, first_only: bool) -> list[Expone
     u = [0] * len(cols)
     out: list[Exponent] = []
 
-    def rec(i: int) -> bool:
+    def rec(i: int) -> None:
         if i == last:
             v, rem = divmod(residual[pivot], col_last[pivot])
-            if rem or residual != [v * x for x in col_last]:
-                return False
-            u[last] = v
-            out.append(tuple(u))
-            return first_only
+            if not rem and residual == [v * x for x in col_last]:
+                u[last] = v
+                out.append(tuple(u))
+            return
         coli, rows = cols[i], pos_rows[i]
         ub = min(residual[r] // coli[r] for r in rows)
-        stop = False
         dead = dead_after[i]
         for v in range(ub + 1):
             u[i] = v
-            if not (dead and any(residual[r] for r in dead)) and rec(i + 1):
-                stop = True
-                break
+            if not (dead and any(residual[r] for r in dead)):
+                rec(i + 1)
             if v < ub:
                 for r in rows:
                     residual[r] -= coli[r]
         for r in rows:
-            residual[r] += v * coli[r]
-        return stop
+            residual[r] += ub * coli[r]
 
     rec(0)
     return out
@@ -186,12 +277,16 @@ def _enumerate_fiber(A: FiberMatrix, b: Degree, first_only: bool) -> list[Expone
 
 @cache
 def _fiber_points(A: FiberMatrix, b: Degree) -> tuple[Exponent, ...]:
-    return tuple(_enumerate_fiber(A, b, first_only=False))
+    """All u with Au = b, lex sorted; empty iff b is outside NA.
 
-
-@cache
-def _fiber_nonempty(A: FiberMatrix, b: Degree) -> bool:
-    return bool(_enumerate_fiber(A, b, first_only=True))
+    When y.b is within the covered weight the cover's bucket is the whole
+    fiber (the same tuple, not a copy), and no bucket means b is outside
+    NA; above it the depth-first search runs.
+    """
+    cover = _plan(A).cover
+    if cover is not None and cover.weight(b) <= cover.covered:
+        return cover.buckets.get(b, ())
+    return tuple(_enumerate_fiber(A, b))
 
 
 @cache
@@ -418,13 +513,6 @@ def is_ma_atomic(M: MonomialIdeal, A: FiberMatrix, b) -> bool:
     return True
 
 
-def _scan_universe(A: FiberMatrix, bound: int) -> list[Degree]:
-    zero = (0,) * A.nrows
-    degs = {A._apply(u) for u in exponents_up_to_degree(A.ncols, bound)}
-    degs.discard(zero)
-    return sorted(degs)
-
-
 def _atomic_at(args) -> bool:
     mode, M, A, b = args
     if mode == "vertex":
@@ -459,9 +547,13 @@ def atomic_scan(
         M = MonomialIdeal.zero(A.ncols)
     elif M.nvars != A.ncols:
         raise ValueError(f"ideal has {M.nvars} variables, matrix has {A.ncols} columns")
-    universe = _scan_universe(A, bound)
+    # with a row of ones the groups are the cover's buckets, which then
+    # hold every fiber the scan reads: a split part has b1_r <= b_r
+    universe = sorted(b for b in _degree_groups(A, bound) if any(b))
     jobs = [(mode, M, A, b) for b in universe]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             flags = list(pool.map(_atomic_at, jobs, chunksize=8))
     else:
@@ -532,11 +624,12 @@ def monoid_lift(G: FiberMatrix, ideal_degrees, bound: int) -> MonomialIdeal:
         raise ValueError("bound must be nonnegative")
     degrees = [_check_degree(G, b) for b in ideal_degrees]
     members = []
-    for a in exponents_up_to_degree(G.ncols, bound):
-        value = G._apply(a)
+    # with a row of ones, a gap's weight is at most |a| <= bound, so the
+    # cover answers membership in NG
+    for value, points in _degree_groups(G, bound).items():
         for bj in degrees:
             gap = tuple(v - w for v, w in zip(value, bj))
-            if all(g >= 0 for g in gap) and _fiber_nonempty(G, gap):
-                members.append(a)
+            if all(g >= 0 for g in gap) and _fiber_points(G, gap):
+                members.extend(points)
                 break
     return minimalize(G.ncols, members)

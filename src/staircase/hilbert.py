@@ -10,9 +10,7 @@ prod(1 - t_i).
 
 from __future__ import annotations
 
-from functools import cache
-
-from .fibers import FiberMatrix, ma_fiber
+from .fibers import FiberMatrix, _cover, ma_fiber
 from .monomial import Exponent, MonomialIdeal, lcm_exponent
 
 Grading = FiberMatrix
@@ -55,30 +53,17 @@ def numerator_fine_count(terms: dict[Exponent, int], b) -> int:
     return sum(c for e, c in terms.items() if all(x <= y for x, y in zip(e, b)))
 
 
-@cache
-def _reachable_degrees(D: Grading, bound: int) -> tuple[tuple[int, ...], ...]:
-    """Degrees of monomials, restricted to total coordinate sum <= bound."""
-    cols = [D.column(i) for i in range(D.ncols)]
-    zero = (0,) * D.nrows
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for c in cols:
-                h = tuple(x + y for x, y in zip(g, c))
-                if h not in seen and sum(h) <= bound:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return tuple(sorted(seen))
-
-
 def reachable_degrees(D: Grading, bound: int) -> list[tuple[int, ...]]:
-    """All degrees D.u with total coordinate sum <= bound, sorted lex."""
+    """All degrees D.u with total coordinate sum <= bound, sorted lex.
+
+    They are the keys of the grading's graded cover (see staircase.fibers)
+    for y = (1, ..., 1) at weight bound, where a degree's weight is its
+    coordinate sum; hilbert_function then reads their fibers from the
+    same buckets.
+    """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    return list(_reachable_degrees(D, bound))
+    return sorted(b for b in _cover(D, bound, None) if sum(b) <= bound)
 
 
 def same_hilbert_up_to(I: MonomialIdeal, J: MonomialIdeal, D: Grading, bound: int) -> bool:

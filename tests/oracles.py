@@ -4,9 +4,10 @@ Each oracle takes a different route from the code under test: membership
 by raw divisor scan, fibers by full box enumeration, hull membership by
 affinely-independent-subset search instead of a feasibility tableau,
 splits of a degree from the sub-boxes of its fiber points instead of a
-memo of divisor sets, chains by subset enumeration, irreducible
-components by splitting mixed generators instead of adding generators
-one at a time.
+memo of divisor sets, reachable degrees by a breadth-first walk over the
+columns instead of a bucketed enumeration of exponents, chains by subset
+enumeration, irreducible components by splitting mixed generators
+instead of adding generators one at a time.
 """
 
 from __future__ import annotations
@@ -113,6 +114,28 @@ def box_fiber_points(rows, b) -> list[tuple[int, ...]]:
     return out
 
 
+def reachable_degrees_by_walk(rows, bound) -> list[tuple[int, ...]]:
+    """Degrees A u with coordinate sum <= bound, sorted, by a breadth-first walk.
+
+    Starts at 0 and adds one column at a time; a column has coordinate sum
+    >= 1, so every step raises the sum and the walk stops at the bound.
+    """
+    cols = list(zip(*rows))
+    zero = (0,) * len(rows)
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for c in cols:
+                h = tuple(x + y for x, y in zip(g, c))
+                if h not in seen and sum(h) <= bound:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return sorted(seen)
+
+
 def split_pairs_from_points(rows, b, points) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Nontrivial unordered splits b1 + b2 = b in NA, b1 <= b2 lex, sorted.
 
@@ -166,18 +189,37 @@ def _solve_exact(matrix, rhs):
     return "unique", x
 
 
+def _rank(rows) -> int:
+    """Rank of a list of rational vectors, by Gaussian elimination."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((k for k in range(rank, len(rows)) if rows[k][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for k in range(rank + 1, len(rows)):
+            f = rows[k][c] / rows[rank][c]
+            rows[k] = [a - f * b for a, b in zip(rows[k], rows[rank])]
+        rank += 1
+    return rank
+
+
 def hull_member(q, points) -> bool:
     """Convex-hull membership via affinely independent subsets.
 
     If q is in the hull it is in the hull of some affinely independent
-    subset of at most dim+1 points; dependent subsets are skipped, which
-    is safe because an independent sub-subset always suffices.
+    subset of at most k+1 points, k being the dimension of the affine
+    hull of q and the points (Caratheodory); a larger subset is dependent
+    and could never give a unique solution.  Dependent subsets are
+    skipped, which is safe because an independent sub-subset suffices.
     """
     pts = [tuple(p) for p in points]
     if not pts:
         return False
     dim = len(q)
-    for size in range(1, min(len(pts), dim + 1) + 1):
+    flat = _rank([[x - y for x, y in zip(p, q)] for p in pts])
+    for size in range(1, min(len(pts), flat + 1) + 1):
         for subset in itertools.combinations(pts, size):
             matrix = [[p[c] for p in subset] for c in range(dim)]
             matrix.append([1] * size)

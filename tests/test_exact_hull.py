@@ -77,15 +77,21 @@ def _oracle_vertices(A, b):
     return oracles.hull_vertices_by_definition(fiber_points(A, b))
 
 
+@functools.cache
+def _hull_member(q, points: frozenset) -> bool:
+    # the splits of one degree ask about the same points and sets again
+    return oracles.hull_member(q, sorted(points))
+
+
 def _minkowski_by_membership(A, b, b1, b2) -> bool:
-    verts = _oracle_vertices(A, b)
-    sums = {
+    verts = frozenset(_oracle_vertices(A, b))
+    sums = frozenset(
         tuple(x + y for x, y in zip(p, q))
         for p in _oracle_vertices(A, b1)
         for q in _oracle_vertices(A, b2)
-    }
-    return all(oracles.hull_member(v, sums) for v in verts) and all(
-        oracles.hull_member(s, verts) for s in sums
+    )
+    return all(_hull_member(v, sums) for v in verts) and all(
+        _hull_member(s, verts) for s in sums
     )
 
 

@@ -1,6 +1,8 @@
 import inspect
 import itertools
 import math
+import os
+import subprocess
 import sys
 
 import pytest
@@ -22,6 +24,7 @@ from staircase import (
     minimalize,
     minkowski_decomposes,
     monoid_lift,
+    reachable_degrees,
     sagbi_generators,
     vertex_ideal_gens_truncated,
     vertex_ideal_standard,
@@ -116,6 +119,118 @@ def _last_column_matrices(rng, count):
         rows[rng.randrange(1, len(rows))][-1] = rng.randint(1, 3)
         out.append(FiberMatrix(tuple(map(tuple, rows))))
     return out
+
+
+def _ones_matrices(rng, count):
+    """Seeded matrices from 2x3 to 3x5 with a row of ones in a random place."""
+    out = []
+    for _ in range(count):
+        A = corpus.random_matrix(rng, rng.randint(1, 2), rng.randint(3, 5), 3)
+        rows = list(A.rows)
+        rows.insert(rng.randint(0, len(rows)), (1,) * A.ncols)
+        out.append(FiberMatrix(tuple(rows)))
+    return out
+
+
+def _no_ones_matrices(rng, count):
+    """The 4x6 example, one-row matrices and matrices with a row of twos,
+    none of them with a row of ones."""
+    out = [demo_matrix(), FiberMatrix(((2, 3),)), FiberMatrix(((1, 2, 0), (0, 1, 1)))]
+    while len(out) < count + 3:
+        A = corpus.random_matrix(rng, rng.randint(1, 2), rng.randint(2, 4), 3)
+        if A.nrows == 2:
+            A = FiberMatrix(((2,) * A.ncols,) + A.rows[1:])
+        if fibers._plan(A).ones is None:
+            out.append(A)
+    return out
+
+
+def _plan_ones(A):
+    grade = fibers._plan(A).ones
+    assert grade is not None and set(A.rows[grade]) == {1}
+    return grade
+
+
+def _clear_fiber_caches():
+    for f in vars(fibers).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+
+
+def test_cover_fibers_against_search_and_box_oracle():
+    rng = corpus.make_rng("graded-cover")
+    cases = [(A, _plan_ones(A)) for A in _ones_matrices(rng, 16)]
+    cases += [(A, None) for A in _no_ones_matrices(rng, 10)]
+    from_cover = beyond = 0
+    for A, grade in cases:
+        _clear_fiber_caches()
+        y = [int(grade is None or r == grade) for r in range(A.nrows)]
+        degrees = set()
+        for _ in range(4):
+            # degrees one step off are often outside NA
+            b = A.apply(corpus.random_exponent(rng, A.ncols, 2))
+            degrees |= {b, tuple(x + 1 for x in b), (b[0] + 1,) + b[1:]}
+        weights = {b: sum(x * yr for x, yr in zip(b, y)) for b in degrees}
+        # the middle weight: degrees below, at and beyond the covered one
+        top = sorted(weights.values())[len(weights) // 2]
+        cover = fibers._cover(A, top, grade)
+        for b in sorted(degrees):
+            expected = sorted(oracles.box_fiber_points(A.rows, b))
+            assert fiber_points(A, b) == fibers._enumerate_fiber(A, b) == expected, (A, b)
+            if weights[b] <= top:
+                assert (b in cover) == bool(expected)
+                if expected:
+                    assert fibers._fiber_points(A, b) is cover[b]
+                    from_cover += 1
+            else:
+                beyond += 1
+    assert from_cover and beyond
+
+
+def test_scans_and_reachable_degrees_share_the_cover():
+    # a scan builds the cover for the row of ones, reachable_degrees the one
+    # for y = (1, ..., 1); each replaces the other, in either order
+    rng = corpus.make_rng("scan-reachable")
+    for A in _ones_matrices(rng, 6):
+        _clear_fiber_caches()
+        scan = atomic_scan(A, 3, mode="lattice")
+        for bound in (5, 2):
+            walk = oracles.reachable_degrees_by_walk(A.rows, bound)
+            _clear_fiber_caches()
+            assert reachable_degrees(A, bound) == walk
+            assert atomic_scan(A, 3, mode="lattice") == scan
+            assert reachable_degrees(A, bound) == walk
+
+
+def test_atomic_scan_cover_matches_search_in_either_order():
+    # a scan over a matrix with a row of ones reads its fibers from the cover;
+    # the reference decides the same degrees by fiber search alone
+    rng = corpus.make_rng("scan-cover-order")
+    deeper = 0
+    for A in _ones_matrices(rng, 8):
+        small, large = 1, rng.randint(3, 4)
+        M = corpus.random_ideal(rng, A.ncols, 3, 2)
+        runs = {}
+        for mode, ideal in (("vertex", None), ("lattice", None), ("lattice", M)):
+            _clear_fiber_caches()
+            universe = sorted(
+                {A.apply(u) for u in oracles.monomials_up_to(A.ncols, large)} - {(0,) * A.nrows}
+            )
+            if mode == "vertex":
+                reference = [b for b in universe if is_atomic(A, b)]
+            else:
+                N = ideal or MonomialIdeal.zero(A.ncols)
+                reference = [b for b in universe if ma_fiber(N, A, b) and is_ma_atomic(N, A, b)]
+            assert fibers._plan(A).cover is None  # the reference used no cover
+            r = _plan_ones(A)
+            for order in ((small, large), (large, small)):
+                _clear_fiber_caches()
+                for bound in order:
+                    runs[bound] = atomic_scan(A, bound, mode=mode, M=ideal)
+                assert runs[large] == reference, (A, mode, order)
+                assert runs[small] == [b for b in reference if b[r] <= small], (A, mode, order)
+            deeper += any(b[r] > small for b in reference)
+    assert deeper  # some atomic degree lies beyond the smaller scan
 
 
 def test_fiber_points_solved_last_exponent_against_box_oracle():
@@ -320,6 +435,19 @@ def test_atomic_scan_workers_match_sequential():
     assert seq_l == par_l
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    # concurrent.futures is imported only by a scan with workers > 1
+    src = os.path.dirname(os.path.dirname(fibers.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import staircase, staircase.cli; "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_atomicity_ideal_examples():
     assert atomicity_ideal(SEGMENT, (3,)).gens == ((0, 3), (3, 0))
     assert atomicity_ideal(SEGMENT, (0,)).is_unit()
@@ -462,11 +590,13 @@ def test_monoid_lift_examples():
 
 
 def test_monoid_lift_membership_definition():
-    # monoid_lift tests membership in NG through the first-point-only search
+    # monoid_lift tests membership in NG by fiber search, or from the graded
+    # cover when G has a row of ones
     rng = corpus.make_rng("lift-member")
     matrices = itertools.chain(
         (corpus.random_matrix(rng, 2, 3, 2) for _ in range(10)),
         _last_column_matrices(corpus.make_rng("lift-last-column"), 10),
+        _ones_matrices(corpus.make_rng("lift-ones"), 10),
     )
     for G in matrices:
         degrees = [G.apply(corpus.random_exponent(rng, G.ncols, 2)) for _ in range(2)]

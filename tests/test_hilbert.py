@@ -112,6 +112,30 @@ def test_reachable_degrees():
         reachable_degrees(D, -1)
 
 
+def _walk_gradings():
+    rng = corpus.make_rng("reachable-walk")
+    gradings = [identity_grading(n) for n in (1, 2, 3)]
+    gradings.append(Grading(((2, 3),)))
+    for _ in range(6):
+        n = rng.randint(2, 4)
+        # a row of ones over a row of entries 0..2, often with zeros
+        gradings.append(Grading(((1,) * n, tuple(rng.randint(0, 2) for _ in range(n)))))
+    for _ in range(6):
+        D = corpus.random_matrix(rng, rng.randint(1, 3), rng.randint(1, 4), 3)
+        gradings.append(Grading(D.rows + ((0,) * D.ncols,)))  # and a zero row
+    return gradings
+
+
+def test_reachable_degrees_against_walk():
+    # the bounds rise and fall, so a cover grown for a larger bound answers
+    # the smaller ones after it
+    for D in _walk_gradings():
+        for bound in (3, 0, 7, 5, 8, 1):
+            assert reachable_degrees(D, bound) == oracles.reachable_degrees_by_walk(
+                D.rows, bound
+            ), (D, bound)
+
+
 def test_same_hilbert_examples():
     D = Grading(((1, 1),))
     assert same_hilbert_up_to(minimalize(2, [(1, 0)]), minimalize(2, [(0, 1)]), D, 10)
