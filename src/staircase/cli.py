@@ -406,10 +406,7 @@ def run(argv) -> RunReport:
 def main(argv=None) -> int:
     try:
         report = run(sys.argv[1:] if argv is None else argv)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(report.payload, sort_keys=True))

@@ -70,17 +70,15 @@ class PrimaryComponent:
             raise ValueError("prime and component live in different rings")
         support = set()
         for g in self.component.gens:
-            support.update(i for i, e in enumerate(g) if e > 0)
+            support.update(_support(g))
         outside = set(self.prime.generators)
         if support != outside:
             raise ValueError(
                 f"generator support {sorted(support)} does not match prime variables {sorted(outside)}"
             )
-        for i in outside:
-            if not any(
-                g[i] > 0 and all(e == 0 for k, e in enumerate(g) if k != i)
-                for g in self.component.gens
-            ):
+        powers = self.component._least_pure_powers()
+        for i in self.prime.generators:
+            if powers[i] is None:
                 raise ValueError(f"no pure power of variable {i}: component not primary")
 
     def to_json(self) -> dict:

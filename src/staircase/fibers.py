@@ -8,18 +8,18 @@ both flavours of atomicity, scans for atomic degrees, builds vertex
 ideals and subalgebra generators from them, and lifts monomial ideals
 through a monoid parameterization.
 
-Fibers come from one graded cover per matrix when a caller builds one.
-Pick y >= 0 with every entry of yA at least 1: the unit vector of a row
-of ones (yA = 1, and a point's weight is |u|), or y = (1, ..., 1), whose
-yA are the column sums, each >= 1 as no column is zero.  The cover at
+Each matrix owns one fiber memo, in its plan, holding only true fibers
+(() outside NA).  A graded cover fills it a whole grade at a time.  Pick
+y >= 0 with every entry of yA at least 1: the unit vector of a row of
+ones (yA = 1, and a point's weight is |u|), or y = (1, ..., 1), whose yA
+are the column sums, each >= 1 as no column is zero.  The cover at
 weight W enumerates once, in lex order, every u with (yA).u <= W and
 buckets it by Au.  Every u over b has (yA).u = y.(Au) = y.b, so when
 y.b <= W the bucket of b is its whole fiber, already lex sorted, and a
-degree with no bucket is outside NA.  atomic_scan and monoid_lift build
-the cover for a row of ones at their bound, when the matrix has such a
-row; reachable_degrees builds it for y = (1, ..., 1) at its bound.  A
-depth-first search finds every other fiber: those of matrices with no
-row of ones, single queries, and degrees above the covered weight.
+degree with no bucket is outside NA; covers for both y's coexist.
+atomic_scan and monoid_lift cover a row of ones, when the matrix has
+one, and reachable_degrees y = (1, ..., 1), each up to its bound.  A
+depth-first search finds every other fiber and stores it in the memo.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from operator import add, mul
 
 from .exactlp import in_convex_hull
@@ -51,6 +51,8 @@ class FiberMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # rows given as lists are stored as tuples, so they hash and compare
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         if not self.rows:
             raise ValueError("matrix needs at least one row")
         n = len(self.rows[0])
@@ -93,8 +95,7 @@ class FiberMatrix:
     def from_json(cls, data) -> FiberMatrix:
         if not isinstance(data, dict) or "entries" not in data:
             raise ValueError('matrix JSON must be {"rows": d, "cols": n, "entries": [...]}')
-        entries = tuple(tuple(r) for r in check_vectors(data["entries"], "entries"))
-        mat = cls(entries)
+        mat = cls(check_vectors(data["entries"], "entries"))
         for field, size in (("rows", mat.nrows), ("cols", mat.ncols)):
             if field in data and check_count(data[field], field) != size:
                 raise ValueError(f'"{field}" is {data[field]}, entries have {size}')
@@ -118,32 +119,16 @@ def _check_degree(A: FiberMatrix, b) -> Degree:
 
 
 @dataclass
-class _Cover:
-    """A graded cover: every u with (yA).u <= covered, bucketed by Au.
-
-    y is the unit vector of row grade, a row of ones, or (1, ..., 1) when
-    grade is None; weights is yA.  Each bucket is one lex-sorted tuple.
-    """
-
-    grade: int | None
-    weights: tuple[int, ...]
-    buckets: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
-    covered: int = -1
-
-    def weight(self, b: Degree) -> int:
-        """y.b, the weight every point over b has."""
-        return sum(b) if self.grade is None else b[self.grade]
-
-
-@dataclass
 class _Plan:
     """What enumeration and the divisor walk need of one matrix, built once.
 
     divisors is the memo of divisor sets D(b) (see _split_pairs), each a
     sorted tuple, or None for a degree found outside NA; it fills as
     degrees are asked for and is shared by every later call.  ones is the
-    index of a row of ones, or None, and cover the graded cover, None
-    until a caller first asks for one.
+    index of a row of ones, or None.  fibers is the fiber memo: each
+    degree asked for or covered, mapped to its lex-sorted points, () when
+    outside NA.  covered maps a grade (the index of a row of ones, or None
+    for y = (1, ..., 1)) to the weight its cover is complete up to.
     """
 
     cols: tuple[Degree, ...]
@@ -151,9 +136,10 @@ class _Plan:
     # rows that no column beyond i can still serve; their residual must be 0
     dead_after: tuple[tuple[int, ...], ...]
     gcds: tuple[int, ...]
-    divisors: dict[Degree, tuple[Degree, ...] | None]
     ones: int | None
-    cover: _Cover | None = None
+    divisors: dict[Degree, tuple[Degree, ...] | None] = field(default_factory=dict)
+    fibers: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
+    covered: dict[int | None, int] = field(default_factory=dict)
 
 
 @cache
@@ -167,9 +153,13 @@ def _plan(A: FiberMatrix) -> _Plan:
             tuple(r for r in range(d) if not any(A.rows[r][i + 1 :])) for i in range(n)
         ),
         gcds=tuple(math.gcd(*row) for row in A.rows),
-        divisors={},
         ones=next((r for r, row in enumerate(A.rows) if set(row) == {1}), None),
     )
+
+
+def _weight(b: Degree, grade: int | None) -> int:
+    """y.b for the y given by grade: the weight every point over b has."""
+    return sum(b) if grade is None else b[grade]
 
 
 def _bucketed(cols, weights, top: int, above: int = -1) -> dict[Degree, tuple[Exponent, ...]]:
@@ -197,44 +187,41 @@ def _bucketed(cols, weights, top: int, above: int = -1) -> dict[Degree, tuple[Ex
     return {b: tuple(pts) for b, pts in buckets.items()}
 
 
-def _cover(A: FiberMatrix, top: int, grade: int | None) -> dict[Degree, tuple[Exponent, ...]]:
-    """The buckets of the matrix's cover for y given by grade, complete up to weight top.
+def _graded(A: FiberMatrix, grade: int | None, top: int) -> dict[Degree, tuple[Exponent, ...]]:
+    """Every nonempty fiber of weight <= top for the y given by grade.
 
-    A cover for another y is replaced.  A degree's points all share its
-    weight, so growing from W to top adds whole new buckets for the
-    weights in (W, top] and leaves the old ones.
+    Covers y up to weight top first, if it is not yet.  A degree's points
+    all share its weight, so growing the cover from W to top enumerates
+    whole new fibers, those of the weights in (W, top].
     """
     plan = _plan(A)
-    cover = plan.cover
-    if cover is None or cover.grade != grade:
+    covered = plan.covered.get(grade, -1)
+    if top > covered:
         weights = tuple(map(sum, plan.cols)) if grade is None else A.rows[grade]
-        cover = plan.cover = _Cover(grade, weights)
-    if top > cover.covered:
-        cover.buckets.update(_bucketed(plan.cols, cover.weights, top, cover.covered))
-        cover.covered = top
-    return cover.buckets
+        plan.fibers.update(_bucketed(plan.cols, weights, top, covered))
+        plan.covered[grade] = top
+    return {b: pts for b, pts in plan.fibers.items() if pts and _weight(b, grade) <= top}
 
 
 def _degree_groups(A: FiberMatrix, bound: int) -> dict[Degree, tuple[Exponent, ...]]:
     """The u with |u| <= bound, grouped by Au, each group lex sorted.
 
     With a row of ones, |u| is u's weight in the cover for that row, so
-    the groups are its buckets up to weight bound; else they come from the
-    same enumeration with unit weights, kept for this call only.
+    the groups are the fibers it covers up to weight bound; else they come
+    from the same enumeration with unit weights, kept for this call only.
     """
     plan = _plan(A)
-    r = plan.ones
-    if r is not None:
-        return {b: pts for b, pts in _cover(A, bound, r).items() if b[r] <= bound}
+    if plan.ones is not None:
+        return _graded(A, plan.ones, bound)
     return _bucketed(plan.cols, (1,) * A.ncols, bound)
 
 
 def _enumerate_fiber(A: FiberMatrix, b: Degree) -> list[Exponent]:
     """Depth-first assignment of exponents with residual-feasibility pruning.
 
-    This serves the degrees the graded cover does not reach: scans on a
-    matrix with no row of ones, single queries such as a deep degree on
-    a one-row matrix, and degrees above the covered weight.  At the root,
+    This serves the degrees no graded cover reaches: scans on a matrix
+    with no row of ones, single queries such as a deep degree on a
+    one-row matrix, and degrees above every covered weight.  At the root,
     b_r must be a multiple of the gcd of row r; a zero row has gcd 0 and
     admits only b_r = 0.  The last exponent is not branched on: the
     residual fixes it, so it is solved by one divmod on the first row
@@ -275,18 +262,19 @@ def _enumerate_fiber(A: FiberMatrix, b: Degree) -> list[Exponent]:
     return out
 
 
-@cache
 def _fiber_points(A: FiberMatrix, b: Degree) -> tuple[Exponent, ...]:
     """All u with Au = b, lex sorted; empty iff b is outside NA.
 
-    When y.b is within the covered weight the cover's bucket is the whole
-    fiber (the same tuple, not a copy), and no bucket means b is outside
-    NA; above it the depth-first search runs.
+    Read from the matrix's fiber memo.  A degree missing from it is
+    outside NA when its weight is within a covered one, and is otherwise
+    found by the depth-first search and stored.
     """
-    cover = _plan(A).cover
-    if cover is not None and cover.weight(b) <= cover.covered:
-        return cover.buckets.get(b, ())
-    return tuple(_enumerate_fiber(A, b))
+    plan = _plan(A)
+    points = plan.fibers.get(b)
+    if points is None:
+        covered = any(_weight(b, grade) <= top for grade, top in plan.covered.items())
+        points = plan.fibers[b] = () if covered else tuple(_enumerate_fiber(A, b))
+    return points
 
 
 @cache
@@ -450,21 +438,30 @@ def minkowski_decomposes(A: FiberMatrix, b, b1, b2) -> bool:
     return split is None
 
 
+def _atomic(A: FiberMatrix, b: Degree, whole, part) -> bool:
+    """Does no nontrivial pair b1 + b2 = b in NA split whole?
+
+    A pair splits whole when each of its points is a point of part(b1)
+    plus one of part(b2).  The zero degree is never atomic.
+    """
+    if not any(b):
+        return False
+    return all(
+        _first_unsplit(whole, part(b1), part(b2)) is not None for b1, b2 in _split_pairs(A, b)
+    )
+
+
 def is_atomic(A: FiberMatrix, b) -> bool:
     """No nontrivial pair b1 + b2 = b Minkowski-decomposes the hull over b.
 
     The zero degree is never atomic: its hull is the single point 0 and
     0 + 0 = 0 decomposes it.  Nontrivial means b1, b2 outside {0, b}.
+    Each pair is tested as minkowski_decomposes tests it.
     """
     b = _check_degree(A, b)
     if not _fiber_points(A, b):
         raise ValueError(f"empty fiber over {b}")
-    if not any(b):
-        return False
-    for b1, b2 in _split_pairs(A, b):
-        if minkowski_decomposes(A, b, b1, b2):
-            return False
-    return True
+    return _atomic(A, b, _fiber_vertices(A, b), partial(_fiber_points, A))
 
 
 @cache
@@ -505,20 +502,17 @@ def is_ma_atomic(M: MonomialIdeal, A: FiberMatrix, b) -> bool:
     fiber_b = _ma_fiber(M, A, b)
     if not fiber_b:
         raise ValueError(f"empty (M,A) fiber over {b}")
-    if not any(b):
-        return False
-    for b1, b2 in _split_pairs(A, b):
-        if _first_unsplit(fiber_b, _ma_fiber(M, A, b1), _ma_fiber(M, A, b2)) is None:
-            return False
-    return True
+    return _atomic(A, b, fiber_b, partial(_ma_fiber, M, A))
 
 
 def _atomic_at(args) -> bool:
+    # one degree of a scan, which checked its arguments and gives b in NA
     mode, M, A, b = args
     if mode == "vertex":
-        return is_atomic(A, b)
+        return _atomic(A, b, _fiber_vertices(A, b), partial(_fiber_points, A))
+    fiber_b = _ma_fiber(M, A, b)
     # with every point over b in M there is nothing to decompose
-    return bool(_ma_fiber(M, A, b)) and is_ma_atomic(M, A, b)
+    return bool(fiber_b) and _atomic(A, b, fiber_b, partial(_ma_fiber, M, A))
 
 
 def atomic_scan(
@@ -547,8 +541,8 @@ def atomic_scan(
         M = MonomialIdeal.zero(A.ncols)
     elif M.nvars != A.ncols:
         raise ValueError(f"ideal has {M.nvars} variables, matrix has {A.ncols} columns")
-    # with a row of ones the groups are the cover's buckets, which then
-    # hold every fiber the scan reads: a split part has b1_r <= b_r
+    # with a row of ones the groups are the fibers that row's cover holds,
+    # and it then holds every fiber the scan reads: a split part has b1_r <= b_r
     universe = sorted(b for b in _degree_groups(A, bound) if any(b))
     jobs = [(mode, M, A, b) for b in universe]
     if workers > 1:
@@ -598,7 +592,10 @@ def sagbi_generators(A: FiberMatrix, coeffs, bound: int) -> list[tuple[int, Degr
     k_b is the gcd of prod(c_i^{u_i}) over the fiber points u; with the
     atomic degrees these generate every c^u x^{Au} up to an integer factor.
     """
-    coeffs = tuple(int(c) for c in coeffs)
+    coeffs = tuple(coeffs)
+    for c in coeffs:
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise ValueError(f"coefficient {c!r} must be an integer")
     if len(coeffs) != A.ncols:
         raise ValueError(f"need {A.ncols} coefficients, got {len(coeffs)}")
     if any(c == 0 for c in coeffs):

@@ -10,7 +10,7 @@ prod(1 - t_i).
 
 from __future__ import annotations
 
-from .fibers import FiberMatrix, _cover, ma_fiber
+from .fibers import FiberMatrix, _graded, ma_fiber
 from .monomial import Exponent, MonomialIdeal, lcm_exponent
 
 Grading = FiberMatrix
@@ -56,14 +56,14 @@ def numerator_fine_count(terms: dict[Exponent, int], b) -> int:
 def reachable_degrees(D: Grading, bound: int) -> list[tuple[int, ...]]:
     """All degrees D.u with total coordinate sum <= bound, sorted lex.
 
-    They are the keys of the grading's graded cover (see staircase.fibers)
-    for y = (1, ..., 1) at weight bound, where a degree's weight is its
-    coordinate sum; hilbert_function then reads their fibers from the
-    same buckets.
+    They are the degrees of the grading's graded cover (see
+    staircase.fibers) for y = (1, ..., 1) at weight bound, where a
+    degree's weight is its coordinate sum; hilbert_function then reads
+    their fibers from the same memo.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    return sorted(b for b in _cover(D, bound, None) if sum(b) <= bound)
+    return sorted(_graded(D, None, bound))
 
 
 def same_hilbert_up_to(I: MonomialIdeal, J: MonomialIdeal, D: Grading, bound: int) -> bool:

@@ -161,34 +161,30 @@ class MonomialIdeal:
             (tuple(max(gi - mi, 0) for gi, mi in zip(g, m)) for g in self.gens),
         )
 
-    def is_artinian(self) -> bool:
-        """True iff every variable has a pure-power generator.
+    def _least_pure_powers(self) -> tuple[int | None, ...]:
+        """Each variable's least pure-power exponent among the generators, or None.
 
-        A generator supported on {i} alone counts for variable i; the unit
+        A generator supported on {i} alone is a power of x_i; the unit
         ideal's generator 1 has empty support and counts for every variable.
+        In an antichain each variable has at most one such generator.
         """
-        for i in range(self.nvars):
-            if not any(all(g[j] == 0 for j in range(self.nvars) if j != i) for g in self.gens):
-                return False
-        return True
+        powers: list[int | None] = [None] * self.nvars
+        for g in self.gens:
+            support = [i for i, e in enumerate(g) if e]
+            if len(support) <= 1:
+                for i in support or range(self.nvars):
+                    powers[i] = g[i]
+        return tuple(powers)
 
-    def _pure_power_bounds(self) -> tuple[int, ...]:
-        # minimal pure-power exponent per variable; requires is_artinian
-        bounds = []
-        for i in range(self.nvars):
-            powers = [
-                g[i]
-                for g in self.gens
-                if all(g[j] == 0 for j in range(self.nvars) if j != i)
-            ]
-            bounds.append(min(powers))
-        return tuple(bounds)
+    def is_artinian(self) -> bool:
+        """True iff every variable has a pure-power generator."""
+        return None not in self._least_pure_powers()
 
     def standard_monomials(self) -> list[Exponent]:
         """All u with x^u outside the ideal, sorted lex.  Requires artinian."""
-        if not self.is_artinian():
+        bounds = self._least_pure_powers()
+        if None in bounds:
             raise ValueError("standard_monomials requires an artinian ideal")
-        bounds = self._pure_power_bounds()
         return [
             u
             for u in itertools.product(*(range(b) for b in bounds))

@@ -3,6 +3,7 @@ import pytest
 from staircase import (
     MonomialIdeal,
     MonomialPrime,
+    PrimaryComponent,
     associated_primes,
     irreducible_decomposition,
     minimalize,
@@ -170,6 +171,23 @@ def test_prime_validation():
     p = MonomialPrime(3, frozenset({1}))
     assert p.generators == (0, 2)
     assert p.as_ideal().gens == ((0, 0, 1), (1, 0, 0))
+
+
+def test_primary_component_validation():
+    prime = MonomialPrime(3, frozenset({1}))  # generated by x_0 and x_2
+    ok = minimalize(3, [(2, 0, 0), (1, 0, 1), (0, 0, 3)])
+    assert PrimaryComponent(prime, ok).component == ok
+    with pytest.raises(ValueError, match="different rings"):
+        PrimaryComponent(prime, minimalize(2, [(2, 0), (0, 3)]))
+    # x_1 is in the support, but not among the prime's variables
+    with pytest.raises(ValueError, match="does not match prime variables"):
+        PrimaryComponent(prime, minimalize(3, [(2, 0, 0), (0, 1, 1), (0, 0, 3)]))
+    # x_2 only appears with x_0, so the component has no pure power of it
+    with pytest.raises(ValueError, match="no pure power of variable 2"):
+        PrimaryComponent(prime, minimalize(3, [(2, 0, 0), (1, 0, 1)]))
+    # the unit ideal is primary to the zero ideal's prime, with no variables
+    unit = MonomialIdeal.unit(2)
+    assert PrimaryComponent(MonomialPrime(2, frozenset({0, 1})), unit).component == unit
 
 
 # The 18-generator ideal in 6 variables from the ROADMAP's probes, the

@@ -55,6 +55,17 @@ def test_matrix_validation():
         FiberMatrix(())
 
 
+def test_matrix_rows_given_as_lists():
+    A = FiberMatrix([[1, 2], [1, 1]])
+    assert A.rows == ((1, 2), (1, 1))
+    assert A == FiberMatrix(((1, 2), (1, 1)))
+    assert hash(A) == hash(FiberMatrix(((1, 2), (1, 1))))
+    assert fiber_points(A, (3, 2)) == [(1, 1)]
+    assert atomic_scan(A, 3, mode="vertex") == atomic_scan(FiberMatrix(A.rows), 3, mode="vertex")
+    with pytest.raises(ValueError):
+        FiberMatrix([[1, 0], [0, 0]])
+
+
 def test_matrix_json_round_trip():
     A = demo_matrix()
     assert FiberMatrix.from_json(A.to_json()) == A
@@ -173,7 +184,7 @@ def test_cover_fibers_against_search_and_box_oracle():
         weights = {b: sum(x * yr for x, yr in zip(b, y)) for b in degrees}
         # the middle weight: degrees below, at and beyond the covered one
         top = sorted(weights.values())[len(weights) // 2]
-        cover = fibers._cover(A, top, grade)
+        cover = fibers._graded(A, grade, top)
         for b in sorted(degrees):
             expected = sorted(oracles.box_fiber_points(A.rows, b))
             assert fiber_points(A, b) == fibers._enumerate_fiber(A, b) == expected, (A, b)
@@ -188,18 +199,30 @@ def test_cover_fibers_against_search_and_box_oracle():
 
 
 def test_scans_and_reachable_degrees_share_the_cover():
-    # a scan builds the cover for the row of ones, reachable_degrees the one
-    # for y = (1, ..., 1); each replaces the other, in either order
+    # a scan covers the row of ones, reachable_degrees y = (1, ..., 1); both
+    # covers fill the one fiber memo and persist, in either order, and a
+    # repeat call adds no memo entries
     rng = corpus.make_rng("scan-reachable")
     for A in _ones_matrices(rng, 6):
-        _clear_fiber_caches()
+        r = _plan_ones(A)
         scan = atomic_scan(A, 3, mode="lattice")
         for bound in (5, 2):
             walk = oracles.reachable_degrees_by_walk(A.rows, bound)
-            _clear_fiber_caches()
-            assert reachable_degrees(A, bound) == walk
-            assert atomic_scan(A, 3, mode="lattice") == scan
-            assert reachable_degrees(A, bound) == walk
+            for first_scan in (True, False):
+                _clear_fiber_caches()
+                rounds = []
+                for _ in range(2):
+                    if first_scan:
+                        assert atomic_scan(A, 3, mode="lattice") == scan
+                    assert reachable_degrees(A, bound) == walk
+                    assert atomic_scan(A, 3, mode="lattice") == scan
+                    plan = fibers._plan(A)
+                    assert plan.covered == {r: 3, None: bound}
+                    rounds.append(dict(plan.fibers))
+                # the second round reused both covers and every fiber
+                first, second = rounds
+                assert second == first
+                assert all(second[b] is pts for b, pts in first.items())
 
 
 def test_atomic_scan_cover_matches_search_in_either_order():
@@ -221,7 +244,7 @@ def test_atomic_scan_cover_matches_search_in_either_order():
             else:
                 N = ideal or MonomialIdeal.zero(A.ncols)
                 reference = [b for b in universe if ma_fiber(N, A, b) and is_ma_atomic(N, A, b)]
-            assert fibers._plan(A).cover is None  # the reference used no cover
+            assert not fibers._plan(A).covered  # the reference used no cover
             r = _plan_ones(A)
             for order in ((small, large), (large, small)):
                 _clear_fiber_caches()
@@ -231,6 +254,52 @@ def test_atomic_scan_cover_matches_search_in_either_order():
                 assert runs[small] == [b for b in reference if b[r] <= small], (A, mode, order)
             deeper += any(b[r] > small for b in reference)
     assert deeper  # some atomic degree lies beyond the smaller scan
+
+
+def test_atomicity_matches_pairwise_public_checks():
+    # is_atomic, is_ma_atomic and the scans share one pair loop; the
+    # reference applies minkowski_decomposes or ma_decomposes to every
+    # split pair the oracle finds, and each side runs on cold caches
+    rng = corpus.make_rng("atomic-pair-loop")
+    matrices = _ones_matrices(rng, 5) + _no_ones_matrices(rng, 3)[1:]
+    matrices.append(FiberMatrix(((1, 1, 1, 1), (0, 1, 3, 4))))  # a non-normal monoid
+    found = {"vertex": 0, "lattice": 0, "avoiding": 0}
+    for A in matrices:
+        bound = 3
+        zero = (0,) * A.nrows
+        universe = sorted({A.apply(u) for u in oracles.monomials_up_to(A.ncols, bound)} - {zero})
+        pairs = {
+            b: oracles.split_pairs_from_points(A.rows, b, oracles.box_fiber_points(A.rows, b))
+            for b in universe
+        }
+        _clear_fiber_caches()
+        vertex = [
+            b for b in universe if not any(minkowski_decomposes(A, b, *p) for p in pairs[b])
+        ]
+        _clear_fiber_caches()
+        assert [b for b in universe if is_atomic(A, b)] == vertex, A
+        assert is_atomic(A, zero) is False
+        _clear_fiber_caches()
+        assert atomic_scan(A, bound, mode="vertex") == vertex, A
+        found["vertex"] += len(vertex)
+        # a variable in M takes points out of the fibers and changes the atoms
+        j = rng.randrange(A.ncols)
+        x_j = tuple(int(i == j) for i in range(A.ncols))
+        M = minimalize(A.ncols, [x_j, corpus.random_exponent(rng, A.ncols, 2)])
+        for ideal in (None, M):
+            N = ideal or MonomialIdeal.zero(A.ncols)
+            _clear_fiber_caches()
+            lattice = [
+                b
+                for b in universe
+                if ma_fiber(N, A, b) and not any(ma_decomposes(N, A, b, *p)[0] for p in pairs[b])
+            ]
+            _clear_fiber_caches()
+            assert [b for b in universe if ma_fiber(N, A, b) and is_ma_atomic(N, A, b)] == lattice
+            _clear_fiber_caches()
+            assert atomic_scan(A, bound, mode="lattice", M=ideal) == lattice, (A, ideal)
+            found["avoiding" if ideal else "lattice"] += len(lattice)
+    assert all(found.values())
 
 
 def test_fiber_points_solved_last_exponent_against_box_oracle():
@@ -535,6 +604,12 @@ def test_sagbi_examples():
         sagbi_generators(SEGMENT, (0, 1), 3)
     with pytest.raises(ValueError):
         sagbi_generators(SEGMENT, (2,), 3)
+    # no silent truncation of a float, and no bool passing for 1
+    with pytest.raises(ValueError, match="2.5"):
+        sagbi_generators(SEGMENT, (2.5, 3), 3)
+    with pytest.raises(ValueError, match="True"):
+        sagbi_generators(SEGMENT, (2, True), 3)
+    assert sagbi_generators(SEGMENT, [2, 3], 5) == [(1, (1,))]
 
 
 def test_sagbi_gcd_definition():

@@ -148,6 +148,36 @@ def test_is_artinian():
     assert minimalize(2, [(2, 0), (1, 1), (0, 2)]).is_artinian()
 
 
+def test_pure_powers_against_definition():
+    # one pass gives each variable's least pure power; is_artinian,
+    # standard_monomials and PrimaryComponent read it
+    rng = corpus.make_rng("pure-powers")
+    ideals = [MonomialIdeal.unit(3), MonomialIdeal.zero(2), MonomialIdeal.unit(0)]
+    for nvars in range(1, 5):
+        ideals += [corpus.random_ideal(rng, nvars, 2, 6, proper=False) for _ in range(10)]
+        ideals += [corpus.random_artinian_ideal(rng, nvars, 3, 3) for _ in range(5)]
+    artinian = 0
+    for I in ideals:
+        expected = tuple(
+            min(
+                (g[i] for g in I.gens if all(e == 0 for k, e in enumerate(g) if k != i)),
+                default=None,
+            )
+            for i in range(I.nvars)
+        )
+        assert I._least_pure_powers() == expected, I
+        assert I.is_artinian() == (None not in expected)
+        if I.is_artinian():
+            artinian += 1
+            box = oracles.monomials_up_to(I.nvars, sum(expected))
+            standard = sorted(u for u in box if not oracles.member(I.gens, u))
+            assert I.standard_monomials() == standard
+        else:
+            with pytest.raises(ValueError, match="artinian"):
+                I.standard_monomials()
+    assert 5 < artinian < len(ideals)
+
+
 def test_standard_monomials():
     I = minimalize(2, [(2, 0), (0, 2)])
     assert sorted(I.standard_monomials()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
