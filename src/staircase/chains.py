@@ -9,7 +9,6 @@ contain, or by their associated-prime sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .decomposition import associated_primes
 from .monomial import MonomialIdeal
@@ -72,8 +71,11 @@ def is_antichain(F: IdealFamily) -> bool:
 def extract_descending_chain(F: IdealFamily) -> list[int]:
     """Indices of a longest chain, each ideal strictly containing the next.
 
-    Longest path in the strict-containment DAG by dynamic programming;
-    ties resolved toward lexicographically smallest index sequences.
+    Longest path in the strict-containment DAG by dynamic programming,
+    bottom up; ties resolved toward lexicographically smallest index
+    sequences.  Members are distinct, so a j below i has every member
+    below it below i too, and fewer of them: visiting i in increasing
+    len(below[i]) finishes every j below i first.
     """
     n = len(F)
     if n == 0:
@@ -82,17 +84,17 @@ def extract_descending_chain(F: IdealFamily) -> list[int]:
         [j for j in range(n) if i != j and F[i].contains(F[j])]
         for i in range(n)
     ]
-
-    @cache
-    def best_from(i: int) -> tuple[int, tuple[int, ...]]:
+    # best_from[i]: length and indices of the best chain strictly below i
+    best_from: list[tuple[int, tuple[int, ...]]] = [(0, ())] * n
+    for i in sorted(range(n), key=lambda i: len(below[i])):
         best_len, best_tail = 0, ()
         for j in below[i]:
-            ln, tail = best_from(j)
+            ln, tail = best_from[j]
             if ln + 1 > best_len or (ln + 1 == best_len and (j,) + tail < best_tail):
                 best_len, best_tail = ln + 1, (j,) + tail
-        return best_len, best_tail
+        best_from[i] = best_len, best_tail
 
-    starts = [(i,) + best_from(i)[1] for i in range(n)]
+    starts = [(i,) + best_from[i][1] for i in range(n)]
     return list(max(starts, key=lambda ch: (len(ch), tuple(-k for k in ch))))
 
 

@@ -20,15 +20,17 @@ degree with no bucket is outside NA; covers for both y's coexist.
 atomic_scan and monoid_lift cover a row of ones, when the matrix has
 one, and reachable_degrees y = (1, ..., 1), each up to its bound.  A
 depth-first search finds every other fiber and stores it in the memo.
+
+Atomicity tries only the split pairs found in the sub-box of one fiber
+point (see _atomic), and the plan keeps each verdict.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache, partial
-from operator import add, mul
+from operator import add, mul, sub
 
 from .exactlp import in_convex_hull
 from .monomial import (
@@ -118,17 +120,22 @@ def _check_degree(A: FiberMatrix, b) -> Degree:
     return check_exponent(b)
 
 
+def _check_ring(M: MonomialIdeal, A: FiberMatrix) -> None:
+    if M.nvars != A.ncols:
+        raise ValueError(f"ideal has {M.nvars} variables, matrix has {A.ncols} columns")
+
+
 @dataclass
 class _Plan:
-    """What enumeration and the divisor walk need of one matrix, built once.
+    """What enumeration and atomicity need of one matrix, built once.
 
-    divisors is the memo of divisor sets D(b) (see _split_pairs), each a
-    sorted tuple, or None for a degree found outside NA; it fills as
-    degrees are asked for and is shared by every later call.  ones is the
-    index of a row of ones, or None.  fibers is the fiber memo: each
-    degree asked for or covered, mapped to its lex-sorted points, () when
-    outside NA.  covered maps a grade (the index of a row of ones, or None
-    for y = (1, ..., 1)) to the weight its cover is complete up to.
+    ones is the index of a row of ones, or None.  fibers is the fiber
+    memo: each degree asked for or covered, mapped to its lex-sorted
+    points, () when outside NA.  covered maps a grade (the index of a row
+    of ones, or None for y = (1, ..., 1)) to the weight its cover is
+    complete up to.  atomic is the verdict memo: (M, b) mapped to whether
+    b is atomic, M None for vertex mode; _atomic_at alone reads and
+    writes it.
     """
 
     cols: tuple[Degree, ...]
@@ -137,9 +144,9 @@ class _Plan:
     dead_after: tuple[tuple[int, ...], ...]
     gcds: tuple[int, ...]
     ones: int | None
-    divisors: dict[Degree, tuple[Degree, ...] | None] = field(default_factory=dict)
     fibers: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
     covered: dict[int | None, int] = field(default_factory=dict)
+    atomic: dict[tuple[MonomialIdeal | None, Degree], bool] = field(default_factory=dict)
 
 
 @cache
@@ -346,61 +353,6 @@ def _exposed_points(pts: list[Exponent]) -> set[Exponent]:
     return out
 
 
-def _divisors(A: FiberMatrix, b: Degree) -> tuple[Degree, ...] | None:
-    """Sorted D(b) from the matrix's memo, filled by a walk on an explicit stack.
-
-    A degree is finished once every b - c >= 0 below it is in the memo; the
-    stack holds the degrees still waiting, so a deep degree needs no
-    recursion.
-    """
-    plan = _plan(A)
-    memo, cols = plan.divisors, plan.cols
-    stack = [b]
-    while stack:
-        top = stack[-1]
-        if top in memo:
-            stack.pop()
-            continue
-        below = [h for c in cols if min(h := tuple(x - y for x, y in zip(top, c))) >= 0]
-        todo = [h for h in below if h not in memo]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        parts = [memo[h] for h in below if memo[h] is not None]
-        if parts or not any(top):
-            memo[top] = tuple(sorted(set((top,)).union(*parts)))
-        else:
-            memo[top] = None
-    return memo[b]
-
-
-def _split_pairs(A: FiberMatrix, b: Degree):
-    """Nontrivial unordered pairs (b1, b2) in NA with b1 + b2 = b, b1 <= b2 lex.
-
-    The b1 are the divisor set D(b) = {b1 in NA : b - b1 in NA} less 0 and
-    b, taken in sorted order.  D(0) = {0}; for b != 0, D(b) is {b} joined
-    with the D(b - c) over the columns c with b - c >= 0 in NA, and b is
-    outside NA, with no D(b), when there is no such c.  Proof: b - c in NA
-    and b1 in D(b - c) give b - b1 = c + (b - c - b1) in NA, so b1 is in
-    D(b); conversely, for b1 in D(b) other than b, the nonzero b - b1 in
-    NA is c + x for a column c and some x in NA, and then b - c = b1 + x
-    is in NA and b1 is in D(b - c).  Finally b is in D(b) iff b is in NA,
-    and a nonzero b is in NA iff b - c is for some column c.  D(b) is
-    symmetric under b1 -> b - b1, which reverses lex order, so every b2 is
-    in it too and the pairs run out where b1 passes b - b1.
-    """
-    divisors = _divisors(A, b)
-    if divisors is None:
-        return
-    # divisors[0] is 0; past the middle, b1 > b2 and the pairs repeat mirrored
-    for b1 in divisors[1:]:
-        b2 = tuple(bi - ci for bi, ci in zip(b, b1))
-        if b1 > b2:
-            return
-        yield b1, b2
-
-
 def _first_unsplit(points, f1, f2):
     """First of points that is no u1 + u2 with u1 in f1, u2 in f2, or None."""
     f2 = set(f2)
@@ -442,13 +394,31 @@ def _atomic(A: FiberMatrix, b: Degree, whole, part) -> bool:
     """Does no nontrivial pair b1 + b2 = b in NA split whole?
 
     A pair splits whole when each of its points is a point of part(b1)
-    plus one of part(b2).  The zero degree is never atomic.
+    plus one of part(b2), part(b1) holding only points over b1.  The zero
+    degree is never atomic.  A pair that splits whole splits its point p:
+    p = u1 + u2 with A u1 = b1, so u1 <= p.  So only the b1 in
+    {A u1 : 0 <= u1 <= p} are tried, for the p with the fewest sub-box
+    points, prod(p_i + 1).  Each gives a pair in NA, as b1 = A u1 and
+    b - b1 = A(p - u1).  b1 = 0 only when u1 = 0, and b1 = b only when
+    u1 = p, because no column is zero; b1 = b fails b1 <= b - b1 in lex
+    order, which keeps each unordered pair once.  b - b1 falls as b1
+    rises, so the pairs run out where b1 passes b - b1.
     """
     if not any(b):
         return False
-    return all(
-        _first_unsplit(whole, part(b1), part(b2)) is not None for b1, b2 in _split_pairs(A, b)
-    )
+    p = min(whole, key=lambda u: math.prod(e + 1 for e in u))
+    degrees = {(0,) * len(b)}
+    for c, e in zip(_plan(A).cols, p):
+        steps = [tuple(k * x for x in c) for k in range(e + 1)]
+        degrees = {tuple(map(add, h, s)) for h in degrees for s in steps}
+    # the lex-first degree is 0
+    for b1 in sorted(degrees)[1:]:
+        b2 = tuple(map(sub, b, b1))
+        if b1 > b2:
+            break
+        if _first_unsplit(whole, part(b1), part(b2)) is None:
+            return False
+    return True
 
 
 def is_atomic(A: FiberMatrix, b) -> bool:
@@ -461,7 +431,7 @@ def is_atomic(A: FiberMatrix, b) -> bool:
     b = _check_degree(A, b)
     if not _fiber_points(A, b):
         raise ValueError(f"empty fiber over {b}")
-    return _atomic(A, b, _fiber_vertices(A, b), partial(_fiber_points, A))
+    return _atomic_at((None, A, b))
 
 
 @cache
@@ -471,8 +441,7 @@ def _ma_fiber(M: MonomialIdeal, A: FiberMatrix, b: Degree) -> tuple[Exponent, ..
 
 def ma_fiber(M: MonomialIdeal, A: FiberMatrix, b) -> list[Exponent]:
     """Fiber points whose monomials avoid M, in lex order."""
-    if M.nvars != A.ncols:
-        raise ValueError(f"ideal has {M.nvars} variables, matrix has {A.ncols} columns")
+    _check_ring(M, A)
     return list(_ma_fiber(M, A, _check_degree(A, b)))
 
 
@@ -482,8 +451,7 @@ def ma_decomposes(M: MonomialIdeal, A: FiberMatrix, b, b1, b2):
     Returns (True, None), or (False, witness) with the lex-first point
     admitting no split.
     """
-    if M.nvars != A.ncols:
-        raise ValueError(f"ideal has {M.nvars} variables, matrix has {A.ncols} columns")
+    _check_ring(M, A)
     b, b1, b2 = _check_degree(A, b), _check_degree(A, b1), _check_degree(A, b2)
     if tuple(x + y for x, y in zip(b1, b2)) != b:
         raise ValueError(f"degree mismatch: {b1} + {b2} != {b}")
@@ -496,23 +464,26 @@ def ma_decomposes(M: MonomialIdeal, A: FiberMatrix, b, b1, b2):
 
 def is_ma_atomic(M: MonomialIdeal, A: FiberMatrix, b) -> bool:
     """No nontrivial pair in NA splits every M-avoiding point over b."""
-    if M.nvars != A.ncols:
-        raise ValueError(f"ideal has {M.nvars} variables, matrix has {A.ncols} columns")
+    _check_ring(M, A)
     b = _check_degree(A, b)
-    fiber_b = _ma_fiber(M, A, b)
-    if not fiber_b:
+    if not _ma_fiber(M, A, b):
         raise ValueError(f"empty (M,A) fiber over {b}")
-    return _atomic(A, b, fiber_b, partial(_ma_fiber, M, A))
+    return _atomic_at((M, A, b))
 
 
 def _atomic_at(args) -> bool:
-    # one degree of a scan, which checked its arguments and gives b in NA
-    mode, M, A, b = args
-    if mode == "vertex":
-        return _atomic(A, b, _fiber_vertices(A, b), partial(_fiber_points, A))
-    fiber_b = _ma_fiber(M, A, b)
-    # with every point over b in M there is nothing to decompose
-    return bool(fiber_b) and _atomic(A, b, fiber_b, partial(_ma_fiber, M, A))
+    # the verdict on (M, A, b), M None for vertex mode, kept in A's plan;
+    # the caller checked its arguments and gives b in NA
+    M, A, b = args
+    verdicts = _plan(A).atomic
+    if (M, b) not in verdicts:
+        if M is None:
+            whole, part = _fiber_vertices(A, b), partial(_fiber_points, A)
+        else:
+            whole, part = _ma_fiber(M, A, b), partial(_ma_fiber, M, A)
+        # with every point over b in M there is nothing to decompose
+        verdicts[M, b] = bool(whole) and _atomic(A, b, whole, part)
+    return verdicts[M, b]
 
 
 def atomic_scan(
@@ -539,12 +510,12 @@ def atomic_scan(
             raise ValueError("vertex mode takes no ideal")
     elif M is None:
         M = MonomialIdeal.zero(A.ncols)
-    elif M.nvars != A.ncols:
-        raise ValueError(f"ideal has {M.nvars} variables, matrix has {A.ncols} columns")
+    else:
+        _check_ring(M, A)
     # with a row of ones the groups are the fibers that row's cover holds,
     # and it then holds every fiber the scan reads: a split part has b1_r <= b_r
     universe = sorted(b for b in _degree_groups(A, bound) if any(b))
-    jobs = [(mode, M, A, b) for b in universe]
+    jobs = [(M, A, b) for b in universe]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -76,8 +76,9 @@ class MonomialIdeal:
     _trusted() skips all of these checks.  It is only for canonical
     antichains the library has just built: in minimalize() and
     from_json() after they check their input vectors, in sum(),
-    intersect() and quotient(), and for the pure-power components in
-    decomposition.py.  Never pass outside input to it.
+    intersect() and quotient(), for the pure-power components in
+    decomposition.py, and for the minimal points of a complement in
+    poset.young_complement().  Never pass outside input to it.
     """
 
     nvars: int

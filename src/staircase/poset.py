@@ -19,7 +19,6 @@ from .monomial import (
     check_count,
     check_exponent,
     check_vectors,
-    minimalize,
 )
 
 XElem = tuple[int, int]
@@ -181,30 +180,21 @@ def young_complement(O: FiniteOrderIdeal) -> MonomialIdeal:
     """Monomial ideal whose monomials are exactly the points outside O.
 
     The generators are the minimal points of the complement: those not
-    in O all of whose immediate predecessors are.  Such points have
-    every coordinate at most one past O's bounding box.
+    in O all of whose immediate predecessors are.  For an empty O that is
+    0 alone; otherwise such a point u is not 0, which is in O, so some
+    u - e_i is in O, and u is p + e_i for a p in O.  Only those points
+    are tested.  Minimal points of a set are an antichain, so sorted
+    they are already canonical.
     """
     n = O.nvars
     have = set(O.points)
-    hi = [max((p[i] for p in O.points), default=-1) + 1 for i in range(n)]
-
-    def candidates(prefix):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for v in range(hi[len(prefix)] + 1):
-            yield from candidates(prefix + [v])
-
-    gens = []
-    for u in candidates([]):
-        if u in have:
-            continue
-        if all(
-            u[i] == 0 or tuple(e - 1 if k == i else e for k, e in enumerate(u)) in have
-            for i in range(n)
-        ):
-            gens.append(u)
-    return minimalize(n, gens)
+    candidates = {p[:i] + (p[i] + 1,) + p[i + 1 :] for p in have for i in range(n)} or {(0,) * n}
+    gens = [
+        u
+        for u in candidates - have
+        if all(u[i] == 0 or u[:i] + (u[i] - 1,) + u[i + 1 :] in have for i in range(n))
+    ]
+    return MonomialIdeal._trusted(n, tuple(sorted(gens)))
 
 
 def young_cocomplement(I: MonomialIdeal) -> FiniteOrderIdeal:

@@ -3,17 +3,20 @@
 Each oracle takes a different route from the code under test: membership
 by raw divisor scan, fibers by full box enumeration, hull membership by
 affinely-independent-subset search instead of a feasibility tableau,
-splits of a degree from the sub-boxes of its fiber points instead of a
-memo of divisor sets, reachable degrees by a breadth-first walk over the
+splits of a degree from the sub-boxes of all its fiber points instead of
+one point's, reachable degrees by a breadth-first walk over the
 columns instead of a bucketed enumeration of exponents, chains by subset
-enumeration, irreducible components by splitting mixed generators
-instead of adding generators one at a time.
+enumeration or by recursion instead of a bottom-up pass, irreducible
+components by splitting mixed generators instead of adding generators
+one at a time, and the generators of a complement by walking its
+bounding box instead of stepping up from the order ideal.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 
 
 def divides(a, b) -> bool:
@@ -268,3 +271,49 @@ def longest_chain_by_subsets(family) -> int:
         if ok:
             best = max(best, len(idx))
     return best
+
+
+def descending_chain_recursive(family) -> list[int]:
+    """Indices of a longest strict chain, lexicographically smallest on ties.
+
+    family is a list of distinct ideals with a .contains method.  The
+    best chain below each index is found by cached recursion, one frame
+    per chain step.
+    """
+    n = len(family)
+    if n == 0:
+        return []
+    below = [
+        [j for j in range(n) if i != j and family[i].contains(family[j])]
+        for i in range(n)
+    ]
+
+    @cache
+    def best_from(i):
+        best_len, best_tail = 0, ()
+        for j in below[i]:
+            ln, tail = best_from(j)
+            if ln + 1 > best_len or (ln + 1 == best_len and (j,) + tail < best_tail):
+                best_len, best_tail = ln + 1, (j,) + tail
+        return best_len, best_tail
+
+    starts = [(i,) + best_from(i)[1] for i in range(n)]
+    return list(max(starts, key=lambda ch: (len(ch), tuple(-k for k in ch))))
+
+
+def complement_gens_by_box(nvars: int, points) -> tuple[tuple[int, ...], ...]:
+    """Minimal points outside a finite order ideal, sorted, by a box walk.
+
+    Every such point lies within one past the ideal's bounding box in each
+    coordinate; each box point outside the ideal whose immediate
+    predecessors are all inside is minimal.
+    """
+    have = set(map(tuple, points))
+    hi = [max((p[i] for p in have), default=-1) + 1 for i in range(nvars)]
+    out = []
+    for u in itertools.product(*(range(h + 1) for h in hi)):
+        if u not in have and all(
+            u[i] == 0 or u[:i] + (u[i] - 1,) + u[i + 1 :] in have for i in range(nvars)
+        ):
+            out.append(u)
+    return tuple(sorted(out))

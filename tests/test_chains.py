@@ -83,6 +83,24 @@ def test_chain_length_matches_subset_oracle():
         assert len(chain) == oracles.longest_chain_by_subsets(F.members)
 
 
+def test_chain_matches_recursive_reference():
+    # ties are common among small ideals in few variables, and both sides
+    # must pick the lexicographically smallest longest chain
+    rng = corpus.make_rng("chain-recursive")
+    for _ in range(40):
+        nvars = rng.randint(1, 3)
+        F = IdealFamily.of(
+            corpus.random_ideal(rng, nvars, 3, 3) for _ in range(rng.randint(1, 14))
+        )
+        assert extract_descending_chain(F) == oracles.descending_chain_recursive(F.members)
+
+
+def test_chain_of_1200_nested_ideals():
+    # (x) > (x^2) > ... : a recursive search needs one frame per step
+    F = IdealFamily(tuple(minimalize(1, [(k,)]) for k in range(1, 1201)))
+    assert extract_descending_chain(F) == list(range(1200))
+
+
 def test_chain_deterministic():
     F = family([(1, 0), (0, 1)], [(2, 0), (0, 1)], [(2, 0), (0, 2)], [(1, 0), (0, 2)])
     assert extract_descending_chain(F) == extract_descending_chain(F)

@@ -262,7 +262,15 @@ def test_atomicity_matches_pairwise_public_checks():
     # split pair the oracle finds, and each side runs on cold caches
     rng = corpus.make_rng("atomic-pair-loop")
     matrices = _ones_matrices(rng, 5) + _no_ones_matrices(rng, 3)[1:]
-    matrices.append(FiberMatrix(((1, 1, 1, 1), (0, 1, 3, 4))))  # a non-normal monoid
+    matrices += [
+        corpus.random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), 3) for _ in range(24)
+    ]
+    matrices += [
+        FiberMatrix(((1, 1, 1, 1), (0, 1, 3, 4))),  # a non-normal monoid
+        FiberMatrix(((1, 2, 0), (0, 0, 0), (0, 1, 3))),  # a zero row
+        FiberMatrix(((2,), (3,))),  # a single column
+        FiberMatrix(((3, 5),)),  # NA misses 1, 2, 4, 7
+    ]
     found = {"vertex": 0, "lattice": 0, "avoiding": 0}
     for A in matrices:
         bound = 3
@@ -311,40 +319,43 @@ def test_fiber_points_solved_last_exponent_against_box_oracle():
             assert fiber_points(A, target) == sorted(oracles.box_fiber_points(A.rows, target))
 
 
-def test_split_pairs_against_subbox_oracle():
-    rng = corpus.make_rng("split-pairs")
-    matrices = [
-        corpus.random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), 3) for _ in range(24)
-    ]
-    matrices += [
-        FiberMatrix(((1, 2, 0), (0, 0, 0), (0, 1, 3))),  # a zero row
-        FiberMatrix(((2,), (3,))),  # a single column
-        FiberMatrix(((3, 5),)),  # NA misses 1, 2, 4, 7
-    ]
-    outside = 0
-    for A in matrices:
-        degrees = {A.apply(corpus.random_exponent(rng, A.ncols, 3)) for _ in range(6)}
-        degrees |= {tuple(x + 1 for x in b) for b in degrees}
-        # the matrix's divisor memo outlives each call, so the order varies
-        for b in rng.sample(sorted(degrees), len(degrees)):
-            points = oracles.box_fiber_points(A.rows, b)
-            outside += not points
-            expected = oracles.split_pairs_from_points(A.rows, b, points)
-            assert list(fibers._split_pairs(A, b)) == expected, (A, b)
-    assert outside  # degrees outside NA give no pairs
-
-
-def test_divisor_walk_deep_degree_without_recursion():
-    # D(3000) sits 250 column steps above D(0); recursion would need as many frames
+def test_atomicity_deep_degree_without_recursion():
+    # the fiber over 3000 is 2x + 3y = 500; (12) + (2988) splits both of
+    # its vertices, (250, 0) and (1, 166), and every point
     A = FiberMatrix(((12, 18),))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 30)
     try:
-        pairs = list(fibers._split_pairs(A, (3000,)))
+        assert is_atomic(A, (3000,)) is False
+        assert is_ma_atomic(ZERO2, A, (3000,)) is False
     finally:
         sys.setrecursionlimit(limit)
-    # NA is 0 and the multiples of 6 from 12 on
-    assert pairs == [((k,), (3000 - k,)) for k in range(12, 1501, 6)]
+    assert fiber(A, (3000,)).vertices == ((1, 166), (250, 0))
+
+
+def test_verdict_memo_survives_scans():
+    # a repeated scan decides nothing again, and the verdicts a scan leaves
+    # behind are those of cold single queries
+    rng = corpus.make_rng("verdict-memo")
+    for A in _ones_matrices(rng, 3) + _no_ones_matrices(rng, 1):
+        M = corpus.random_ideal(rng, A.ncols, 2, 2)
+        universe = sorted(
+            {A.apply(u) for u in oracles.monomials_up_to(A.ncols, 3)} - {(0,) * A.nrows}
+        )
+        cold = {}
+        for b in universe:
+            _clear_fiber_caches()
+            cold[b] = is_atomic(A, b), bool(ma_fiber(M, A, b)) and is_ma_atomic(M, A, b)
+        _clear_fiber_caches()
+        for mode, ideal in (("vertex", None), ("lattice", M)):
+            scan = atomic_scan(A, 3, mode=mode, M=ideal)
+            verdicts = dict(fibers._plan(A).atomic)
+            assert atomic_scan(A, 3, mode=mode, M=ideal) == scan
+            assert fibers._plan(A).atomic == verdicts
+        assert {(M, b) for b in universe} <= verdicts.keys()
+        for b in universe:
+            assert (is_atomic(A, b), bool(ma_fiber(M, A, b)) and is_ma_atomic(M, A, b)) == cold[b]
+        assert fibers._plan(A).atomic == verdicts
 
 
 def test_hull_vertices_examples():

@@ -178,8 +178,31 @@ def test_young_round_trip_random():
         assert young_cocomplement(young_complement(O)) == O
 
 
-def test_young_reverses_inclusion_in_box():
-    # all order ideals inside the box [0,2]^2, pairwise
+def test_young_complement_against_box_oracle():
+    # the round-trip corpora and every order ideal of the 3x3 grid
+    rng = corpus.make_rng("young-roundtrip")
+    orders = [young_cocomplement(corpus.random_artinian_ideal(rng, 3, 4, 2)) for _ in range(30)]
+    orders += [young_cocomplement(corpus.random_artinian_ideal(rng, 2, 5, 1)) for _ in range(15)]
+    orders += _grid_order_ideals()
+    orders.append(FiniteOrderIdeal(3, ()))
+    for O in orders:
+        expected = oracles.complement_gens_by_box(O.nvars, O.points)
+        assert young_complement(O).gens == expected, O
+
+
+def test_young_complement_many_variables():
+    # the box walk took 2^n steps for {0}; the complement of {0} is the
+    # ideal of the variables
+    n = 40
+    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    assert young_complement(FiniteOrderIdeal(n, ((0,) * n,))).gens == tuple(sorted(unit))
+    O = FiniteOrderIdeal(n, ((0,) * n, unit[0], tuple(2 * e for e in unit[0])))
+    expected = [tuple(3 * e for e in unit[0])] + unit[1:]
+    assert young_complement(O).gens == tuple(sorted(expected))
+
+
+def _grid_order_ideals():
+    """The 20 order ideals inside the box [0, 2]^2."""
     box = list(itertools.product(range(3), repeat=2))
     ideals = []
     for mask in range(1 << len(box)):
@@ -191,6 +214,12 @@ def test_young_reverses_inclusion_in_box():
         )
         if closed:
             ideals.append(FiniteOrderIdeal(2, pts))
+    return ideals
+
+
+def test_young_reverses_inclusion_in_box():
+    # all order ideals inside the box [0,2]^2, pairwise
+    ideals = _grid_order_ideals()
     assert len(ideals) == 20  # order ideals of a 3x3 grid: C(6,3)
     complements = [young_complement(O) for O in ideals]
     for a in range(len(ideals)):
