@@ -6,15 +6,13 @@ error.  Exit codes: 0 success or verification pass, 1 verification
 failure, 2 usage or input errors.
 
 The argument parser is built once per process, on the first call to run()
-or main(), and reused after that.  So STAIRCASE_SEED, the default of
---seed, is read once, when the parser is first built.
+or main(), and reused after that.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -291,16 +289,9 @@ def _cmd_example35(args):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    seed_default = os.environ.get("STAIRCASE_SEED", "0")
     parser = argparse.ArgumentParser(
         prog="staircase",
         description="Exact monomial-ideal combinatorics and integer-matrix fiber analysis.",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=int(seed_default) if seed_default.lstrip("-").isdigit() else 0,
-        help="seed for randomized commands (none in this set; accepted for reproducible scripts)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -8,18 +8,21 @@ both flavours of atomicity, scans for atomic degrees, builds vertex
 ideals and subalgebra generators from them, and lifts monomial ideals
 through a monoid parameterization.
 
-Each matrix owns one fiber memo, in its plan, holding only true fibers
-(() outside NA).  A graded cover fills it a whole grade at a time.  Pick
-y >= 0 with every entry of yA at least 1: the unit vector of a row of
-ones (yA = 1, and a point's weight is |u|), or y = (1, ..., 1), whose yA
-are the column sums, each >= 1 as no column is zero.  The cover at
-weight W enumerates once, in lex order, every u with (yA).u <= W and
-buckets it by Au.  Every u over b has (yA).u = y.(Au) = y.b, so when
-y.b <= W the bucket of b is its whole fiber, already lex sorted, and a
-degree with no bucket is outside NA; covers for both y's coexist.
-atomic_scan and monoid_lift cover a row of ones, when the matrix has
-one, and reachable_degrees y = (1, ..., 1), each up to its bound.  A
-depth-first search finds every other fiber and stores it in the memo.
+Each matrix owns one plan, built once by _plan, and the plan owns every
+memo this module keeps: fibers, hull vertices, M-avoiding points and
+atomicity verdicts, so _plan.cache_clear() resets them all.  The fiber
+memo holds only true fibers (() outside NA).  A graded cover fills it a
+whole grade at a time.  Pick y >= 0 with every entry of yA at least 1:
+the unit vector of a row of ones (yA = 1, and a point's weight is |u|),
+or y = (1, ..., 1), whose yA are the column sums, each >= 1 as no column
+is zero.  The cover at weight W enumerates once, in lex order, every u
+with (yA).u <= W and buckets it by Au.  Every u over b has
+(yA).u = y.(Au) = y.b, so when y.b <= W the bucket of b is its whole
+fiber, already lex sorted, and a degree with no bucket is outside NA;
+covers for both y's coexist.  atomic_scan and monoid_lift cover a row of
+ones, when the matrix has one, and reachable_degrees y = (1, ..., 1),
+each up to its bound.  A depth-first search finds every other fiber and
+stores it in the memo.
 
 Atomicity tries only the split pairs found in the sub-box of one fiber
 point (see _atomic), and the plan keeps each verdict.
@@ -129,13 +132,13 @@ def _check_ring(M: MonomialIdeal, A: FiberMatrix) -> None:
 class _Plan:
     """What enumeration and atomicity need of one matrix, built once.
 
-    ones is the index of a row of ones, or None.  fibers is the fiber
-    memo: each degree asked for or covered, mapped to its lex-sorted
+    ones is the index of a row of ones, or None.  The rest are memos.
+    fibers maps each degree asked for or covered to its lex-sorted
     points, () when outside NA.  covered maps a grade (the index of a row
     of ones, or None for y = (1, ..., 1)) to the weight its cover is
-    complete up to.  atomic is the verdict memo: (M, b) mapped to whether
-    b is atomic, M None for vertex mode; _atomic_at alone reads and
-    writes it.
+    complete up to.  vertices maps a degree in NA to its hull vertices,
+    and avoiding maps (M, b), M nonzero, to the points over b outside M.
+    atomic maps (M, b) to whether b is atomic, M None for vertex mode.
     """
 
     cols: tuple[Degree, ...]
@@ -146,6 +149,8 @@ class _Plan:
     ones: int | None
     fibers: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
     covered: dict[int | None, int] = field(default_factory=dict)
+    vertices: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
+    avoiding: dict[tuple[MonomialIdeal, Degree], tuple[Exponent, ...]] = field(default_factory=dict)
     atomic: dict[tuple[MonomialIdeal | None, Degree], bool] = field(default_factory=dict)
 
 
@@ -284,9 +289,11 @@ def _fiber_points(A: FiberMatrix, b: Degree) -> tuple[Exponent, ...]:
     return points
 
 
-@cache
 def _fiber_vertices(A: FiberMatrix, b: Degree) -> tuple[Exponent, ...]:
-    return tuple(hull_vertices(_fiber_points(A, b)))
+    vertices = _plan(A).vertices
+    if b not in vertices:
+        vertices[b] = tuple(hull_vertices(_fiber_points(A, b)))
+    return vertices[b]
 
 
 def fiber_points(A: FiberMatrix, b) -> list[Exponent]:
@@ -434,9 +441,14 @@ def is_atomic(A: FiberMatrix, b) -> bool:
     return _atomic_at((None, A, b))
 
 
-@cache
 def _ma_fiber(M: MonomialIdeal, A: FiberMatrix, b: Degree) -> tuple[Exponent, ...]:
-    return tuple(u for u in _fiber_points(A, b) if not M._member(u))
+    # the zero ideal avoids every point: its fiber is the memo's own tuple
+    if M.is_zero():
+        return _fiber_points(A, b)
+    avoiding = _plan(A).avoiding
+    if (M, b) not in avoiding:
+        avoiding[M, b] = tuple(u for u in _fiber_points(A, b) if not M._member(u))
+    return avoiding[M, b]
 
 
 def ma_fiber(M: MonomialIdeal, A: FiberMatrix, b) -> list[Exponent]:
@@ -521,6 +533,8 @@ def atomic_scan(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             flags = list(pool.map(_atomic_at, jobs, chunksize=8))
+        # the workers' memos go with them; their verdicts are kept here
+        _plan(A).atomic.update(((M, b), ok) for b, ok in zip(universe, flags))
     else:
         flags = [_atomic_at(j) for j in jobs]
     return [b for b, ok in zip(universe, flags) if ok]

@@ -10,7 +10,6 @@ form arbitrarily large antichains of dual order ideals.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .monomial import (
@@ -100,41 +99,19 @@ def elements_with_j_below(j_max: int) -> list[XElem]:
     return [(i, j) for j in range(1, j_max + 1) for i in range(j)]
 
 
-def _chain_max_rows():
-    """Yield, for j = 0, 1, 2, ..., the chain maxima of (0, j), ..., (j - 1, j).
-
-    Below (i, j) lie the (i, j') with i < j' < j and every (x, y) with
-    y < i, so the maximum for (i, j) is one more than the larger of two
-    running maxima over elements already computed, and 0 when nothing
-    lies below.
-    """
-    row_max = []  # row_max[i]: largest value yet in row i, -1 if none
-    below = [-1]  # below[i]: largest value over all rows y < i, -1 if none
-    for j in itertools.count():
-        row_max.append(-1)
-        row = [1 + max(row_max[i], below[i]) for i in range(j)]
-        for i, m in enumerate(row):
-            row_max[i] = max(row_max[i], m)
-        below.append(max(below[j], *row, -1))
-        yield row
-
-
-# The rows computed so far: _chain_rows[j][i] is the chain maximum below (i, j).
-_chain_rows: list[list[int]] = []
-_chain_row_source = _chain_max_rows()
-
-
 def descending_chain_max(p) -> int:
-    """Largest k admitting a chain q_1 < ... < q_k < p.
+    """Largest k admitting a chain q_1 < ... < q_k < p: j - 1 for (0, j), else j - 2.
 
-    Elements below (i, j) all have second coordinate < j, so the search
-    is finite and the value is at most j - 1.  Rows are computed bottom
-    up, in increasing j, and kept for later calls.
+    Upper bound: second coordinates rise strictly along a chain, and an
+    (x, y) below (i, j) has 1 <= y <= j - 1.  When i > 0 also y != i:
+    (x, i) < (i, j) needs x = i or i < i, and x < i.  So a chain below
+    (i, j) has at most j - 1 elements, and j - 2 when i > 0.
+
+    Achieved: for i = 0 by (0, 1) < ... < (0, j - 1), and for i > 0 by
+    (0, 1) < ... < (0, i - 1) < (i, i + 1) < ... < (i, j - 1).
     """
     i, j = check_xelem(p)
-    while len(_chain_rows) <= j:
-        _chain_rows.append(next(_chain_row_source))
-    return _chain_rows[j][i]
+    return j - 1 if i == 0 else j - 2
 
 
 @dataclass(frozen=True)

@@ -268,13 +268,6 @@ def test_stdout_deterministic(matrix_file, capsys):
     json.loads(first)  # stdout is exactly one JSON document
 
 
-def test_seed_env_accepted(matrix_file, monkeypatch):
-    monkeypatch.setenv("STAIRCASE_SEED", "7")
-    report = run(["fiber", "-A", matrix_file, "-b", "1"])
-    assert report.payload["points"] == [[0, 1], [1, 0]]
-    main(["--seed", "3", "fiber", "-A", matrix_file, "-b", "1"])
-
-
 def test_shared_parser_leaks_no_state(tmp_path, ideal_file, capsys, monkeypatch):
     g = write(tmp_path, "g.json", {"rows": 1, "cols": 2, "entries": [[2, 3]]})
     calls = [

@@ -163,9 +163,7 @@ def _plan_ones(A):
 
 
 def _clear_fiber_caches():
-    for f in vars(fibers).values():
-        if hasattr(f, "cache_clear"):
-            f.cache_clear()
+    fibers._plan.cache_clear()
 
 
 def test_cover_fibers_against_search_and_box_oracle():
@@ -331,6 +329,46 @@ def test_atomicity_deep_degree_without_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert fiber(A, (3000,)).vertices == ((1, 166), (250, 0))
+
+
+def test_plan_is_the_only_cache():
+    # every memo lives in a matrix's plan, so one cache_clear resets them all
+    assert [name for name, f in vars(fibers).items() if hasattr(f, "cache_clear")] == ["_plan"]
+    A = FiberMatrix(((1, 1, 1), (0, 1, 2)))
+    M = MonomialIdeal(3, ((0, 2, 0), (1, 0, 1)))
+
+    def answers():
+        return (
+            fiber(A, (2, 2)),
+            ma_fiber(M, A, (2, 2)),
+            minkowski_decomposes(A, (2, 2), (1, 1), (1, 1)),
+            vertex_ideal_standard(A, 3),
+            vertex_ideal_gens_truncated(A, 3),
+            atomic_scan(A, 3, mode="vertex"),
+            atomic_scan(A, 3, mode="lattice"),
+            atomic_scan(A, 3, mode="lattice", M=M),
+        )
+
+    warm = answers()
+    plan = fibers._plan(A)
+    assert plan.fibers and plan.vertices and plan.avoiding and plan.atomic
+    fibers._plan.cache_clear()
+    fresh = fibers._plan(A)
+    assert fresh is not plan
+    assert not (fresh.fibers or fresh.covered or fresh.vertices or fresh.avoiding or fresh.atomic)
+    assert answers() == warm
+
+
+def test_zero_ideal_reads_the_fiber_memo():
+    A = FiberMatrix(((1, 1, 1), (0, 1, 2)))
+    zero = MonomialIdeal.zero(3)
+    _clear_fiber_caches()
+    atomic_scan(A, 3, mode="lattice")
+    plan = fibers._plan(A)
+    assert plan.atomic and not plan.avoiding
+    for b in plan.fibers:
+        assert fibers._ma_fiber(zero, A, b) is fibers._fiber_points(A, b)
+    assert not plan.avoiding
 
 
 def test_verdict_memo_survives_scans():
@@ -513,6 +551,17 @@ def test_atomic_scan_workers_match_sequential():
     seq_l = atomic_scan(A, 4, mode="lattice")
     par_l = atomic_scan(A, 4, mode="lattice", workers=2)
     assert seq_l == par_l
+    # a parallel scan from cold keeps the pool's verdicts, each the serial
+    # one, and a serial rescan then decides nothing again
+    zero = MonomialIdeal.zero(A.ncols)
+    for mode, M, scan in (("vertex", None, seq), ("lattice", zero, seq_l)):
+        _clear_fiber_caches()
+        assert atomic_scan(A, 4, mode=mode, workers=2) == scan
+        verdicts = dict(fibers._plan(A).atomic)
+        universe = {b for b in fibers._degree_groups(A, 4) if any(b)}
+        assert verdicts == {(M, b): b in scan for b in universe}
+        assert atomic_scan(A, 4, mode=mode) == scan
+        assert fibers._plan(A).atomic == verdicts
 
 
 def test_import_leaves_the_process_pool_unloaded():
