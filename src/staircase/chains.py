@@ -75,7 +75,10 @@ def extract_descending_chain(F: IdealFamily) -> list[int]:
     bottom up; ties resolved toward lexicographically smallest index
     sequences.  Members are distinct, so a j below i has every member
     below it below i too, and fewer of them: visiting i in increasing
-    len(below[i]) finishes every j below i first.
+    len(below[i]) finishes every j below i first.  Chains from different
+    starts differ in their first index, so the lex-smallest longest chain
+    starts at the smallest start of greatest length and goes on to the
+    smallest successor of greatest length: one pair per index suffices.
     """
     n = len(F)
     if n == 0:
@@ -84,18 +87,16 @@ def extract_descending_chain(F: IdealFamily) -> list[int]:
         [j for j in range(n) if i != j and F[i].contains(F[j])]
         for i in range(n)
     ]
-    # best_from[i]: length and indices of the best chain strictly below i
-    best_from: list[tuple[int, tuple[int, ...]]] = [(0, ())] * n
+    # best[i]: length of the longest chain strictly below i, and its first index
+    best: list[tuple[int, int | None]] = [(0, None)] * n
     for i in sorted(range(n), key=lambda i: len(below[i])):
-        best_len, best_tail = 0, ()
-        for j in below[i]:
-            ln, tail = best_from[j]
-            if ln + 1 > best_len or (ln + 1 == best_len and (j,) + tail < best_tail):
-                best_len, best_tail = ln + 1, (j,) + tail
-        best_from[i] = best_len, best_tail
-
-    starts = [(i,) + best_from[i][1] for i in range(n)]
-    return list(max(starts, key=lambda ch: (len(ch), tuple(-k for k in ch))))
+        for j in below[i]:  # increasing j; only a longer chain replaces
+            if best[j][0] + 1 > best[i][0]:
+                best[i] = best[j][0] + 1, j
+    chain = [max(range(n), key=lambda i: (best[i][0], -i))]
+    while best[chain[-1]][1] is not None:
+        chain.append(best[chain[-1]][1])
+    return chain
 
 
 def refine_by_standard_trace(F: IdealFamily, pivot: MonomialIdeal) -> list[list[int]]:

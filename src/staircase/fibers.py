@@ -19,13 +19,15 @@ is zero.  The cover at weight W enumerates once, in lex order, every u
 with (yA).u <= W and buckets it by Au.  Every u over b has
 (yA).u = y.(Au) = y.b, so when y.b <= W the bucket of b is its whole
 fiber, already lex sorted, and a degree with no bucket is outside NA;
-covers for both y's coexist.  atomic_scan and monoid_lift cover a row of
-ones, when the matrix has one, and reachable_degrees y = (1, ..., 1),
-each up to its bound.  A depth-first search finds every other fiber and
-stores it in the memo.
+covers for both y's coexist.  _degree_groups is the one reader of the u
+with |u| <= bound, grouped by Au, for atomic_scan, monoid_lift and the
+vertex ideals; it covers a row of ones, when the matrix has one.
+reachable_degrees covers y = (1, ..., 1) up to its bound.  A depth-first
+search finds every other fiber and stores it in the memo.
 
 Atomicity tries only the split pairs found in the sub-box of one fiber
-point (see _atomic), and the plan keeps each verdict.
+point (see _atomic), and the plan keeps each verdict.  _check_in_na is
+the one test that a degree lies in NA.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .monomial import (
     check_count,
     check_exponent,
     check_vectors,
-    exponents_up_to_degree,
     minimalize,
 )
 
@@ -83,10 +84,7 @@ class FiberMatrix:
         return tuple(r[i] for r in self.rows)
 
     def apply(self, u) -> Degree:
-        return self._apply(check_exponent(u, self.ncols))
-
-    def _apply(self, u: Exponent) -> Degree:
-        # apply() for an exponent tuple of length ncols, unchecked
+        u = check_exponent(u, self.ncols)
         return tuple(sum(map(mul, r, u)) for r in self.rows)
 
     def to_json(self) -> dict:
@@ -121,6 +119,20 @@ def _check_degree(A: FiberMatrix, b) -> Degree:
     if len(b) != A.nrows:
         raise ValueError(f"degree {b} has length {len(b)}, matrix has {A.nrows} rows")
     return check_exponent(b)
+
+
+def _check_in_na(A: FiberMatrix, b) -> Degree:
+    b = _check_degree(A, b)
+    if not _fiber_points(A, b):
+        raise ValueError(f"empty fiber over {b}")
+    return b
+
+
+def _check_pair(A: FiberMatrix, b, b1, b2) -> tuple[Degree, Degree, Degree]:
+    b, b1, b2 = _check_degree(A, b), _check_degree(A, b1), _check_degree(A, b2)
+    if tuple(map(add, b1, b2)) != b:
+        raise ValueError(f"degree mismatch: {b1} + {b2} != {b}")
+    return b, _check_in_na(A, b1), _check_in_na(A, b2)
 
 
 def _check_ring(M: MonomialIdeal, A: FiberMatrix) -> None:
@@ -302,8 +314,8 @@ def fiber_points(A: FiberMatrix, b) -> list[Exponent]:
 
 
 def fiber(A: FiberMatrix, b) -> Fiber:
-    """The fiber over b together with its hull vertices."""
-    b = _check_degree(A, b)
+    """The fiber over b together with its hull vertices; b must lie in NA."""
+    b = _check_in_na(A, b)
     return Fiber(b, _fiber_points(A, b), _fiber_vertices(A, b))
 
 
@@ -340,15 +352,17 @@ def hull_vertices(points) -> list[Exponent]:
 
 
 def _exposed_points(pts: list[Exponent]) -> set[Exponent]:
-    """Lex-first and lex-last maximizers of +-e_i, +-(1,...,1), +-(1,2,...,n).
+    """Lex-first and lex-last maximizers of +-e_i and +-(1, 2, ..., n).
 
-    pts is lex sorted and nonempty.  The maximizers of a weight span a face
-    of the hull, and the lex-extreme points of a finite set are vertices of
-    its hull, so every point returned is a vertex.
+    pts is lex sorted and nonempty.  The maximizers of a weight are the
+    points on the face of the hull the weight exposes, and the lex-first
+    and lex-last point of a face are vertices of it, so of the hull.  The
+    weight (1, ..., 1) is left out: it is constant over every fiber of a
+    matrix with a row of ones, and the LP settles any point it would add.
     """
     n = len(pts[0])
     weights = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-    weights += [(1,) * n, tuple(range(1, n + 1))]
+    weights.append(tuple(range(1, n + 1)))
     weights += [tuple(-x for x in w) for w in weights]
     out = set()
     for w in weights:
@@ -387,12 +401,7 @@ def minkowski_decomposes(A: FiberMatrix, b, b1, b2) -> bool:
     points of P_b.  So the test runs over the lattice points and needs no
     hull over b1 or b2.
     """
-    b, b1, b2 = _check_degree(A, b), _check_degree(A, b1), _check_degree(A, b2)
-    if tuple(x + y for x, y in zip(b1, b2)) != b:
-        raise ValueError(f"degree mismatch: {b1} + {b2} != {b}")
-    for part in (b1, b2):
-        if not _fiber_points(A, part):
-            raise ValueError(f"empty fiber over {part}")
+    b, b1, b2 = _check_pair(A, b, b1, b2)
     split = _first_unsplit(_fiber_vertices(A, b), _fiber_points(A, b1), _fiber_points(A, b2))
     return split is None
 
@@ -435,10 +444,7 @@ def is_atomic(A: FiberMatrix, b) -> bool:
     0 + 0 = 0 decomposes it.  Nontrivial means b1, b2 outside {0, b}.
     Each pair is tested as minkowski_decomposes tests it.
     """
-    b = _check_degree(A, b)
-    if not _fiber_points(A, b):
-        raise ValueError(f"empty fiber over {b}")
-    return _atomic_at((None, A, b))
+    return _atomic_at((None, A, _check_in_na(A, b)))
 
 
 def _ma_fiber(M: MonomialIdeal, A: FiberMatrix, b: Degree) -> tuple[Exponent, ...]:
@@ -464,12 +470,7 @@ def ma_decomposes(M: MonomialIdeal, A: FiberMatrix, b, b1, b2):
     admitting no split.
     """
     _check_ring(M, A)
-    b, b1, b2 = _check_degree(A, b), _check_degree(A, b1), _check_degree(A, b2)
-    if tuple(x + y for x, y in zip(b1, b2)) != b:
-        raise ValueError(f"degree mismatch: {b1} + {b2} != {b}")
-    for part in (b1, b2):
-        if not _fiber_points(A, part):
-            raise ValueError(f"{part} is outside the monoid NA")
+    b, b1, b2 = _check_pair(A, b, b1, b2)
     witness = _first_unsplit(_ma_fiber(M, A, b), _ma_fiber(M, A, b1), _ma_fiber(M, A, b2))
     return (witness is None), witness
 
@@ -542,33 +543,30 @@ def atomic_scan(
 
 def atomicity_ideal(A: FiberMatrix, b) -> MonomialIdeal:
     """Monomial ideal generated by the hull vertices of the fiber over b."""
-    b = _check_degree(A, b)
-    if not _fiber_points(A, b):
-        raise ValueError(f"empty fiber over {b}")
+    b = _check_in_na(A, b)
     return minimalize(A.ncols, _fiber_vertices(A, b))
 
 
-def vertex_ideal_standard(A: FiberMatrix, bound: int) -> list[Exponent]:
-    """All u with |u| <= bound that are hull vertices of their own fiber."""
+def _vertex_split(A: FiberMatrix, bound: int) -> tuple[list[Exponent], list[Exponent]]:
+    """The u with |u| <= bound that are hull vertices of their own fiber, and the rest."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    return [
-        u
-        for u in exponents_up_to_degree(A.ncols, bound)
-        if u in _fiber_vertices(A, A._apply(u))
-    ]
+    vertices, others = [], []
+    for b, points in _degree_groups(A, bound).items():
+        hull = _fiber_vertices(A, b)
+        for u in points:
+            (vertices if u in hull else others).append(u)
+    return vertices, others
+
+
+def vertex_ideal_standard(A: FiberMatrix, bound: int) -> list[Exponent]:
+    """All u with |u| <= bound that are hull vertices of their own fiber, lex sorted."""
+    return sorted(_vertex_split(A, bound)[0])
 
 
 def vertex_ideal_gens_truncated(A: FiberMatrix, bound: int) -> MonomialIdeal:
     """Minimal generators, within |u| <= bound, of the non-vertex monomials."""
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    non_vertices = [
-        u
-        for u in exponents_up_to_degree(A.ncols, bound)
-        if u not in _fiber_vertices(A, A._apply(u))
-    ]
-    return minimalize(A.ncols, non_vertices)
+    return minimalize(A.ncols, _vertex_split(A, bound)[1])
 
 
 def sagbi_generators(A: FiberMatrix, coeffs, bound: int) -> list[tuple[int, Degree]]:

@@ -106,6 +106,15 @@ def test_fiber_payload(matrix_file):
     assert payload["vertices"] == [[0, 3], [3, 0]]
 
 
+def test_fiber_outside_na_exits_2(tmp_path, capsys):
+    g = write(tmp_path, "g.json", {"rows": 1, "cols": 2, "entries": [[2, 3]]})
+    assert main(["fiber", "-A", g, "-b", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty fiber over (1,)" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_atomic_scan_payload(matrix_file):
     assert run(["atomic-scan", "-A", matrix_file, "--bound", "5"]).payload == [[1]]
     assert (

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
@@ -454,6 +455,32 @@ def test_minkowski_validation():
         minkowski_decomposes(G, (3,), (1,), (2,))  # fiber over (1) empty
 
 
+def test_pair_checks_share_one_message_for_a_part_outside_na():
+    G = FiberMatrix(((2, 3),))
+    messages = set()
+    for check in (partial(minkowski_decomposes, G), partial(ma_decomposes, ZERO2, G)):
+        for b1, b2 in (((1,), (2,)), ((2,), (1,))):
+            with pytest.raises(ValueError, match=r"empty fiber over \(1,\)") as exc:
+                check((3,), b1, b2)
+            messages.add(str(exc.value))
+        # lengths and the sum are checked before membership in NA
+        with pytest.raises(ValueError, match="mismatch"):
+            check((4,), (1,), (2,))
+        with pytest.raises(ValueError, match="length"):
+            check((3,), (1, 0), (2,))
+    assert messages == {"empty fiber over (1,)"}
+
+
+def test_fiber_outside_na_names_the_degree():
+    G = FiberMatrix(((2, 3),))
+    with pytest.raises(ValueError, match=r"^empty fiber over \(1,\)$"):
+        fiber(G, (1,))
+    with pytest.raises(ValueError, match=r"^empty fiber over \(1, 1\)$"):
+        fiber(FiberMatrix(((2, 0), (0, 2))), [1, 1])
+    assert fiber_points(G, (1,)) == []
+    assert fiber(G, (5,)).vertices == ((1, 1),)
+
+
 def test_is_atomic_examples():
     A = demo_matrix()
     assert is_atomic(A, (6, 13, 15, 8)) is False
@@ -648,12 +675,25 @@ def test_vertex_ideal_standard_downward_closed():
 
 def test_vertex_ideal_split():
     rng = corpus.make_rng("vi-split")
-    for _ in range(10):
-        A = corpus.random_matrix(rng, 2, 3, 2)
-        std = set(vertex_ideal_standard(A, 4))
+    random = [corpus.random_matrix(rng, 2, 3, 2) for _ in range(10)]
+    # the ones-row cover path and the unit-weight enumeration, both exercised
+    ones = [FiberMatrix(((1, 1, 1, 1), (0, 1, 2, 3)))] + _ones_matrices(rng, 3)
+    no_ones = [FiberMatrix(((1, 2, 0), (0, 1, 1))), FiberMatrix(((2, 3, 5),))]
+    assert all(fibers._plan(A).ones is not None for A in ones)
+    assert all(fibers._plan(A).ones is None for A in no_ones)
+    for A in random + ones + no_ones:
+        _clear_fiber_caches()
+        std = vertex_ideal_standard(A, 4)
+        assert std == sorted(std)
         gens = vertex_ideal_gens_truncated(A, 4)
-        for u in oracles.monomials_up_to(3, 4):
+        oracle_vertices = {}
+        for u in oracles.monomials_up_to(A.ncols, 4):
             assert (u in std) != gens.member(u)
+            b = A.apply(u)
+            if b not in oracle_vertices:
+                points = oracles.box_fiber_points(A.rows, b)
+                oracle_vertices[b] = set(oracles.hull_vertices_by_definition(points))
+            assert (u in std) == (u in oracle_vertices[b])
 
 
 def test_sagbi_examples():
