@@ -105,6 +105,8 @@ def refine_by_standard_trace(F: IdealFamily, pivot: MonomialIdeal) -> list[list[
     The pivot must be artinian so its standard set is finite.  Blocks
     are sorted by smallest member index.
     """
+    if F.members and F[0].nvars != pivot.nvars:
+        raise ValueError(f"pivot has {pivot.nvars} variables, family members have {F[0].nvars}")
     if not pivot.is_artinian():
         raise ValueError("pivot must be artinian (finite standard set)")
     standard = pivot.standard_monomials()

@@ -131,6 +131,8 @@ def _cmd_decompose(args):
 
 
 def _cmd_hilbert(args):
+    if args.grading is not None and args.table_bound is None:
+        raise InputError("--grading only applies with --table-bound")
     I = _load(args.ideal, MonomialIdeal)
     numer = hilbert_numerator(I)
     payload = {"numerator": [[list(e), c] for e, c in sorted(numer.items())]}

@@ -7,7 +7,7 @@ generators one at a time, starting from the zero ideal m^0.  Because
 sums distribute over intersections of monomial ideals, adding x^g keeps
 every component that already contains x^g and replaces each other
 component m^a by the components m^{a[i := g_i]}, one for each variable
-i dividing x^g; then every component containing another is dropped.
+i dividing x^g, each kept iff its corner is a maximal standard monomial.
 Grouping the components by radical support and intersecting groupwise
 yields one primary component per associated prime.
 """
@@ -89,35 +89,44 @@ def _support(g: Exponent) -> tuple[int, ...]:
     return tuple(i for i, e in enumerate(g) if e > 0)
 
 
-def _contains(a: Exponent, b: Exponent) -> bool:
-    """Is m^b a subideal of m^a?  Each x_i^{b_i} must lie in m^a."""
-    return all(0 < a[i] <= e for i, e in enumerate(b) if e > 0)
-
-
 def _irreducible_vectors(I: MonomialIdeal) -> list[Exponent]:
-    """Exponent vectors a of the irredundant irreducible components m^a.
+    """Exponent vectors b of the irredundant irreducible components m^b.
 
-    Adds the generators one at a time.  The kept components, those that
-    contain x^g, stay an antichain and contain no new component, since a
-    kept m^a containing m^{c[i := g_i]} would contain m^c as well.  So a
-    new component is dropped iff it contains a kept or another new one.
+    Adds the generators one at a time.  A component m^a containing x^g
+    stays; each other one gives candidates b = a[i := g_i], i dividing
+    x^g.  A candidate is kept iff its corner b - 1 is a maximal standard
+    monomial: for every j with b_j > 0, some generator h added so far has
+    h_j = b_j and h_k < b_k for every other k with b_k > 0.  For j = i, g
+    is that witness, as every other k with a_k > 0 has a_k > g_k.
     """
+    if I.is_zero():
+        raise ValueError("zero ideal does not decompose")
+    if I.is_unit():
+        raise ValueError("unit ideal does not decompose")
     comps = [(0,) * I.nvars]
-    for g in I.gens:
-        support = _support(g)
-        kept, new = [], set()
+    for n, g in enumerate(I.gens, 1):
+        added, support = I.gens[:n], _support(g)
+        next_comps = []
         for a in comps:
             if any(0 < a[i] <= g[i] for i in support):
-                kept.append(a)
-            else:
-                new.update(a[:i] + (g[i],) + a[i + 1 :] for i in support)
-        comps = kept + [
-            b
-            for b in new
-            if not any(_contains(b, c) for c in kept)
-            and not any(c != b and _contains(b, c) for c in new)
-        ]
+                next_comps.append(a)
+                continue
+            for i in support:
+                b = a[:i] + (g[i],) + a[i + 1 :]
+                finite = _support(b)
+                if all(
+                    any(h[j] == b[j] and all(h[k] < b[k] for k in finite if k != j) for h in added)
+                    for j in finite
+                    if j != i
+                ):
+                    next_comps.append(b)
+        comps = next_comps
     return comps
+
+
+def _prime(nvars: int, support: tuple[int, ...]) -> MonomialPrime:
+    """The prime generated by the variables in support."""
+    return MonomialPrime(nvars, frozenset(range(nvars)) - set(support))
 
 
 def _pure_powers(a: Exponent) -> tuple[Exponent, ...]:
@@ -129,13 +138,6 @@ def _pure_powers(a: Exponent) -> tuple[Exponent, ...]:
     ))
 
 
-def _check_proper_nonzero(I: MonomialIdeal):
-    if I.is_zero():
-        raise ValueError("zero ideal does not decompose")
-    if I.is_unit():
-        raise ValueError("unit ideal does not decompose")
-
-
 def irreducible_decomposition(I: MonomialIdeal) -> list[MonomialIdeal]:
     """Irredundant irreducible components, sorted by generator tuples.
 
@@ -144,7 +146,6 @@ def irreducible_decomposition(I: MonomialIdeal) -> list[MonomialIdeal]:
     redundant in the intersection, and for irreducible components that
     is the only way redundancy can arise.
     """
-    _check_proper_nonzero(I)
     return sorted(
         (MonomialIdeal._trusted(I.nvars, _pure_powers(a)) for a in _irreducible_vectors(I)),
         key=lambda C: C.gens,
@@ -153,11 +154,8 @@ def irreducible_decomposition(I: MonomialIdeal) -> list[MonomialIdeal]:
 
 def associated_primes(I: MonomialIdeal) -> list[MonomialPrime]:
     """Radicals of the irreducible components, each listed once."""
-    _check_proper_nonzero(I)
     supports = sorted({_support(a) for a in _irreducible_vectors(I)})
-    return [
-        MonomialPrime(I.nvars, frozenset(range(I.nvars)) - set(sup)) for sup in supports
-    ]
+    return [_prime(I.nvars, sup) for sup in supports]
 
 
 def primary_decomposition(I: MonomialIdeal) -> list[PrimaryComponent]:
@@ -167,14 +165,13 @@ def primary_decomposition(I: MonomialIdeal) -> list[PrimaryComponent]:
     each group.  The result is irredundant because the irreducible
     decomposition is.
     """
-    _check_proper_nonzero(I)
     groups: dict[tuple[int, ...], list[MonomialIdeal]] = {}
     for a in _irreducible_vectors(I):
         component = MonomialIdeal._trusted(I.nvars, _pure_powers(a))
         groups.setdefault(_support(a), []).append(component)
     return [
         PrimaryComponent(
-            MonomialPrime(I.nvars, frozenset(range(I.nvars)) - set(sup)),
+            _prime(I.nvars, sup),
             reduce(lambda a, b: a.intersect(b), groups[sup]),
         )
         for sup in sorted(groups)

@@ -336,6 +336,8 @@ def hull_vertices(points) -> list[Exponent]:
     pts = sorted({tuple(p) for p in points})
     if not pts:
         raise ValueError("empty point set has no hull")
+    if len(pts) > 1 and len(lengths := {len(p) for p in pts}) > 1:
+        raise ValueError(f"points have different lengths {sorted(lengths)}")
     if len(pts) <= 2:
         return pts
     present = set(pts)

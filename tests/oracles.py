@@ -8,8 +8,10 @@ one point's, reachable degrees by a breadth-first walk over the
 columns instead of a bucketed enumeration of exponents, chains by subset
 enumeration or by recursion instead of a bottom-up pass, irreducible
 components by splitting mixed generators instead of adding generators
-one at a time, and the generators of a complement by walking its
-bounding box instead of stepping up from the order ideal.
+one at a time, or by adding them one at a time and pruning each new
+component against all others instead of testing its corner, and the
+generators of a complement by walking its bounding box instead of
+stepping up from the order ideal.
 """
 
 from __future__ import annotations
@@ -81,6 +83,35 @@ def irreducible_by_splitting(nvars: int, gens) -> list[tuple[tuple[int, ...], ..
         C for C in parts
         if not any(D != C and all(member(C, d) for d in D) for D in parts)
     )
+
+
+def irreducible_by_pairwise_prune(nvars: int, gens) -> list[tuple[int, ...]]:
+    """Exponent vectors a of the irredundant irreducible components m^a.
+
+    The library's former route: add the generators one at a time, split
+    each component not containing x^g into the m^{a[i := g_i]}, and drop
+    every new component that contains a kept or another new one.  The
+    vectors come back sorted.
+    """
+    def contains(a, b):  # is m^b a subideal of m^a?
+        return all(0 < a[i] <= e for i, e in enumerate(b) if e > 0)
+
+    comps = [(0,) * nvars]
+    for g in minimal_gens(gens):
+        support = [i for i, e in enumerate(g) if e > 0]
+        kept, new = [], set()
+        for a in comps:
+            if any(0 < a[i] <= g[i] for i in support):
+                kept.append(a)
+            else:
+                new.update(a[:i] + (g[i],) + a[i + 1 :] for i in support)
+        comps = kept + [
+            b
+            for b in new
+            if not any(contains(b, c) for c in kept)
+            and not any(c != b and contains(b, c) for c in new)
+        ]
+    return sorted(comps)
 
 
 def primary_by_grouping(components) -> list[tuple[tuple[int, ...], tuple]]:

@@ -122,6 +122,14 @@ def test_refine_trivial_cases():
         refine_by_standard_trace(F, minimalize(2, [(1, 0)]))
 
 
+def test_refine_rejects_pivot_from_another_ring():
+    pivot = minimalize(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    F = family([(1, 0)], [(0, 1)])
+    with pytest.raises(ValueError, match="pivot has 3 variables, family members have 2"):
+        refine_by_standard_trace(F, pivot)
+    assert refine_by_standard_trace(IdealFamily(()), pivot) == []
+
+
 def test_antichain_members_meet_pivot_standard_monomials():
     rng = corpus.make_rng("trace-nonempty")
     built = 0

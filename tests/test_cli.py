@@ -100,6 +100,23 @@ def test_chain_modes(tmp_path):
     assert grouped == {"blocks": [[0, 1, 2]]}
 
 
+def test_chain_refine_pivot_from_another_ring_exits_2(tmp_path, capsys):
+    fam = write(tmp_path, "fam.json", [{"vars": 2, "gens": [[1, 0]]}])
+    pivot = write(tmp_path, "pivot.json", {"vars": 3, "gens": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    assert main(["chain", "-F", fam, "--refine", pivot]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert "pivot has 3 variables, family members have 2" in err
+
+
+def test_hilbert_grading_without_table_bound_exits_2(tmp_path, ideal_file, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert main(["hilbert", "-I", ideal_file, "--grading", missing]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert "--grading" in err and "--table-bound" in err
+
+
 def test_fiber_payload(matrix_file):
     payload = run(["fiber", "-A", matrix_file, "-b", "3"]).payload
     assert payload["points"] == [[0, 3], [1, 2], [2, 1], [3, 0]]

@@ -9,6 +9,7 @@ from staircase import (
     minimalize,
     primary_decomposition,
 )
+from staircase.decomposition import _irreducible_vectors
 
 import corpus
 import oracles
@@ -38,9 +39,9 @@ def test_irreducible_intersection_equals_input():
 
 def test_degenerate_inputs_rejected():
     for func in (irreducible_decomposition, associated_primes, primary_decomposition):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero ideal does not decompose"):
             func(MonomialIdeal.zero(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unit ideal does not decompose"):
             func(MonomialIdeal.unit(2))
 
 
@@ -236,3 +237,22 @@ def test_trusted_components_pass_public_check():
         assert [
             (pc.prime.generators, pc.component.gens) for pc in primary
         ] == oracles.primary_by_grouping(reference)
+
+
+def test_corner_test_matches_pairwise_prune():
+    rng = corpus.make_rng("pairwise-prune")
+    ideals = [ROADMAP_18]
+    for nvars in range(1, 7):
+        ideals += [corpus.random_ideal(rng, nvars, 4, 18) for _ in range(20)]
+    # 7 variables and 30-35 minimal generators, too slow for the splitting oracle
+    for _ in range(10):
+        size, I = rng.randint(30, 35), MonomialIdeal.zero(7)
+        while len(I.gens) < size:
+            g = corpus.random_exponent(rng, 7, 4)
+            if any(g):
+                I = minimalize(7, I.gens + (g,))
+        ideals.append(I)
+    for I in ideals:
+        assert sorted(_irreducible_vectors(I)) == oracles.irreducible_by_pairwise_prune(
+            I.nvars, I.gens
+        ), I

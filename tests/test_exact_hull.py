@@ -8,7 +8,10 @@ vertices, and mutual hull membership of vertex sums for Minkowski sums.
 """
 
 import functools
+import re
 from fractions import Fraction
+
+import pytest
 
 from staircase import (
     FiberMatrix,
@@ -43,6 +46,17 @@ def test_hull_vertices_special_sets():
     ]
     for pts in cases:
         assert hull_vertices(pts) == oracles.hull_vertices_by_definition(pts), pts
+
+
+def test_hull_vertices_rejects_mixed_lengths():
+    cases = [
+        ([(0, 0), (1, 1, 5), (2, 2)], "[2, 3]"),
+        ([(0, 0), (1,), (2, 2)], "[1, 2]"),
+        ([(0, 0), (1,)], "[1, 2]"),
+    ]
+    for pts, lengths in cases:
+        with pytest.raises(ValueError, match=re.escape(f"points have different lengths {lengths}")):
+            hull_vertices(pts)
 
 
 def test_hull_vertices_against_oracle_random():
