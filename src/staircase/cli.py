@@ -83,7 +83,7 @@ def _load(path: str, cls):
 
 def _parse_vector(text: str, field: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.replace(" ", "").split(",") if part != "")
+        return tuple(int(part) for part in text.replace(" ", "").split(","))
     except ValueError as exc:
         raise InputError(f"{field}: expected comma-separated integers, got {text!r}") from exc
 
@@ -106,10 +106,14 @@ def _cmd_ideal(args):
         return I.intersect(_load(args.intersect, MonomialIdeal)).to_json(), None
     if args.sum is not None:
         return I.sum(_load(args.sum, MonomialIdeal)).to_json(), None
-    if args.quotient is not None:
-        return I.quotient(_parse_vector(args.quotient, "--quotient")).to_json(), None
-    if args.member is not None:
-        return {"member": I.member(_parse_vector(args.member, "--member"))}, None
+    flag, text = ("--member", args.member) if args.member is not None else ("--quotient", args.quotient)
+    if text is not None:
+        u = _parse_vector(text, flag)
+        if len(u) != I.nvars:
+            raise InputError(f"{flag}: {u} has length {len(u)}, the ideal has {I.nvars} variables")
+        if flag == "--member":
+            return {"member": I.member(u)}, None
+        return I.quotient(u).to_json(), None
     if args.standard_up_to is not None:
         pts = I.standard_monomials_up_to(args.standard_up_to)
         return {"standard": [list(p) for p in pts]}, None
@@ -367,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("posetx", help="checks on the pair poset with finite chains")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--check-antichain", type=int, metavar="L", help="slice ideals 1..L pairwise incomparable")
-    group.add_argument("--chain-bound", type=int, metavar="J", help="chain length below (i,j) is < j for all j <= J")
+    group.add_argument("--chain-bound", type=_positive_int, metavar="J", help="chain length below (i,j) is < j for all j <= J")
     p.set_defaults(handler=_cmd_posetx)
 
     p = sub.add_parser("young", help="complement between finite order ideals and artinian ideals")

@@ -327,11 +327,18 @@ def in_hull(q, points) -> bool:
 def hull_vertices(points) -> list[Exponent]:
     """Points that are not convex combinations of the others, in lex order.
 
-    Exact certificates settle most points before any LP: a lex-first or
-    lex-last maximizer of a fixed integer weight is a vertex (it is a
-    vertex of the face the weight exposes), and a point p with 2p - q in
+    Two passes of exact certificates leave the LP only the candidates.
+    First, for each coordinate and for the weight (1, 2, ..., n), the
+    lex-first and lex-last point of least value and of greatest value are
+    vertices: they are vertices of the face the weight or its negative
+    exposes.  The weight (1, ..., 1) is left out: it is constant over every
+    fiber of a matrix with a row of ones.  Then a point p with 2p - q in
     the set for some q != p is the midpoint of two others, so not a
-    vertex.  Only the points neither test settles go to the exact LP.
+    vertex; a point neither test settles is undecided.  The candidates,
+    exposed and undecided points, hold every vertex, as each other point
+    is a midpoint.  So when an undecided p is no vertex, it lies in the
+    hull of the vertices, all among the other candidates, and p is a
+    vertex iff the exact LP finds it outside the other candidates' hull.
     """
     pts = sorted({tuple(p) for p in points})
     if not pts:
@@ -340,40 +347,25 @@ def hull_vertices(points) -> list[Exponent]:
         raise ValueError(f"points have different lengths {sorted(lengths)}")
     if len(pts) <= 2:
         return pts
+    weights = range(1, len(pts[0]) + 1)
+    vertices = set()
+    for values in (*zip(*pts), [sum(map(mul, weights, p)) for p in pts]):
+        for extreme in (min(values), max(values)):
+            ties = [p for p, v in zip(pts, values) if v == extreme]
+            vertices.update((ties[0], ties[-1]))
     present = set(pts)
-    vertices = _exposed_points(pts)
-    for k, p in enumerate(pts):
-        if p in vertices:
-            continue
-        # one of q, 2p - q is lex-smaller than p, so earlier points suffice
-        if any(tuple(2 * x - y for x, y in zip(p, q)) in present for q in pts[:k]):
-            continue
-        if not in_convex_hull(p, [q for q in pts if q != p]):
+    # one of q, 2p - q is lex-smaller than p, so earlier points suffice
+    undecided = [
+        p
+        for k, p in enumerate(pts)
+        if p not in vertices
+        and not any(tuple(2 * x - y for x, y in zip(p, q)) in present for q in pts[:k])
+    ]
+    candidates = sorted(vertices.union(undecided))
+    for p in undecided:
+        if not in_convex_hull(p, [q for q in candidates if q != p]):
             vertices.add(p)
     return sorted(vertices)
-
-
-def _exposed_points(pts: list[Exponent]) -> set[Exponent]:
-    """Lex-first and lex-last maximizers of +-e_i and +-(1, 2, ..., n).
-
-    pts is lex sorted and nonempty.  The maximizers of a weight are the
-    points on the face of the hull the weight exposes, and the lex-first
-    and lex-last point of a face are vertices of it, so of the hull.  The
-    weight (1, ..., 1) is left out: it is constant over every fiber of a
-    matrix with a row of ones, and the LP settles any point it would add.
-    """
-    n = len(pts[0])
-    weights = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-    weights.append(tuple(range(1, n + 1)))
-    weights += [tuple(-x for x in w) for w in weights]
-    out = set()
-    for w in weights:
-        values = [sum(x * y for x, y in zip(w, p)) for p in pts]
-        top = max(values)
-        tops = [p for p, v in zip(pts, values) if v == top]
-        out.add(tops[0])
-        out.add(tops[-1])
-    return out
 
 
 def _first_unsplit(points, f1, f2):

@@ -3,15 +3,16 @@
 Each oracle takes a different route from the code under test: membership
 by raw divisor scan, fibers by full box enumeration, hull membership by
 affinely-independent-subset search instead of a feasibility tableau,
-splits of a degree from the sub-boxes of all its fiber points instead of
-one point's, reachable degrees by a breadth-first walk over the
-columns instead of a bucketed enumeration of exponents, chains by subset
-enumeration or by recursion instead of a bottom-up pass, irreducible
-components by splitting mixed generators instead of adding generators
-one at a time, or by adding them one at a time and pruning each new
-component against all others instead of testing its corner, and the
-generators of a complement by walking its bounding box instead of
-stepping up from the order ideal.
+exposed hull vertices by dot products with explicit weight vectors
+instead of reading the coordinates, splits of a degree from the
+sub-boxes of all its fiber points instead of one point's, reachable
+degrees by a breadth-first walk over the columns instead of a bucketed
+enumeration of exponents, chains by subset enumeration or by recursion
+instead of a bottom-up pass, irreducible components by splitting mixed
+generators instead of adding generators one at a time, or by adding them
+one at a time and pruning each new component against all others instead
+of testing its corner, and the generators of a complement by walking its
+bounding box instead of stepping up from the order ideal.
 """
 
 from __future__ import annotations
@@ -244,28 +245,54 @@ def hull_member(q, points) -> bool:
 
     If q is in the hull it is in the hull of some affinely independent
     subset of at most k+1 points, k being the dimension of the affine
-    hull of q and the points (Caratheodory); a larger subset is dependent
-    and could never give a unique solution.  Dependent subsets are
-    skipped, which is safe because an independent sub-subset suffices.
+    hull of q and the points (Caratheodory), and that subset extends to
+    k+1 affinely independent points, whose hull holds it, so only subsets
+    of k+1 points are tried.  When q is off the points' affine hull, every
+    such subset is dependent.  Dependent subsets are skipped, which is
+    safe because an independent one suffices.
     """
     pts = [tuple(p) for p in points]
     if not pts:
         return False
     dim = len(q)
     flat = _rank([[x - y for x, y in zip(p, q)] for p in pts])
-    for size in range(1, min(len(pts), flat + 1) + 1):
-        for subset in itertools.combinations(pts, size):
-            matrix = [[p[c] for p in subset] for c in range(dim)]
-            matrix.append([1] * size)
-            status, lam = _solve_exact(matrix, list(q) + [1])
-            if status == "unique" and all(v >= 0 for v in lam):
-                return True
+    for subset in itertools.combinations(pts, flat + 1):
+        # a convex combination lies in its points' bounding box
+        if not all(min(c) <= x <= max(c) for x, c in zip(q, zip(*subset))):
+            continue
+        matrix = [[p[c] for p in subset] for c in range(dim)]
+        matrix.append([1] * (flat + 1))
+        status, lam = _solve_exact(matrix, list(q) + [1])
+        if status == "unique" and all(v >= 0 for v in lam):
+            return True
     return False
 
 
 def hull_vertices_by_definition(points) -> list[tuple[int, ...]]:
     pts = sorted({tuple(p) for p in points})
     return [p for p in pts if not hull_member(p, [q for q in pts if q != p])]
+
+
+def exposed_points_by_weights(pts) -> set[tuple[int, ...]]:
+    """Lex-first and lex-last maximizers of +-e_i and +-(1, 2, ..., n).
+
+    pts is lex sorted and nonempty.  The maximizers of a weight are the
+    points on the face of the hull the weight exposes, and the lex-first
+    and lex-last point of a face are vertices of it, so of the hull.  This
+    builds each weight vector and takes its dot product with every point.
+    """
+    n = len(pts[0])
+    weights = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    weights.append(tuple(range(1, n + 1)))
+    weights += [tuple(-x for x in w) for w in weights]
+    out = set()
+    for w in weights:
+        values = [sum(x * y for x, y in zip(w, p)) for p in pts]
+        top = max(values)
+        tops = [p for p, v in zip(pts, values) if v == top]
+        out.add(tops[0])
+        out.add(tops[-1])
+    return out
 
 
 def pair_chain_max_recursive(p) -> int:

@@ -46,6 +46,33 @@ def test_ideal_ops(tmp_path, ideal_file):
     assert [0, 2] in std and [2, 0] not in std
 
 
+def test_ideal_vector_of_wrong_length_names_flag_and_ideal(ideal_file, capsys):
+    cases = [
+        ("--quotient", "1,0,0", "--quotient: (1, 0, 0) has length 3"),
+        ("--member", "1", "--member: (1,) has length 1"),
+    ]
+    for flag, text, message in cases:
+        assert main(["ideal", "-I", ideal_file, flag, text]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert f"{message}, the ideal has 2 variables" in err
+
+
+def test_vector_with_empty_field_exits_2(ideal_file, matrix_file, capsys):
+    cases = [
+        (["ideal", "-I", ideal_file, "--member"], "1,,2"),
+        (["ideal", "-I", ideal_file, "--quotient"], ",1,0"),
+        (["fiber", "-A", matrix_file, "-b"], "3,"),
+    ]
+    for argv, text in cases:
+        assert main([*argv, text]) == 2, text
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert f"{argv[-1]}: expected comma-separated integers, got {text!r}" in err
+    # spaces around the fields stay allowed
+    assert run(["ideal", "-I", ideal_file, "--member", " 2, 1 "]).payload == {"member": True}
+
+
 def test_decompose_payloads(ideal_file):
     primary = run(["decompose", "-I", ideal_file]).payload
     assert primary == [
@@ -178,6 +205,15 @@ def test_posetx_checks():
     assert bound.status == "pass" and bound.payload["violations"] == []
     deep = run(["posetx", "--chain-bound", "1200"])
     assert deep.status == "pass" and deep.payload["ok"] is True
+
+
+def test_posetx_rejects_chain_bound_below_1(capsys):
+    for bound in ("0", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["posetx", "--chain-bound", bound])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--chain-bound: must be at least 1" in err
 
 
 def test_young_directions(tmp_path):

@@ -15,6 +15,7 @@ import pytest
 
 from staircase import (
     FiberMatrix,
+    fibers,
     fiber_points,
     hull_vertices,
     in_hull,
@@ -32,6 +33,9 @@ DEMO = FiberMatrix(
 DEMO_B = (6, 13, 15, 8)
 # the subset-search oracle is exponential in the point count
 ORACLE_POINTS = 10
+# fibers of 18 to 90 points in 3 dimensions, 5 of whose points need the LP
+ONE_ROW = FiberMatrix(((2, 3, 5, 7),))
+ONE_ROW_DEGREES = [(b,) for b in range(20, 41, 4)]
 
 
 def test_hull_vertices_special_sets():
@@ -84,6 +88,50 @@ def test_hull_vertices_against_oracle_on_fibers():
     for A, b in _small_fibers("exact-hull-fibers", 30):
         pts = fiber_points(A, b)
         assert hull_vertices(pts) == oracles.hull_vertices_by_definition(pts)
+    # a 3-dimensional fiber of a one-row matrix: 18 points, 6 vertices, 1 LP
+    # (the subset search takes seconds from 27 points on; the larger
+    # one-row fibers are checked against the replaced LP route below)
+    pts = fiber_points(ONE_ROW, ONE_ROW_DEGREES[0])
+    assert hull_vertices(pts) == oracles.hull_vertices_by_definition(pts)
+
+
+def _is_midpoint(p, present) -> bool:
+    return any(q != p and tuple(2 * x - y for x, y in zip(p, q)) in present for q in present)
+
+
+def test_lp_gets_only_undecided_points_and_candidates(monkeypatch):
+    """The LP is asked about the points no certificate settles, against the candidates.
+
+    The settled points are those explicit weight vectors expose and the
+    midpoints of two fiber points.  No point handed to the LP is a
+    midpoint, and the vertices equal those of an LP over every other point.
+    """
+    asked = []
+
+    def recording(q, points):
+        asked.append((tuple(q), [tuple(p) for p in points]))
+        return in_convex_hull(q, points)
+
+    monkeypatch.setattr(fibers, "in_convex_hull", recording)
+    cases = [fiber_points(A, b) for A, b in _small_fibers("exact-hull-fibers", 30)]
+    cases += [fiber_points(ONE_ROW, b) for b in ONE_ROW_DEGREES]
+    for pts in cases:
+        present = set(pts)
+        exposed = oracles.exposed_points_by_weights(pts) if len(pts) > 2 else present
+        undecided = [p for p in pts if p not in exposed and not _is_midpoint(p, present)]
+        candidates = sorted(exposed.union(undecided))
+        start = len(asked)
+        vertices = hull_vertices(pts)
+        assert [q for q, _ in asked[start:]] == undecided, pts
+        for q, given in asked[start:]:
+            assert given == [p for p in candidates if p != q], (q, given)
+            assert not any(_is_midpoint(p, present) for p in given), (q, given)
+        assert vertices == sorted(
+            exposed.union(
+                p for p in undecided if not in_convex_hull(p, [q for q in pts if q != p])
+            )
+        )
+    assert len(asked) == 5  # the LP is exercised
 
 
 @functools.cache
