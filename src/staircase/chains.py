@@ -23,8 +23,11 @@ class IdealFamily:
     def __post_init__(self):
         if not isinstance(self.members, tuple):
             object.__setattr__(self, "members", tuple(self.members))
-        if len({m.nvars for m in self.members}) > 1:
-            raise ValueError("members live in different ambient rings")
+        for i, m in enumerate(self.members):
+            if m.nvars != self.members[0].nvars:
+                raise ValueError(
+                    f"member {i} has {m.nvars} variables, member 0 has {self.members[0].nvars}"
+                )
         if len(set(self.members)) != len(self.members):
             raise ValueError("duplicate members; use IdealFamily.of to deduplicate")
 
@@ -46,7 +49,13 @@ class IdealFamily:
     def from_json(cls, data) -> IdealFamily:
         if not isinstance(data, list):
             raise ValueError("family JSON must be a list of ideals")
-        return cls.of(MonomialIdeal.from_json(item) for item in data)
+        members = []
+        for i, item in enumerate(data):
+            try:
+                members.append(MonomialIdeal.from_json(item))
+            except ValueError as exc:
+                raise ValueError(f"member {i}: {exc}") from exc
+        return cls.of(members)
 
     def to_json(self) -> list:
         return [m.to_json() for m in self.members]

@@ -81,21 +81,30 @@ def _load(path: str, cls):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _parse_vector(text: str, field: str) -> tuple[int, ...]:
+def _parse_vector(text: str, field: str, length: int, owner: str) -> tuple[int, ...]:
+    """The integers in text, which must number length; owner says whose length."""
     try:
-        return tuple(int(part) for part in text.replace(" ", "").split(","))
+        u = tuple(int(part) for part in text.replace(" ", "").split(","))
     except ValueError as exc:
         raise InputError(f"{field}: expected comma-separated integers, got {text!r}") from exc
+    if len(u) != length:
+        raise InputError(f"{field}: {u} has length {len(u)}, {owner}")
+    return u
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(least: int):
+    """An argparse type: an integer no less than least."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
 
 
 def _cmd_ideal(args):
@@ -108,9 +117,7 @@ def _cmd_ideal(args):
         return I.sum(_load(args.sum, MonomialIdeal)).to_json(), None
     flag, text = ("--member", args.member) if args.member is not None else ("--quotient", args.quotient)
     if text is not None:
-        u = _parse_vector(text, flag)
-        if len(u) != I.nvars:
-            raise InputError(f"{flag}: {u} has length {len(u)}, the ideal has {I.nvars} variables")
+        u = _parse_vector(text, flag, I.nvars, f"the ideal has {I.nvars} variables")
         if flag == "--member":
             return {"member": I.member(u)}, None
         return I.quotient(u).to_json(), None
@@ -178,7 +185,7 @@ def _cmd_chain(args):
 
 def _cmd_fiber(args):
     A = _load(args.matrix, FiberMatrix)
-    f = fiber(A, _parse_vector(args.degree, "-b"))
+    f = fiber(A, _parse_vector(args.degree, "-b", A.nrows, f"the matrix has {A.nrows} rows"))
     return {
         "degree": list(f.degree),
         "points": [list(p) for p in f.points],
@@ -197,7 +204,7 @@ def _cmd_atomic_scan(args):
 
 def _cmd_sagbi(args):
     A = _load(args.matrix, FiberMatrix)
-    coeffs = _parse_vector(args.coeffs, "--coeffs")
+    coeffs = _parse_vector(args.coeffs, "--coeffs", A.ncols, f"the matrix has {A.ncols} columns")
     pairs = sagbi_generators(A, coeffs, args.bound)
     return [[k, list(b)] for k, b in pairs], None
 
@@ -212,7 +219,8 @@ def _cmd_vertex_ideal(args):
 
 def _cmd_lift(args):
     G = _load(args.matrix, FiberMatrix)
-    degrees = [_parse_vector(d, "--degree") for d in args.degree]
+    owner = f"the matrix has {G.nrows} rows"
+    degrees = [_parse_vector(d, "--degree", G.nrows, owner) for d in args.degree]
     return monoid_lift(G, degrees, args.bound).to_json(), None
 
 
@@ -310,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--quotient", metavar="EXP", help="colon quotient by a monomial, e.g. 1,0")
     group.add_argument("--member", metavar="EXP", help="membership test for a monomial")
     group.add_argument(
-        "--standard-up-to", type=int, metavar="K", help="standard monomials of total degree <= K"
+        "--standard-up-to", type=_int_at_least(0), metavar="K", help="standard monomials of total degree <= K"
     )
     p.set_defaults(handler=_cmd_ideal)
 
@@ -323,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="Hilbert-series numerator, optional per-degree table")
     p.add_argument("-I", "--ideal", required=True)
-    p.add_argument("--table-bound", type=int, metavar="K", help="also count degrees |b| <= K")
+    p.add_argument("--table-bound", type=_int_at_least(0), metavar="K", help="also count degrees |b| <= K")
     p.add_argument("--grading", metavar="FILE", help="grading matrix for the table (default: fine)")
     p.set_defaults(handler=_cmd_hilbert)
 
@@ -345,33 +353,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("atomic-scan", help="atomic degrees Au with |u| <= bound")
     p.add_argument("-A", "--matrix", required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_int_at_least(1), required=True)
     p.add_argument("--mode", choices=("vertex", "lattice"), default="vertex")
     p.add_argument("--ideal", metavar="FILE", help="avoidance ideal M for lattice mode (default: zero)")
-    p.add_argument("--workers", type=_positive_int, default=1, help="parallel workers (results identical)")
+    p.add_argument("--workers", type=_int_at_least(1), default=1, help="parallel workers (results identical)")
     p.set_defaults(handler=_cmd_atomic_scan)
 
     p = sub.add_parser("sagbi", help="subalgebra generators (k_b, b) over atomic degrees")
     p.add_argument("-A", "--matrix", required=True)
     p.add_argument("--coeffs", required=True, help="nonzero integer coefficients, e.g. 2,3")
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_int_at_least(1), required=True)
     p.set_defaults(handler=_cmd_sagbi)
 
     p = sub.add_parser("vertex-ideal", help="per-degree hull-vertex monomials and non-vertex generators")
     p.add_argument("-A", "--matrix", required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_int_at_least(0), required=True)
     p.set_defaults(handler=_cmd_vertex_ideal)
 
     p = sub.add_parser("lift", help="pull a monoid-algebra monomial ideal back to the polynomial ring")
     p.add_argument("-G", "--matrix", required=True, help="monoid generator matrix (columns generate)")
     p.add_argument("--degree", action="append", default=[], help="ideal degree vector; repeatable")
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_int_at_least(0), required=True)
     p.set_defaults(handler=_cmd_lift)
 
     p = sub.add_parser("posetx", help="checks on the pair poset with finite chains")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--check-antichain", type=int, metavar="L", help="slice ideals 1..L pairwise incomparable")
-    group.add_argument("--chain-bound", type=_positive_int, metavar="J", help="chain length below (i,j) is < j for all j <= J")
+    group.add_argument("--check-antichain", type=_int_at_least(2), metavar="L", help="slice ideals 1..L pairwise incomparable")
+    group.add_argument("--chain-bound", type=_int_at_least(1), metavar="J", help="chain length below (i,j) is < j for all j <= J")
     p.set_defaults(handler=_cmd_posetx)
 
     p = sub.add_parser("young", help="complement between finite order ideals and artinian ideals")

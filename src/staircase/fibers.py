@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, partial
+from itertools import product
 from operator import add, mul, sub
 
 from .exactlp import in_convex_hull
@@ -406,26 +407,24 @@ def _atomic(A: FiberMatrix, b: Degree, whole, part) -> bool:
     A pair splits whole when each of its points is a point of part(b1)
     plus one of part(b2), part(b1) holding only points over b1.  The zero
     degree is never atomic.  A pair that splits whole splits its point p:
-    p = u1 + u2 with A u1 = b1, so u1 <= p.  So only the b1 in
-    {A u1 : 0 <= u1 <= p} are tried, for the p with the fewest sub-box
-    points, prod(p_i + 1).  Each gives a pair in NA, as b1 = A u1 and
-    b - b1 = A(p - u1).  b1 = 0 only when u1 = 0, and b1 = b only when
-    u1 = p, because no column is zero; b1 = b fails b1 <= b - b1 in lex
-    order, which keeps each unordered pair once.  b - b1 falls as b1
-    rises, so the pairs run out where b1 passes b - b1.
+    p = u1 + u2 with A u1 = b1, so u1 <= p.  So b1 runs over A u1 for
+    0 <= u1 <= p, p the point with the fewest sub-box points, prod(p_i + 1),
+    and each pair is in NA, as b - b1 = A(p - u1).  b1 = 0 only when
+    u1 = 0, and b1 = b only when u1 = p, because no column is zero; b1 = b
+    fails b1 <= b - b1 in lex order.  Each nontrivial unordered pair from
+    the sub-box is tried at most once, in any order, since the verdict
+    does not depend on the order.
     """
     if not any(b):
         return False
     p = min(whole, key=lambda u: math.prod(e + 1 for e in u))
-    degrees = {(0,) * len(b)}
-    for c, e in zip(_plan(A).cols, p):
-        steps = [tuple(k * x for x in c) for k in range(e + 1)]
-        degrees = {tuple(map(add, h, s)) for h in degrees for s in steps}
-    # the lex-first degree is 0
-    for b1 in sorted(degrees)[1:]:
+    rows, tried = A.rows, set()
+    for u1 in product(*(range(e + 1) for e in p)):
+        b1 = tuple(sum(map(mul, r, u1)) for r in rows)
         b2 = tuple(map(sub, b, b1))
-        if b1 > b2:
-            break
+        if not any(b1) or b1 > b2 or b1 in tried:
+            continue
+        tried.add(b1)
         if _first_unsplit(whole, part(b1), part(b2)) is None:
             return False
     return True

@@ -32,6 +32,14 @@ def test_family_validation():
     assert len(deduped) == 1
 
 
+def test_family_errors_name_the_member():
+    with pytest.raises(ValueError, match="^member 2 has 3 variables, member 0 has 2$"):
+        IdealFamily((minimalize(2, [(1, 0)]), minimalize(2, [(0, 1)]), minimalize(3, [(1, 0, 0)])))
+    data = [{"vars": 1, "gens": [[1]]}, {"vars": 1, "gens": [[-1]]}]
+    with pytest.raises(ValueError, match=r"^member 1: exponent .*-1"):
+        IdealFamily.from_json(data)
+
+
 def test_find_comparable_pair_examples():
     assert find_comparable_pair(family([(1, 0)], [(1, 0), (0, 1)])) == (0, 1)
     assert find_comparable_pair(family([(1, 0)], [(0, 1)])) is None

@@ -58,6 +58,64 @@ def test_ideal_vector_of_wrong_length_names_flag_and_ideal(ideal_file, capsys):
         assert f"{message}, the ideal has 2 variables" in err
 
 
+def test_vector_of_wrong_length_names_its_flag(tmp_path, capsys):
+    two_rows = write(tmp_path, "a.json", {"rows": 2, "cols": 3, "entries": [[1, 1, 1], [0, 1, 2]]})
+    cases = [
+        (["fiber", "-A", two_rows, "-b", "1"], "-b: (1,) has length 1, the matrix has 2 rows"),
+        (
+            ["lift", "-G", two_rows, "--degree", "1,1", "--degree", "1", "--bound", "2"],
+            "--degree: (1,) has length 1, the matrix has 2 rows",
+        ),
+        (
+            ["sagbi", "-A", two_rows, "--coeffs", "1,2", "--bound", "2"],
+            "--coeffs: (1, 2) has length 2, the matrix has 3 columns",
+        ),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert f"error: {message}\n" == err
+
+
+def test_bound_flags_name_the_flag(ideal_file, matrix_file, capsys):
+    # (arguments before the bound flag, the flag, its least value)
+    cases = [
+        (["hilbert", "-I", ideal_file], "--table-bound", 0),
+        (["ideal", "-I", ideal_file], "--standard-up-to", 0),
+        (["vertex-ideal", "-A", matrix_file], "--bound", 0),
+        (["lift", "-G", matrix_file, "--degree", "1"], "--bound", 0),
+        (["atomic-scan", "-A", matrix_file], "--bound", 1),
+        (["sagbi", "-A", matrix_file, "--coeffs", "1,1"], "--bound", 1),
+        (["posetx"], "--check-antichain", 2),
+    ]
+    for argv, flag, least in cases:
+        for value in (least - 1, -4):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, str(value)])
+            assert exc.value.code == 2, (argv, value)
+            out, err = capsys.readouterr()
+            assert out == "" and "Traceback" not in err
+            assert f"argument {flag}: must be at least {least}, got {value}" in err
+        assert main([*argv, flag, str(least)]) in (0, 1), argv
+        capsys.readouterr()
+
+
+def test_family_member_errors_name_the_member(tmp_path, capsys):
+    bad_gens = [{"vars": 2, "gens": [[1, 0]]}, {"vars": 2, "gens": [[0, 1]]}, {"vars": 2, "gens": 5}]
+    mixed = [{"vars": 2, "gens": [[1, 0]]}, {"vars": 3, "gens": [[0, 1, 0]]}]
+    cases = [
+        (bad_gens, 'member 2: "gens" must be a list of lists, got 5'),
+        (mixed, "member 1 has 3 variables, member 0 has 2"),
+    ]
+    for payload, message in cases:
+        fam = write(tmp_path, "fam.json", payload)
+        assert main(["chain", "-F", fam]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert message in err
+
+
 def test_vector_with_empty_field_exits_2(ideal_file, matrix_file, capsys):
     cases = [
         (["ideal", "-I", ideal_file, "--member"], "1,,2"),

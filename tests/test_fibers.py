@@ -332,6 +332,83 @@ def test_atomicity_deep_degree_without_recursion():
     assert fiber(A, (3000,)).vertices == ((1, 166), (250, 0))
 
 
+def test_atomic_walk_tries_each_sub_box_pair_once(monkeypatch):
+    # record, for every _atomic call, the degrees part is asked for and
+    # whether each pair splits whole, then check the walk's contract
+    real_atomic, real_unsplit = fibers._atomic, fibers._first_unsplit
+    runs, current = [], []
+
+    def traced_atomic(A, b, whole, part):
+        asked, pairs = [], []
+
+        def traced_part(c):
+            asked.append(c)
+            return part(c)
+
+        current.append((asked, pairs))
+        verdict = real_atomic(A, b, whole, traced_part)
+        current.pop()
+        runs.append((A, b, whole, verdict, pairs))
+        return verdict
+
+    def traced_unsplit(points, f1, f2):
+        unsplit = real_unsplit(points, f1, f2)
+        if current:
+            asked, pairs = current[-1]
+            pairs.append((asked[-2], asked[-1], unsplit is None))
+        return unsplit
+
+    monkeypatch.setattr(fibers, "_atomic", traced_atomic)
+    monkeypatch.setattr(fibers, "_first_unsplit", traced_unsplit)
+    test_atomicity_matches_pairwise_public_checks()
+    A = FiberMatrix(((2, 3, 5, 7),))
+    for mode in ("vertex", "lattice"):
+        _clear_fiber_caches()
+        atomic_scan(A, 6, mode=mode)
+    _clear_fiber_caches()
+    test_atomicity_deep_degree_without_recursion()
+    # a vertex, or a point of a whole fiber with the fewest sub-box points,
+    # is no midpoint, so no two points of its sub-box share a degree; with
+    # M the point (0, 1, 1, 0) over (2, 2) has two points over (1, 1), and
+    # (2, 0, 0, 1) none, so (1, 1) + (1, 1) is met twice and fails
+    A = FiberMatrix(((1, 1, 1, 0), (0, 1, 1, 2)))
+    M = minimalize(4, [(0, 2, 0, 0), (0, 0, 2, 0)])
+    _clear_fiber_caches()
+    assert is_ma_atomic(M, A, (2, 2)) is True
+    assert atomic_scan(A, 4, mode="lattice", M=M) == [(0, 2), (1, 0), (1, 1), (2, 2)]
+
+    splits = {}
+    atomic_with_pairs = late_splits = 0
+    for A, b, whole, verdict, pairs in runs:
+        if not any(b):
+            assert pairs == [] and verdict is False
+            continue
+        b1s = [b1 for b1, _, _ in pairs]
+        assert len(set(b1s)) == len(b1s), (A, b)
+        if (A, b) not in splits:
+            points = oracles.box_fiber_points(A.rows, b)
+            splits[A, b] = set(oracles.split_pairs_from_points(A.rows, b, points))
+        assert {(b1, b2) for b1, b2, _ in pairs} <= splits[A, b], (A, b)
+        assert all(any(b1) and any(b2) and b1 <= b2 for b1, b2, _ in pairs), (A, b)
+        if verdict:
+            p = min(whole, key=lambda u: math.prod(e + 1 for e in u))
+            sub_box = itertools.product(*(range(e + 1) for e in p))
+            degrees = {tuple(sum(x * y for x, y in zip(r, u1)) for r in A.rows) for u1 in sub_box}
+            expected = {
+                (b1, b2)
+                for b1 in degrees
+                if any(b1) and b1 <= (b2 := tuple(x - y for x, y in zip(b, b1))) and any(b2)
+            }
+            assert {(b1, b2) for b1, b2, _ in pairs} == expected, (A, b)
+            assert not any(split for _, _, split in pairs)
+            atomic_with_pairs += bool(pairs)
+        else:
+            assert [split for _, _, split in pairs] == [False] * (len(pairs) - 1) + [True], (A, b)
+            late_splits += len(pairs) > 1
+    # the contract is checked on atoms with pairs and on splits found late
+    assert atomic_with_pairs and late_splits
+
+
 def test_plan_is_the_only_cache():
     # every memo lives in a matrix's plan, so one cache_clear resets them all
     assert [name for name, f in vars(fibers).items() if hasattr(f, "cache_clear")] == ["_plan"]
