@@ -81,14 +81,28 @@ def _load(path: str, cls):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _parse_vector(text: str, field: str, length: int, owner: str) -> tuple[int, ...]:
-    """The integers in text, which must number length; owner says whose length."""
+def _load_sized(path: str, cls, flag: str, size: int, owner: str):
+    """_load for flag; the variables of an ideal, or a matrix's columns, must number size."""
+    obj = _load(path, cls)
+    have, unit = (obj.nvars, "variables") if cls is MonomialIdeal else (obj.ncols, "columns")
+    if have != size:
+        raise InputError(f"{flag}: {path} has {have} {unit}, {owner}")
+    return obj
+
+
+def _parse_vector(text: str, field: str, length: int, owner: str, signed: bool = False) -> tuple[int, ...]:
+    """The integers in text, which must number length; owner says whose length.
+
+    Unless signed, every entry must be nonnegative.
+    """
     try:
         u = tuple(int(part) for part in text.replace(" ", "").split(","))
     except ValueError as exc:
         raise InputError(f"{field}: expected comma-separated integers, got {text!r}") from exc
     if len(u) != length:
         raise InputError(f"{field}: {u} has length {len(u)}, {owner}")
+    if not signed and min(u) < 0:
+        raise InputError(f"{field}: {u} has a negative entry")
     return u
 
 
@@ -109,15 +123,20 @@ def _int_at_least(least: int):
 
 def _cmd_ideal(args):
     I = _load(args.ideal, MonomialIdeal)
+    owner = f"the ideal has {I.nvars} variables"
+
+    def other(flag, path):
+        return _load_sized(path, MonomialIdeal, flag, I.nvars, owner)
+
     if args.contains is not None:
-        return {"contains": I.contains(_load(args.contains, MonomialIdeal))}, None
+        return {"contains": I.contains(other("--contains", args.contains))}, None
     if args.intersect is not None:
-        return I.intersect(_load(args.intersect, MonomialIdeal)).to_json(), None
+        return I.intersect(other("--intersect", args.intersect)).to_json(), None
     if args.sum is not None:
-        return I.sum(_load(args.sum, MonomialIdeal)).to_json(), None
+        return I.sum(other("--sum", args.sum)).to_json(), None
     flag, text = ("--member", args.member) if args.member is not None else ("--quotient", args.quotient)
     if text is not None:
-        u = _parse_vector(text, flag, I.nvars, f"the ideal has {I.nvars} variables")
+        u = _parse_vector(text, flag, I.nvars, owner)
         if flag == "--member":
             return {"member": I.member(u)}, None
         return I.quotient(u).to_json(), None
@@ -148,7 +167,11 @@ def _cmd_hilbert(args):
     numer = hilbert_numerator(I)
     payload = {"numerator": [[list(e), c] for e, c in sorted(numer.items())]}
     if args.table_bound is not None:
-        D = _load(args.grading, FiberMatrix) if args.grading else _identity_grading(I.nvars)
+        if args.grading is None:
+            D = _identity_grading(I.nvars)
+        else:
+            owner = f"the ideal has {I.nvars} variables"
+            D = _load_sized(args.grading, FiberMatrix, "--grading", I.nvars, owner)
         payload["table"] = [
             [list(b), hilbert_function(I, D, b)]
             for b in reachable_degrees(D, args.table_bound)
@@ -195,16 +218,20 @@ def _cmd_fiber(args):
 
 def _cmd_atomic_scan(args):
     A = _load(args.matrix, FiberMatrix)
-    M = _load(args.ideal, MonomialIdeal) if args.ideal else None
-    if M is not None and args.mode != "lattice":
-        raise InputError("--ideal only applies to --mode lattice")
+    M = None
+    if args.ideal:
+        if args.mode != "lattice":
+            raise InputError("--ideal only applies to --mode lattice")
+        owner = f"the matrix has {A.ncols} columns"
+        M = _load_sized(args.ideal, MonomialIdeal, "--ideal", A.ncols, owner)
     degrees = atomic_scan(A, args.bound, mode=args.mode, M=M, workers=args.workers)
     return [list(b) for b in degrees], None
 
 
 def _cmd_sagbi(args):
     A = _load(args.matrix, FiberMatrix)
-    coeffs = _parse_vector(args.coeffs, "--coeffs", A.ncols, f"the matrix has {A.ncols} columns")
+    owner = f"the matrix has {A.ncols} columns"
+    coeffs = _parse_vector(args.coeffs, "--coeffs", A.ncols, owner, signed=True)
     pairs = sagbi_generators(A, coeffs, args.bound)
     return [[k, list(b)] for k, b in pairs], None
 

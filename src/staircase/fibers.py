@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from itertools import product
 from operator import add, mul, sub
 
@@ -42,6 +42,7 @@ from .exactlp import in_convex_hull
 from .monomial import (
     Exponent,
     MonomialIdeal,
+    _divides,
     check_count,
     check_exponent,
     check_vectors,
@@ -187,8 +188,8 @@ def _weight(b: Degree, grade: int | None) -> int:
     return sum(b) if grade is None else b[grade]
 
 
-def _bucketed(cols, weights, top: int, above: int = -1) -> dict[Degree, tuple[Exponent, ...]]:
-    """Every u with above < weights.u <= top, bucketed by Au.
+def _bucketed(cols, weights, top: int) -> dict[Degree, tuple[Exponent, ...]]:
+    """Every u with weights.u <= top, bucketed by Au.
 
     The columns are extended one at a time, each prefix by every value
     its remaining weight allows; prefixes stay in lex order, so the points
@@ -206,24 +207,22 @@ def _bucketed(cols, weights, top: int, above: int = -1) -> dict[Degree, tuple[Ex
                 deg = tuple(map(add, deg, c))
         level = nxt
     buckets: dict[Degree, list[Exponent]] = {}
-    for u, deg, wt in level:
-        if wt > above:
-            buckets.setdefault(deg, []).append(u)
+    for u, deg, _ in level:
+        buckets.setdefault(deg, []).append(u)
     return {b: tuple(pts) for b, pts in buckets.items()}
 
 
 def _graded(A: FiberMatrix, grade: int | None, top: int) -> dict[Degree, tuple[Exponent, ...]]:
     """Every nonempty fiber of weight <= top for the y given by grade.
 
-    Covers y up to weight top first, if it is not yet.  A degree's points
-    all share its weight, so growing the cover from W to top enumerates
-    whole new fibers, those of the weights in (W, top].
+    Covers y up to weight top first, if it is not yet.  Growing a cover
+    enumerates every u of weight <= top again, so the fibers it already
+    held are bucketed anew, to equal tuples.
     """
     plan = _plan(A)
-    covered = plan.covered.get(grade, -1)
-    if top > covered:
+    if top > plan.covered.get(grade, -1):
         weights = tuple(map(sum, plan.cols)) if grade is None else A.rows[grade]
-        plan.fibers.update(_bucketed(plan.cols, weights, top, covered))
+        plan.fibers.update(_bucketed(plan.cols, weights, top))
         plan.covered[grade] = top
     return {b: pts for b, pts in plan.fibers.items() if pts and _weight(b, grade) <= top}
 
@@ -369,15 +368,13 @@ def hull_vertices(points) -> list[Exponent]:
     return sorted(vertices)
 
 
-def _first_unsplit(points, f1, f2):
-    """First of points that is no u1 + u2 with u1 in f1, u2 in f2, or None."""
-    f2 = set(f2)
+def _first_unsplit(points, f1):
+    """First of points that no u1 in f1 divides, or None.
+
+    For p over b and u1 <= p over b1, u2 = p - u1 >= 0 lies over b - b1.
+    """
     for point in points:
-        if not any(
-            all(x <= y for x, y in zip(u1, point))
-            and tuple(y - x for x, y in zip(u1, point)) in f2
-            for u1 in f1
-        ):
+        if not any(_divides(u1, point) for u1 in f1):
             return point
     return None
 
@@ -393,19 +390,18 @@ def minkowski_decomposes(A: FiberMatrix, b, b1, b2) -> bool:
     is a vertex over b1 plus a vertex over b2.  A vertex v = u1 + u2 of P_b
     with u1, u2 any lattice points over b1, b2 is already such a sum: were
     u1 the midpoint of two points of P_b1, v would be the midpoint of two
-    points of P_b.  So the test runs over the lattice points and needs no
-    hull over b1 or b2.
+    points of P_b.  So the test reads the lattice points over b1 alone,
+    with no hull: u1 <= v over b1 leaves u2 = v - u1 >= 0 over b2.
     """
     b, b1, b2 = _check_pair(A, b, b1, b2)
-    split = _first_unsplit(_fiber_vertices(A, b), _fiber_points(A, b1), _fiber_points(A, b2))
-    return split is None
+    return _first_unsplit(_fiber_vertices(A, b), _fiber_points(A, b1)) is None
 
 
-def _atomic(A: FiberMatrix, b: Degree, whole, part) -> bool:
+def _atomic(A: FiberMatrix, b: Degree, whole) -> bool:
     """Does no nontrivial pair b1 + b2 = b in NA split whole?
 
-    A pair splits whole when each of its points is a point of part(b1)
-    plus one of part(b2), part(b1) holding only points over b1.  The zero
+    A pair splits whole when each of its points has a divisor over b1:
+    the rest lies over b2, and avoids M when the point does.  The zero
     degree is never atomic.  A pair that splits whole splits its point p:
     p = u1 + u2 with A u1 = b1, so u1 <= p.  So b1 runs over A u1 for
     0 <= u1 <= p, p the point with the fewest sub-box points, prod(p_i + 1),
@@ -425,7 +421,7 @@ def _atomic(A: FiberMatrix, b: Degree, whole, part) -> bool:
         if not any(b1) or b1 > b2 or b1 in tried:
             continue
         tried.add(b1)
-        if _first_unsplit(whole, part(b1), part(b2)) is None:
+        if _first_unsplit(whole, _fiber_points(A, b1)) is None:
             return False
     return True
 
@@ -460,11 +456,12 @@ def ma_decomposes(M: MonomialIdeal, A: FiberMatrix, b, b1, b2):
     """Does every M-avoiding point over b split additively over b1 and b2?
 
     Returns (True, None), or (False, witness) with the lex-first point
-    admitting no split.
+    admitting no split.  A point p splits iff some u1 over b1 divides it:
+    then u2 = p - u1 lies over b2, and u1, u2 avoid M as p does.
     """
     _check_ring(M, A)
     b, b1, b2 = _check_pair(A, b, b1, b2)
-    witness = _first_unsplit(_ma_fiber(M, A, b), _ma_fiber(M, A, b1), _ma_fiber(M, A, b2))
+    witness = _first_unsplit(_ma_fiber(M, A, b), _fiber_points(A, b1))
     return (witness is None), witness
 
 
@@ -483,12 +480,9 @@ def _atomic_at(args) -> bool:
     M, A, b = args
     verdicts = _plan(A).atomic
     if (M, b) not in verdicts:
-        if M is None:
-            whole, part = _fiber_vertices(A, b), partial(_fiber_points, A)
-        else:
-            whole, part = _ma_fiber(M, A, b), partial(_ma_fiber, M, A)
+        whole = _fiber_vertices(A, b) if M is None else _ma_fiber(M, A, b)
         # with every point over b in M there is nothing to decompose
-        verdicts[M, b] = bool(whole) and _atomic(A, b, whole, part)
+        verdicts[M, b] = bool(whole) and _atomic(A, b, whole)
     return verdicts[M, b]
 
 

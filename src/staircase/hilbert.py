@@ -11,7 +11,7 @@ prod(1 - t_i).
 from __future__ import annotations
 
 from .fibers import FiberMatrix, _graded, ma_fiber
-from .monomial import Exponent, MonomialIdeal, lcm_exponent
+from .monomial import Exponent, MonomialIdeal, _divides, lcm_exponent
 
 Grading = FiberMatrix
 
@@ -50,7 +50,10 @@ def hilbert_numerator(I: MonomialIdeal) -> dict[Exponent, int]:
 def numerator_fine_count(terms: dict[Exponent, int], b) -> int:
     """Coefficient of t^b in terms / prod(1-t_i): sum of coefficients below b."""
     b = tuple(b)
-    return sum(c for e, c in terms.items() if all(x <= y for x, y in zip(e, b)))
+    for e in terms:
+        if len(e) != len(b):
+            raise ValueError(f"degree {b} has length {len(b)}, term {e} has length {len(e)}")
+    return sum(c for e, c in terms.items() if _divides(e, b))
 
 
 def reachable_degrees(D: Grading, bound: int) -> list[tuple[int, ...]]:

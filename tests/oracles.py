@@ -5,7 +5,9 @@ by raw divisor scan, fibers by full box enumeration, hull membership by
 affinely-independent-subset search instead of a feasibility tableau,
 exposed hull vertices by dot products with explicit weight vectors
 instead of reading the coordinates, splits of a degree from the
-sub-boxes of all its fiber points instead of one point's, reachable
+sub-boxes of all its fiber points instead of one point's, the split of
+a point set over b1 + b2 by the whole set of sums of the two box-enumerated
+fibers instead of a divisor test on the points over b1, reachable
 degrees by a breadth-first walk over the columns instead of a bucketed
 enumeration of exponents, chains by subset enumeration or by recursion
 instead of a bottom-up pass, irreducible components by splitting mixed
@@ -189,6 +191,18 @@ def split_pairs_from_points(rows, b, points) -> list[tuple[tuple[int, ...], tupl
         if b1 not in (zero, tuple(b)) and b1 <= b2:
             splits.append((b1, b2))
     return splits
+
+
+def first_unsplit_by_sums(rows, points, b1, b2, gens=()):
+    """Lex-first of points that is no u1 + u2, or None.
+
+    u1 runs over the fiber over b1 and u2 over the fiber over b2, both by
+    box enumeration, each kept only when raw membership puts it outside
+    the ideal gens generate.
+    """
+    parts = [[u for u in box_fiber_points(rows, c) if not member(gens, u)] for c in (b1, b2)]
+    sums = {tuple(x + y for x, y in zip(u1, u2)) for u1 in parts[0] for u2 in parts[1]}
+    return next((p for p in sorted(points) if p not in sums), None)
 
 
 def _solve_exact(matrix, rhs):

@@ -78,6 +78,46 @@ def test_vector_of_wrong_length_names_its_flag(tmp_path, capsys):
         assert f"error: {message}\n" == err
 
 
+def test_vector_with_negative_entry_names_its_flag(ideal_file, matrix_file, capsys):
+    cases = [
+        (["ideal", "-I", ideal_file, "--quotient", "0,-2"], "--quotient: (0, -2)"),
+        (["ideal", "-I", ideal_file, "--member", "1,-1"], "--member: (1, -1)"),
+        (["fiber", "-A", matrix_file, "-b", "-1"], "-b: (-1,)"),
+        (["lift", "-G", matrix_file, "--degree", "-3", "--bound", "2"], "--degree: (-3,)"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert f"error: {message} has a negative entry\n" == err
+    # coefficients may be negative
+    assert run(["sagbi", "-A", matrix_file, "--coeffs=-2,3", "--bound", "2"]).payload == [[1, [1]]]
+
+
+def test_file_of_another_ring_names_its_flag(tmp_path, ideal_file, matrix_file, capsys):
+    three = write(tmp_path, "i3.json", {"vars": 3, "gens": [[1, 0, 0]]})
+    grading = write(tmp_path, "a3.json", {"rows": 1, "cols": 3, "entries": [[1, 1, 1]]})
+    cases = [
+        *(
+            (["ideal", "-I", ideal_file, flag, three], f"{flag}: {three} has 3 variables, the ideal has 2 variables")
+            for flag in ("--contains", "--intersect", "--sum")
+        ),
+        (
+            ["atomic-scan", "-A", matrix_file, "--bound", "3", "--mode", "lattice", "--ideal", three],
+            f"--ideal: {three} has 3 variables, the matrix has 2 columns",
+        ),
+        (
+            ["hilbert", "-I", ideal_file, "--table-bound", "2", "--grading", grading],
+            f"--grading: {grading} has 3 columns, the ideal has 2 variables",
+        ),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert f"error: {message}\n" == err
+
+
 def test_bound_flags_name_the_flag(ideal_file, matrix_file, capsys):
     # (arguments before the bound flag, the flag, its least value)
     cases = [

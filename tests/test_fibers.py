@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -255,23 +256,27 @@ def test_atomic_scan_cover_matches_search_in_either_order():
     assert deeper  # some atomic degree lies beyond the smaller scan
 
 
-def test_atomicity_matches_pairwise_public_checks():
-    # is_atomic, is_ma_atomic and the scans share one pair loop; the
-    # reference applies minkowski_decomposes or ma_decomposes to every
-    # split pair the oracle finds, and each side runs on cold caches
-    rng = corpus.make_rng("atomic-pair-loop")
+def _pair_loop_matrices(rng):
+    """The seeded matrices the pair loop and the split checks are tested on."""
     matrices = _ones_matrices(rng, 5) + _no_ones_matrices(rng, 3)[1:]
     matrices += [
         corpus.random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), 3) for _ in range(24)
     ]
-    matrices += [
+    return matrices + [
         FiberMatrix(((1, 1, 1, 1), (0, 1, 3, 4))),  # a non-normal monoid
         FiberMatrix(((1, 2, 0), (0, 0, 0), (0, 1, 3))),  # a zero row
         FiberMatrix(((2,), (3,))),  # a single column
         FiberMatrix(((3, 5),)),  # NA misses 1, 2, 4, 7
     ]
+
+
+def test_atomicity_matches_pairwise_public_checks():
+    # is_atomic, is_ma_atomic and the scans share one pair loop; the
+    # reference applies minkowski_decomposes or ma_decomposes to every
+    # split pair the oracle finds, and each side runs on cold caches
+    rng = corpus.make_rng("atomic-pair-loop")
     found = {"vertex": 0, "lattice": 0, "avoiding": 0}
-    for A in matrices:
+    for A in _pair_loop_matrices(rng):
         bound = 3
         zero = (0,) * A.nrows
         universe = sorted({A.apply(u) for u in oracles.monomials_up_to(A.ncols, bound)} - {zero})
@@ -309,6 +314,37 @@ def test_atomicity_matches_pairwise_public_checks():
     assert all(found.values())
 
 
+def test_split_checks_match_sum_set_oracle():
+    # the split checks read only the points over b1; the oracle builds
+    # every sum of an M-avoiding point over b1 and one over b2.  A variable
+    # in M puts points over b2 in M, which no split may use
+    matrices = _pair_loop_matrices(corpus.make_rng("atomic-pair-loop"))
+    rng = corpus.make_rng("split-sum-set")
+    found = {"decomposes": 0, "refuted": 0, "b2_meets_M": 0}
+    for A in matrices:
+        j = rng.randrange(A.ncols)
+        x_j = tuple(int(i == j) for i in range(A.ncols))
+        M = minimalize(A.ncols, [x_j, corpus.random_exponent(rng, A.ncols, 2)])
+        zero = (0,) * A.nrows
+        _clear_fiber_caches()
+        for b in sorted({A.apply(u) for u in oracles.monomials_up_to(A.ncols, 3)} - {zero}):
+            points = oracles.box_fiber_points(A.rows, b)
+            vertices = oracles.hull_vertices_by_definition(points)
+            for pair in oracles.split_pairs_from_points(A.rows, b, points):
+                # the checks read one part only, so each order is its own case
+                for b1, b2 in (pair, pair[::-1]):
+                    unsplit = oracles.first_unsplit_by_sums(A.rows, vertices, b1, b2)
+                    assert minkowski_decomposes(A, b, b1, b2) is (unsplit is None), (A, b, b1)
+                    for N in (MonomialIdeal.zero(A.ncols), M):
+                        avoiding = [u for u in points if not oracles.member(N.gens, u)]
+                        witness = oracles.first_unsplit_by_sums(A.rows, avoiding, b1, b2, N.gens)
+                        assert ma_decomposes(N, A, b, b1, b2) == (witness is None, witness), (A, N, b, b1)
+                        found["decomposes" if witness is None else "refuted"] += 1
+                    over_b2 = oracles.box_fiber_points(A.rows, b2)
+                    found["b2_meets_M"] += any(oracles.member(M.gens, u) for u in over_b2)
+    assert all(found.values()), found
+
+
 def test_fiber_points_solved_last_exponent_against_box_oracle():
     rng = corpus.make_rng("fiber-last-column")
     for A in _last_column_matrices(rng, 40):
@@ -333,33 +369,41 @@ def test_atomicity_deep_degree_without_recursion():
 
 
 def test_atomic_walk_tries_each_sub_box_pair_once(monkeypatch):
-    # record, for every _atomic call, the degrees part is asked for and
+    # record, for every _atomic call, the degrees whose points it reads and
     # whether each pair splits whole, then check the walk's contract
     real_atomic, real_unsplit = fibers._atomic, fibers._first_unsplit
-    runs, current = [], []
+    runs, current, reading = [], [], []
 
-    def traced_atomic(A, b, whole, part):
-        asked, pairs = [], []
-
-        def traced_part(c):
-            asked.append(c)
-            return part(c)
-
-        current.append((asked, pairs))
-        verdict = real_atomic(A, b, whole, traced_part)
-        current.pop()
-        runs.append((A, b, whole, verdict, pairs))
+    def traced_atomic(A, b, whole):
+        current.append((b, [], []))
+        verdict = real_atomic(A, b, whole)
+        _, asked, pairs = current.pop()
+        runs.append((A, b, whole, verdict, asked, pairs))
         return verdict
 
-    def traced_unsplit(points, f1, f2):
-        unsplit = real_unsplit(points, f1, f2)
+    def traced_read(real):
+        # a read _atomic makes itself, not one nested in another read
+        def read(*args):
+            if current and not reading:
+                current[-1][1].append(args[-1])
+            reading.append(args)
+            points = real(*args)
+            reading.pop()
+            return points
+
+        return read
+
+    def traced_unsplit(points, f1):
+        unsplit = real_unsplit(points, f1)
         if current:
-            asked, pairs = current[-1]
-            pairs.append((asked[-2], asked[-1], unsplit is None))
+            b, asked, pairs = current[-1]
+            pairs.append((asked[-1], tuple(map(operator.sub, b, asked[-1])), unsplit is None))
         return unsplit
 
     monkeypatch.setattr(fibers, "_atomic", traced_atomic)
     monkeypatch.setattr(fibers, "_first_unsplit", traced_unsplit)
+    for name in ("_fiber_points", "_ma_fiber"):
+        monkeypatch.setattr(fibers, name, traced_read(getattr(fibers, name)))
     test_atomicity_matches_pairwise_public_checks()
     A = FiberMatrix(((2, 3, 5, 7),))
     for mode in ("vertex", "lattice"):
@@ -379,7 +423,9 @@ def test_atomic_walk_tries_each_sub_box_pair_once(monkeypatch):
 
     splits = {}
     atomic_with_pairs = late_splits = 0
-    for A, b, whole, verdict, pairs in runs:
+    for A, b, whole, verdict, asked, pairs in runs:
+        # each pair reads the points over its b1 and nothing else
+        assert asked == [b1 for b1, _, _ in pairs], (A, b)
         if not any(b):
             assert pairs == [] and verdict is False
             continue

@@ -80,6 +80,14 @@ def test_numerator_matches_fine_membership():
             assert numerator_fine_count(terms, b) == (0 if I.member(b) else 1)
 
 
+def test_numerator_fine_count_rejects_a_degree_of_another_length():
+    terms = hilbert_numerator(minimalize(2, [(2, 0), (1, 1)]))
+    assert numerator_fine_count(terms, (1, 0)) == 1
+    for b in ((3,), (1, 0, 0)):
+        with pytest.raises(ValueError, match=f"has length {len(b)}, term .* has length 2"):
+            numerator_fine_count(terms, b)
+
+
 def test_numerator_additivity():
     rng = corpus.make_rng("numer-add")
     tried = 0
