@@ -198,7 +198,11 @@ def _cmd_antichain(args):
 def _cmd_chain(args):
     F = _load(args.family, IdealFamily)
     if args.refine is not None:
-        blocks = refine_by_standard_trace(F, _load(args.refine, MonomialIdeal))
+        pivot = _load(args.refine, MonomialIdeal)
+        try:
+            blocks = refine_by_standard_trace(F, pivot)
+        except ValueError as exc:
+            raise InputError(f"--refine: {args.refine}: {exc}") from exc
         return {"blocks": blocks}, None
     if args.group_primes:
         return {"blocks": group_by_associated_primes(F)}, None
@@ -428,8 +432,20 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> RunReport:
-    """Parse argv, execute one operation, and return the report."""
-    args = _parser().parse_args(argv)
+    """Parse argv, execute one operation, and return the report.
+
+    A vector flag's value may start with a minus sign, as in --coeffs -2,3;
+    it is joined to its flag (--coeffs=-2,3), or argparse would read it as
+    an option.
+    """
+    joined: list[str] = []
+    for arg in argv:
+        negative = arg.startswith("-") and arg[1:2].isdigit()
+        if negative and joined and joined[-1] in ("--quotient", "--member", "-b", "--degree", "--coeffs"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    args = _parser().parse_args(joined)
     start = time.perf_counter()
     payload, status = args.handler(args)
     return RunReport(args.command, payload, status, time.perf_counter() - start)

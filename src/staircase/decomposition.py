@@ -8,8 +8,12 @@ sums distribute over intersections of monomial ideals, adding x^g keeps
 every component that already contains x^g and replaces each other
 component m^a by the components m^{a[i := g_i]}, one for each variable
 i dividing x^g, each kept iff its corner is a maximal standard monomial.
-Grouping the components by radical support and intersecting groupwise
-yields one primary component per associated prime.
+Each component keeps, for every finite coordinate, the generators that
+witness its corner; a candidate's lists are its parent's filtered by
+h_i < g_i, plus [g] for i, because a witness for j in m^{a[i := g_i]} is
+one for j in m^a below g_i, and no earlier generator can witness i, as it
+would lie outside m^a.  Grouping the components by radical support and
+intersecting groupwise yields one primary component per associated prime.
 """
 
 from __future__ import annotations
@@ -81,6 +85,19 @@ class PrimaryComponent:
             if powers[i] is None:
                 raise ValueError(f"no pure power of variable {i}: component not primary")
 
+    @classmethod
+    def _trusted(cls, prime: MonomialPrime, component: MonomialIdeal) -> PrimaryComponent:
+        """Build without __post_init__: component must be primary to prime.
+
+        Only for primary_decomposition(), whose components intersect the
+        m^a of one support s: their generators are supported in s, and
+        x_i^{max a_i} is one of them for every i in s.
+        """
+        pc = object.__new__(cls)
+        object.__setattr__(pc, "prime", prime)
+        object.__setattr__(pc, "component", component)
+        return pc
+
     def to_json(self) -> dict:
         return {"tau": sorted(self.prime.tau), "gens": [list(g) for g in self.component.gens]}
 
@@ -92,36 +109,42 @@ def _support(g: Exponent) -> tuple[int, ...]:
 def _irreducible_vectors(I: MonomialIdeal) -> list[Exponent]:
     """Exponent vectors b of the irredundant irreducible components m^b.
 
-    Adds the generators one at a time.  A component m^a containing x^g
-    stays; each other one gives candidates b = a[i := g_i], i dividing
-    x^g.  A candidate is kept iff its corner b - 1 is a maximal standard
-    monomial: for every j with b_j > 0, some generator h added so far has
-    h_j = b_j and h_k < b_k for every other k with b_k > 0.  For j = i, g
-    is that witness, as every other k with a_k > 0 has a_k > g_k.
+    Adds the generators one at a time, keeping each component a with its
+    witness lists W_a: for each j with a_j > 0, the generators h added so
+    far with h_j = a_j and h_k < a_k for every other k with a_k > 0.  All
+    lists are nonempty, so the corner a - 1 is a maximal standard monomial.
+    A component containing x^g stays, and g joins W_a[j] iff j is the one
+    coordinate with 0 < a_j <= g_j and a_j = g_j.  Each other one gives
+    candidates b = a[i := g_i], i dividing x^g, with W_b[i] = [g] and
+    W_b[j] = [h in W_a[j] : h_i < g_i], kept iff no list is empty: a
+    witness for j in b is one for j in a below g_i, and no earlier
+    generator can witness i in b, as it would lie outside m^a.
     """
     if I.is_zero():
         raise ValueError("zero ideal does not decompose")
     if I.is_unit():
         raise ValueError("unit ideal does not decompose")
-    comps = [(0,) * I.nvars]
-    for n, g in enumerate(I.gens, 1):
-        added, support = I.gens[:n], _support(g)
+    comps: list[tuple[Exponent, dict[int, list[Exponent]]]] = [((0,) * I.nvars, {})]
+    for g in I.gens:
         next_comps = []
-        for a in comps:
-            if any(0 < a[i] <= g[i] for i in support):
-                next_comps.append(a)
+        for a, witnesses in comps:
+            hit = [j for j in witnesses if a[j] <= g[j]]
+            if hit:
+                if len(hit) == 1 and a[hit[0]] == g[hit[0]]:
+                    witnesses[hit[0]].append(g)
+                next_comps.append((a, witnesses))
                 continue
-            for i in support:
-                b = a[:i] + (g[i],) + a[i + 1 :]
-                finite = _support(b)
-                if all(
-                    any(h[j] == b[j] and all(h[k] < b[k] for k in finite if k != j) for h in added)
-                    for j in finite
-                    if j != i
-                ):
-                    next_comps.append(b)
+            for i in _support(g):
+                gi, kept = g[i], {i: [g]}
+                for j, hs in witnesses.items():
+                    if j != i:
+                        kept[j] = [h for h in hs if h[i] < gi]
+                        if not kept[j]:
+                            break
+                else:
+                    next_comps.append((a[:i] + (gi,) + a[i + 1 :], kept))
         comps = next_comps
-    return comps
+    return [a for a, _ in comps]
 
 
 def _prime(nvars: int, support: tuple[int, ...]) -> MonomialPrime:
@@ -170,7 +193,7 @@ def primary_decomposition(I: MonomialIdeal) -> list[PrimaryComponent]:
         component = MonomialIdeal._trusted(I.nvars, _pure_powers(a))
         groups.setdefault(_support(a), []).append(component)
     return [
-        PrimaryComponent(
+        PrimaryComponent._trusted(
             _prime(I.nvars, sup),
             reduce(lambda a, b: a.intersect(b), groups[sup]),
         )

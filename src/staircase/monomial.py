@@ -74,11 +74,13 @@ class MonomialIdeal:
     every generator's entries and length, their sorted distinct order and
     the antichain property, and rejects non-canonical input.  The private
     _trusted() skips all of these checks.  It is only for canonical
-    antichains the library has just built: in minimalize() and
-    from_json() after they check their input vectors, in sum(),
-    intersect() and quotient(), for the pure-power components in
-    decomposition.py, and for the minimal points of a complement in
-    poset.young_complement().  Never pass outside input to it.
+    antichains the library has just built: in _minimal(), which serves
+    minimalize() and from_json() after they check their input vectors,
+    and sum(), intersect() and quotient(); for the pure-power components
+    m^a in irreducible_decomposition() and primary_decomposition(); and
+    for the minimal points of a complement in poset.young_complement().
+    PrimaryComponent._trusted() mirrors it for primary_decomposition()
+    alone.  Never pass outside input to either.
     """
 
     nvars: int

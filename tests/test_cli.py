@@ -82,6 +82,7 @@ def test_vector_with_negative_entry_names_its_flag(ideal_file, matrix_file, caps
     cases = [
         (["ideal", "-I", ideal_file, "--quotient", "0,-2"], "--quotient: (0, -2)"),
         (["ideal", "-I", ideal_file, "--member", "1,-1"], "--member: (1, -1)"),
+        (["ideal", "-I", ideal_file, "--member", "-1,0"], "--member: (-1, 0)"),
         (["fiber", "-A", matrix_file, "-b", "-1"], "-b: (-1,)"),
         (["lift", "-G", matrix_file, "--degree", "-3", "--bound", "2"], "--degree: (-3,)"),
     ]
@@ -92,6 +93,7 @@ def test_vector_with_negative_entry_names_its_flag(ideal_file, matrix_file, caps
         assert f"error: {message} has a negative entry\n" == err
     # coefficients may be negative
     assert run(["sagbi", "-A", matrix_file, "--coeffs=-2,3", "--bound", "2"]).payload == [[1, [1]]]
+    assert run(["sagbi", "-A", matrix_file, "--coeffs", "-2,3", "--bound", "2"]).payload == [[1, [1]]]
 
 
 def test_file_of_another_ring_names_its_flag(tmp_path, ideal_file, matrix_file, capsys):
@@ -232,6 +234,21 @@ def test_chain_refine_pivot_from_another_ring_exits_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
     assert "pivot has 3 variables, family members have 2" in err
+
+
+def test_chain_refine_error_names_flag_and_pivot_file(tmp_path, capsys):
+    fam = write(tmp_path, "fam.json", [{"vars": 2, "gens": [[1, 0]]}])
+    other_ring = write(tmp_path, "pivot3.json", {"vars": 3, "gens": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    not_artinian = write(tmp_path, "pivot2.json", {"vars": 2, "gens": [[1, 0]]})
+    cases = [
+        (other_ring, "pivot has 3 variables, family members have 2"),
+        (not_artinian, "pivot must be artinian (finite standard set)"),
+    ]
+    for pivot, message in cases:
+        assert main(["chain", "-F", fam, "--refine", pivot]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --refine: {pivot}: {message}\n"
 
 
 def test_hilbert_grading_without_table_bound_exits_2(tmp_path, ideal_file, capsys):

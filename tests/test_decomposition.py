@@ -5,6 +5,7 @@ from staircase import (
     MonomialPrime,
     PrimaryComponent,
     associated_primes,
+    exponents_up_to_degree,
     irreducible_decomposition,
     minimalize,
     primary_decomposition,
@@ -232,11 +233,22 @@ def test_trusted_components_pass_public_check():
         primary = primary_decomposition(I)
         for C in irreducible + [pc.component for pc in primary]:
             assert MonomialIdeal(C.nvars, C.gens) == C, C
+        for pc in primary:
+            assert PrimaryComponent(pc.prime, pc.component) == pc, pc
         reference = oracles.irreducible_by_splitting(I.nvars, I.gens)
         assert [C.gens for C in irreducible] == reference
         assert [
             (pc.prime.generators, pc.component.gens) for pc in primary
         ] == oracles.primary_by_grouping(reference)
+
+
+def test_primary_decomposition_runs_no_public_component_check(monkeypatch):
+    def refuse(self):
+        raise AssertionError("PrimaryComponent.__post_init__ ran")
+
+    monkeypatch.setattr(PrimaryComponent, "__post_init__", refuse)
+    pd = primary_decomposition(ROADMAP_18)
+    assert pd and all(isinstance(pc, PrimaryComponent) for pc in pd)
 
 
 def test_corner_test_matches_pairwise_prune():
@@ -253,6 +265,20 @@ def test_corner_test_matches_pairwise_prune():
                 I = minimalize(7, I.gens + (g,))
         ideals.append(I)
     for I in ideals:
+        assert sorted(_irreducible_vectors(I)) == oracles.irreducible_by_pairwise_prune(
+            I.nvars, I.gens
+        ), I
+
+
+def test_witness_lists_on_antichains_match_pairwise_prune():
+    # antichains of 40-60 monomials of total degree 8 in 6 variables: many
+    # components, and each generator is a witness for many of them
+    rng = corpus.make_rng("antichain-witnesses")
+    degree_8 = [u for u in exponents_up_to_degree(6, 8) if sum(u) == 8]
+    for _ in range(8):
+        gens = rng.sample(degree_8, rng.randint(40, 60))
+        I = minimalize(6, gens)
+        assert len(I.gens) == len(gens)  # monomials of one degree form an antichain
         assert sorted(_irreducible_vectors(I)) == oracles.irreducible_by_pairwise_prune(
             I.nvars, I.gens
         ), I
