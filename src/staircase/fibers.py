@@ -22,12 +22,17 @@ fiber, already lex sorted, and a degree with no bucket is outside NA;
 covers for both y's coexist.  _degree_groups is the one reader of the u
 with |u| <= bound, grouped by Au, for atomic_scan, monoid_lift and the
 vertex ideals; it covers a row of ones, when the matrix has one.
-reachable_degrees covers y = (1, ..., 1) up to its bound.  A depth-first
-search finds every other fiber and stores it in the memo.
+reachable_degrees covers y = (1, ..., 1) up to its bound.  A search that
+assigns one column at a time (_enumerate_fiber) finds every other fiber
+and stores it in the memo.
 
-Atomicity tries only the split pairs found in the sub-box of one fiber
-point (see _atomic), and the plan keeps each verdict.  _check_in_na is
-the one test that a degree lies in NA.
+Atomicity is decided in _atomic_at, and the plan keeps each verdict.
+Two exact certificates read off the points settle most degrees: a unit
+vector among them makes b atomic, and a variable dividing all of them
+makes it not atomic.  A vertex verdict is screened by the lattice one
+with M = 0, so only lattice-atomic degrees build a hull.  What is left
+walks the split pairs found in the sub-box of one point (see _atomic).
+_check_in_na is the one test that a degree lies in NA.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import product
+from itertools import product, repeat
 from operator import add, mul, sub
 
 from .exactlp import in_convex_hull
@@ -152,7 +157,8 @@ class _Plan:
     of ones, or None for y = (1, ..., 1)) to the weight its cover is
     complete up to.  vertices maps a degree in NA to its hull vertices,
     and avoiding maps (M, b), M nonzero, to the points over b outside M.
-    atomic maps (M, b) to whether b is atomic, M None for vertex mode.
+    atomic maps (M, b) to whether b is atomic, M None for vertex mode;
+    zero is the zero ideal, the key of lattice verdicts with M = 0.
     """
 
     cols: tuple[Degree, ...]
@@ -161,6 +167,7 @@ class _Plan:
     dead_after: tuple[tuple[int, ...], ...]
     gcds: tuple[int, ...]
     ones: int | None
+    zero: MonomialIdeal
     fibers: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
     covered: dict[int | None, int] = field(default_factory=dict)
     vertices: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
@@ -180,6 +187,7 @@ def _plan(A: FiberMatrix) -> _Plan:
         ),
         gcds=tuple(math.gcd(*row) for row in A.rows),
         ones=next((r for r, row in enumerate(A.rows) if set(row) == {1}), None),
+        zero=MonomialIdeal.zero(n),
     )
 
 
@@ -241,48 +249,64 @@ def _degree_groups(A: FiberMatrix, bound: int) -> dict[Degree, tuple[Exponent, .
 
 
 def _enumerate_fiber(A: FiberMatrix, b: Degree) -> list[Exponent]:
-    """Depth-first assignment of exponents with residual-feasibility pruning.
+    """Level-by-level assignment of exponents with residual-feasibility pruning.
 
     This serves the degrees no graded cover reaches: scans on a matrix
     with no row of ones, single queries such as a deep degree on a
     one-row matrix, and degrees above every covered weight.  At the root,
     b_r must be a multiple of the gcd of row r; a zero row has gcd 0 and
-    admits only b_r = 0.  The last exponent is not branched on: the
-    residual fixes it, so it is solved by one divmod on the first row
-    where the last column is positive and checked on every row.
+    admits only b_r = 0.  As in _bucketed, the columns are extended one at
+    a time, each prefix u by every value its residual b - Au allows, so
+    prefixes stay in lex order and so do the points; there is no
+    recursion, however many columns.  A prefix is dropped when it leaves
+    a residual on a row no later column serves.  A prefix with residual 0
+    admits only zeros after it, so it is padded once and carried along,
+    marked by the residual None.  The last exponent is not branched on:
+    the residual fixes it, so it is solved by one divmod on the first row
+    where the last column is positive and, with more than one row,
+    checked on every row, in the same loop that steps the column before
+    it.
     """
     plan = _plan(A)
     if any(br % g if g else br for br, g in zip(b, plan.gcds)):
         return []
     cols, pos_rows, dead_after = plan.cols, plan.pos_rows, plan.dead_after
-    last = len(cols) - 1
-    col_last = cols[last]
-    pivot = pos_rows[last][0]
-    residual = list(b)
-    u = [0] * len(cols)
+    n, last = len(cols), cols[-1]
+    pivot = pos_rows[-1][0]
+    if n == 1:
+        w, rem = divmod(b[pivot], last[pivot])
+        return [] if rem or b != tuple(map(mul, last, repeat(w))) else [(w,)]
+    level = [((), b)]
+    for col, rows, dead in zip(cols[:-2], pos_rows, dead_after):
+        nxt = []
+        for u, rest in level:
+            if rest is None:
+                nxt.append((u, None))
+                continue
+            top = min(rest[r] // col[r] for r in rows)
+            if not (top or any(rest)):
+                nxt.append((u + (0,) * (n - len(u)), None))
+                continue
+            for v in range(top + 1):
+                if not (dead and any(rest[r] for r in dead)):
+                    nxt.append((u + (v,), rest))
+                if v < top:
+                    rest = tuple(map(sub, rest, col))
+        level = nxt
+    col, rows = cols[-2], pos_rows[-2]
+    single = len(b) == 1
     out: list[Exponent] = []
-
-    def rec(i: int) -> None:
-        if i == last:
-            v, rem = divmod(residual[pivot], col_last[pivot])
-            if not rem and residual == [v * x for x in col_last]:
-                u[last] = v
-                out.append(tuple(u))
-            return
-        coli, rows = cols[i], pos_rows[i]
-        ub = min(residual[r] // coli[r] for r in rows)
-        dead = dead_after[i]
-        for v in range(ub + 1):
-            u[i] = v
-            if not (dead and any(residual[r] for r in dead)):
-                rec(i + 1)
-            if v < ub:
-                for r in rows:
-                    residual[r] -= coli[r]
-        for r in rows:
-            residual[r] += ub * coli[r]
-
-    rec(0)
+    for u, rest in level:
+        if rest is None:
+            out.append(u)
+            continue
+        top = min(rest[r] // col[r] for r in rows)
+        for v in range(top + 1):
+            w, rem = divmod(rest[pivot], last[pivot])
+            if not rem and (single or rest == tuple(map(mul, last, repeat(w)))):
+                out.append(u + (v, w))
+            if v < top:
+                rest = tuple(map(sub, rest, col))
     return out
 
 
@@ -291,7 +315,7 @@ def _fiber_points(A: FiberMatrix, b: Degree) -> tuple[Exponent, ...]:
 
     Read from the matrix's fiber memo.  A degree missing from it is
     outside NA when its weight is within a covered one, and is otherwise
-    found by the depth-first search and stored.
+    found by _enumerate_fiber and stored.
     """
     plan = _plan(A)
     points = plan.fibers.get(b)
@@ -409,7 +433,8 @@ def _atomic(A: FiberMatrix, b: Degree, whole) -> bool:
     u1 = 0, and b1 = b only when u1 = p, because no column is zero; b1 = b
     fails b1 <= b - b1 in lex order.  Each nontrivial unordered pair from
     the sub-box is tried at most once, in any order, since the verdict
-    does not depend on the order.
+    does not depend on the order.  This is the plain walk: _atomic_at
+    calls it only on what its certificates and screen leave open.
     """
     if not any(b):
         return False
@@ -475,14 +500,48 @@ def is_ma_atomic(M: MonomialIdeal, A: FiberMatrix, b) -> bool:
 
 
 def _atomic_at(args) -> bool:
-    # the verdict on (M, A, b), M None for vertex mode, kept in A's plan;
-    # the caller checked its arguments and gives b in NA
+    """The verdict on (M, A, b), M None for vertex mode, kept in A's plan.
+
+    The caller checked its arguments and gives b in NA.  The points are
+    those over b outside M, all of them in vertex mode.  Two exact
+    certificates are read off them before any walk.
+    - A unit vector e_i among the points makes b atomic.  Then b is column
+      i, and a pair that splits e_i has b1 = A u1 with u1 <= e_i, so b1 is
+      0 or b.  In vertex mode e_i is a vertex: a point p != e_i over b
+      with p_i > 0 would give A(p - e_i) = 0 with p - e_i >= 0 nonzero,
+      which no zero column allows, so e_i alone maximises x_i.
+    - Else a variable x_i dividing every point makes b not atomic.  Column
+      i is not b, since then every point p >= e_i over b would be e_i.
+      So the pair (column i, b - column i) splits every point, with both
+      parts in NA and neither 0 nor b, and so every vertex.
+    So a degree with a single point is atomic iff that point is a unit
+    vector: else it is 0, over the zero degree, or has a variable
+    dividing it.  In vertex mode the lattice verdict with M = 0, kept
+    under the zero ideal's key, screens the rest: a pair that splits
+    every point splits every vertex, so a degree that is not
+    lattice-atomic is not vertex-atomic.  A lattice-atomic degree is
+    vertex-atomic when b is a column, as e_i is then a point, or when it
+    has at most two points, which are then its vertices.  Only the rest
+    build a hull and walk it.
+    """
     M, A, b = args
-    verdicts = _plan(A).atomic
+    plan = _plan(A)
+    verdicts = plan.atomic
     if (M, b) not in verdicts:
-        whole = _fiber_vertices(A, b) if M is None else _ma_fiber(M, A, b)
-        # with every point over b in M there is nothing to decompose
-        verdicts[M, b] = bool(whole) and _atomic(A, b, whole)
+        if M is None:
+            points = _fiber_points(A, b)
+            verdicts[M, b] = _atomic_at((plan.zero, A, b)) and (
+                len(points) <= 2 or b in plan.cols or _atomic(A, b, _fiber_vertices(A, b))
+            )
+        else:
+            points = _ma_fiber(M, A, b)
+            if b in plan.cols and any(sum(p) == 1 for p in points):
+                verdicts[M, b] = True
+            elif len(points) < 2 or any(map(min, *points)):
+                # no point outside M leaves nothing to decompose
+                verdicts[M, b] = False
+            else:
+                verdicts[M, b] = _atomic(A, b, points)
     return verdicts[M, b]
 
 

@@ -245,10 +245,29 @@ def _minimal(nvars: int, vecs) -> MonomialIdeal:
 
 
 def exponents_up_to_degree(nvars: int, bound: int):
-    """Yield all u in N^nvars with total degree <= bound, in lex order."""
+    """Yield all u in N^nvars with total degree <= bound, in lex order.
+
+    An odometer, with no recursion: below the bound the last entry steps
+    up; at the bound the last nonzero entry goes to 0 and the one before
+    it steps up, and when that is the first entry the walk is done.
+    """
     if nvars == 0:
         yield ()
         return
-    for head in range(bound + 1):
-        for tail in exponents_up_to_degree(nvars - 1, bound - head):
-            yield (head,) + tail
+    if bound < 0:
+        return
+    u, total = [0] * nvars, 0
+    while True:
+        yield tuple(u)
+        if total < bound:
+            u[-1] += 1
+            total += 1
+            continue
+        j = nvars - 1
+        while j > 0 and not u[j]:
+            j -= 1
+        if j == 0:
+            return
+        total -= u[j] - 1
+        u[j] = 0
+        u[j - 1] += 1

@@ -5,7 +5,9 @@ by raw divisor scan, fibers by full box enumeration, hull membership by
 affinely-independent-subset search instead of a feasibility tableau,
 exposed hull vertices by dot products with explicit weight vectors
 instead of reading the coordinates, splits of a degree from the
-sub-boxes of all its fiber points instead of one point's, the split of
+sub-boxes of all its fiber points instead of one point's, atomicity by
+a plain walk over one point's sub-box with box-enumerated fibers instead
+of exact certificates and a lattice screen, the split of
 a point set over b1 + b2 by the whole set of sums of the two box-enumerated
 fibers instead of a divisor test on the points over b1, reachable
 degrees by a breadth-first walk over the columns instead of a bucketed
@@ -20,6 +22,7 @@ bounding box instead of stepping up from the order ideal.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import cache
 
@@ -203,6 +206,30 @@ def first_unsplit_by_sums(rows, points, b1, b2, gens=()):
     parts = [[u for u in box_fiber_points(rows, c) if not member(gens, u)] for c in (b1, b2)]
     sums = {tuple(x + y for x, y in zip(u1, u2)) for u1 in parts[0] for u2 in parts[1]}
     return next((p for p in sorted(points) if p not in sums), None)
+
+
+def atomic_by_sub_box_walk(rows, b, whole) -> bool:
+    """Atomicity of b by the plain walk, with no certificate and no screen.
+
+    whole is what the verdict is about: the hull vertices of the fiber
+    over b, or its points outside M.  b1 runs over A u1 for u1 in the
+    sub-box of the point of whole with the fewest sub-box points, and a
+    nontrivial pair splits when every point of whole has a divisor among
+    the box-enumerated points over b1.  The zero degree, or an empty
+    whole, is not atomic.
+    """
+    b = tuple(b)
+    if not whole or not any(b):
+        return False
+    p = min(whole, key=lambda u: math.prod(e + 1 for e in u))
+    for u1 in itertools.product(*(range(e + 1) for e in p)):
+        b1 = tuple(sum(x * y for x, y in zip(row, u1)) for row in rows)
+        if not any(b1) or b1 == b:
+            continue
+        over_b1 = box_fiber_points(rows, b1)
+        if all(any(divides(v, w) for v in over_b1) for w in whole):
+            return False
+    return True
 
 
 def _solve_exact(matrix, rhs):

@@ -369,6 +369,27 @@ def test_exit_codes_and_errors(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_deeply_nested_json_exits_2_and_names_the_file(tmp_path, capsys):
+    # the JSON decoder recurses once per bracket
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["decompose", "-I", str(deep)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert f"error: {deep}: JSON nested too deeply" in err
+
+
+def test_inputs_with_1200_variables_or_columns_need_no_deep_recursion(tmp_path):
+    # the enumerators went one recursion level per variable or column
+    ideal = write(tmp_path, "wide.json", {"vars": 1200, "gens": [[1] + [0] * 1199]})
+    ones = write(tmp_path, "ones.json", {"rows": 1, "cols": 1200, "entries": [[1] * 1200]})
+    standard = run(["ideal", "-I", ideal, "--standard-up-to", "0"]).payload["standard"]
+    assert standard == [[0] * 1200]
+    units = [[int(j == i) for j in range(1200)] for i in reversed(range(1200))]
+    payload = run(["fiber", "-A", ones, "-b", "1"]).payload
+    assert payload["points"] == payload["vertices"] == units
+
+
 def test_json_count_fields_reject_bools(tmp_path, capsys):
     cases = [
         ("ideal", "-I", {"vars": True, "gens": [[1]]}, "vars"),

@@ -368,6 +368,26 @@ def test_atomicity_deep_degree_without_recursion():
     assert fiber(A, (3000,)).vertices == ((1, 166), (250, 0))
 
 
+def test_fiber_of_many_columns_without_recursion():
+    # the enumeration goes one level per column: a 1 x 1200 matrix of ones
+    # once ran out of stack over b = 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        wide = fiber_points(FiberMatrix(((1,) * 1200,)), (1,))
+        pairs = fiber_points(FiberMatrix(((1,) * 100, tuple(range(100)))), (2, 100))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert wide == [tuple(int(j == i) for j in range(1200)) for i in reversed(range(1200))]
+    expected = {
+        tuple(int(k == i) + int(k == j) for k in range(100))
+        for i in range(100)
+        for j in range(i, 100)
+        if i + j == 100
+    }
+    assert pairs == sorted(expected)
+
+
 def test_atomic_walk_tries_each_sub_box_pair_once(monkeypatch):
     # record, for every _atomic call, the degrees whose points it reads and
     # whether each pair splits whole, then check the walk's contract
@@ -518,6 +538,117 @@ def test_verdict_memo_survives_scans():
         for b in universe:
             assert (is_atomic(A, b), bool(ma_fiber(M, A, b)) and is_ma_atomic(M, A, b)) == cold[b]
         assert fibers._plan(A).atomic == verdicts
+
+
+def _walk_and_step(A, b, gens):
+    """The plain walk's verdict on b, and the step of the library that decides it.
+
+    gens None is vertex mode, whose walk reads the hull vertices; else the
+    walk reads the points outside the ideal gens generate.  The steps are
+    the two certificates, the screen, a walk over the points (at most two
+    in vertex mode, so their own vertices) and a walk over the hull.
+    """
+    points = oracles.box_fiber_points(A.rows, b)
+    if gens is None:
+        verdict = oracles.atomic_by_sub_box_walk(A.rows, b, hull_vertices(points))
+    else:
+        points = [u for u in points if not oracles.member(gens, u)]
+        verdict = oracles.atomic_by_sub_box_walk(A.rows, b, points)
+    if any(sum(u) == 1 for u in points):
+        return verdict, "unit"
+    if len(points) < 2 or any(map(min, *points)):
+        return verdict, "divisor"
+    if gens is None and not oracles.atomic_by_sub_box_walk(A.rows, b, points):
+        return verdict, "screen"
+    return verdict, ("hull" if gens is None and len(points) > 2 else "walk")
+
+
+def test_certificates_and_screen_match_the_plain_walk():
+    # the unit and common-divisor certificates and the lattice screen give
+    # the plain walk's verdict in every mode, on cold caches and on caches
+    # another mode left; each step decides some degree.  Over (12, 2) and
+    # (6, 12) of the last two matrices no pair splits every point, but one
+    # splits every vertex, which only the walk over the hull finds
+    rng = corpus.make_rng("certificates")
+    cases = [
+        (corpus.random_matrix(rng, rng.randint(1, 3), rng.randint(2, 5), 3), rng.randint(2, 4))
+        for _ in range(40)
+    ]
+    cases += [
+        (FiberMatrix(((3, 2, 2, 3, 3), (1, 0, 1, 0, 1))), 4),
+        (FiberMatrix(((3, 3, 0, 1, 0), (3, 2, 2, 1, 3))), 4),
+    ]
+    steps = set()
+    for A, bound in cases:
+        zero = (0,) * A.nrows
+        universe = sorted({A.apply(u) for u in oracles.monomials_up_to(A.ncols, bound)} - {zero})
+        M = corpus.random_ideal(rng, A.ncols, 2, 2)
+        modes = [("vertex", None, None), ("lattice", None, ()), ("lattice", M, M.gens)]
+        expected = {}
+        for mode, ideal, gens in modes:
+            expected[mode, ideal] = []
+            for b in universe:
+                verdict, step = _walk_and_step(A, b, gens)
+                steps.add((step, verdict))
+                if verdict:
+                    expected[mode, ideal].append(b)
+        for order in (modes, modes[::-1]):
+            for mode, ideal, _ in order:
+                _clear_fiber_caches()
+                assert atomic_scan(A, bound, mode=mode, M=ideal) == expected[mode, ideal], A
+            _clear_fiber_caches()
+            for mode, ideal, _ in order:
+                assert atomic_scan(A, bound, mode=mode, M=ideal) == expected[mode, ideal], A
+        _clear_fiber_caches()
+        for b in universe:
+            assert is_atomic(A, b) is (b in expected["vertex", None]), (A, b)
+            if ma_fiber(M, A, b):
+                assert is_ma_atomic(M, A, b) is (b in expected["lattice", M]), (A, M, b)
+    assert steps == {
+        ("unit", True),
+        ("divisor", False),
+        ("screen", False),
+        ("walk", True),
+        ("walk", False),
+        ("hull", True),
+        ("hull", False),
+    }
+
+
+def test_certified_vertex_scan_builds_no_hull(monkeypatch):
+    # independent columns leave one point over each degree: a unit vector,
+    # over a column, which is atomic, or a point some variable divides; no
+    # degree is walked and none builds a hull
+    A = FiberMatrix(((1, 0, 2), (0, 1, 1), (1, 1, 0)))
+    walks = []
+    real_atomic = fibers._atomic
+    monkeypatch.setattr(fibers, "_atomic", lambda *args: walks.append(args) or real_atomic(*args))
+    _clear_fiber_caches()
+    assert atomic_scan(A, 4, mode="vertex") == sorted(A.column(i) for i in range(3))
+    plan = fibers._plan(A)
+    assert walks == [] and plan.vertices == {}
+    assert len(plan.atomic) == 2 * len({b for b in fibers._degree_groups(A, 4) if any(b)})
+
+
+def test_lattice_scan_reads_the_verdicts_a_vertex_scan_left(monkeypatch):
+    # the vertex scan keeps each lattice verdict with M = 0 it settles or
+    # screens with, so a later lattice scan walks no degree; a vertex atom
+    # is a lattice atom, as a pair splitting every point splits every vertex
+    A = FiberMatrix(((1, 1, 1, 1), (0, 1, 3, 4)))
+    _clear_fiber_caches()
+    lattice = atomic_scan(A, 5, mode="lattice")
+    walks = []
+    real_atomic = fibers._atomic
+    monkeypatch.setattr(fibers, "_atomic", lambda *args: walks.append(args) or real_atomic(*args))
+    _clear_fiber_caches()
+    vertex = atomic_scan(A, 5, mode="vertex")
+    assert walks and set(vertex) <= set(lattice)
+    zero = MonomialIdeal.zero(A.ncols)
+    universe = {b for b in fibers._degree_groups(A, 5) if any(b)}
+    assert {b for M, b in fibers._plan(A).atomic if M == zero} == universe
+    walks.clear()
+    assert atomic_scan(A, 5, mode="lattice") == lattice
+    assert walks == []
 
 
 def test_hull_vertices_examples():

@@ -1,8 +1,10 @@
+import inspect
 import json
+import sys
 
 import pytest
 
-from staircase import MonomialIdeal, divides, lcm_exponent, minimalize
+from staircase import MonomialIdeal, divides, exponents_up_to_degree, lcm_exponent, minimalize
 
 import corpus
 import oracles
@@ -187,6 +189,25 @@ def test_standard_monomials():
         (0, 1),
         (0, 2),
     ]
+
+
+def test_exponents_up_to_degree_in_lex_order_without_recursion():
+    for nvars in range(5):
+        for bound in range(5):
+            expected = list(oracles.monomials_up_to(nvars, bound))
+            assert list(exponents_up_to_degree(nvars, bound)) == expected
+    assert list(exponents_up_to_degree(3, -1)) == []
+    # one level per variable once ran out of stack on 1,200 variables
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        wide = list(exponents_up_to_degree(1200, 1))
+        standard = minimalize(1200, [(1,) + (0,) * 1199]).standard_monomials_up_to(0)
+    finally:
+        sys.setrecursionlimit(limit)
+    units = [tuple(int(j == i) for j in range(1200)) for i in reversed(range(1200))]
+    assert wide == [(0,) * 1200] + units
+    assert standard == [(0,) * 1200]
 
 
 def test_standard_monomials_requires_artinian():
