@@ -155,18 +155,24 @@ def _cmd_ideal(args):
 
 def _cmd_decompose(args):
     I = _load(args.ideal, MonomialIdeal)
-    if args.irreducible:
-        return [C.to_json() for C in irreducible_decomposition(I)], None
-    if args.primes:
-        return [p.to_json() for p in associated_primes(I)], None
-    return [pc.to_json() for pc in primary_decomposition(I)], None
+    try:
+        if args.irreducible:
+            return [C.to_json() for C in irreducible_decomposition(I)], None
+        if args.primes:
+            return [p.to_json() for p in associated_primes(I)], None
+        return [pc.to_json() for pc in primary_decomposition(I)], None
+    except ValueError as exc:
+        raise InputError(f"{args.ideal}: {exc}") from exc
 
 
 def _cmd_hilbert(args):
     if args.grading is not None and args.table_bound is None:
         raise InputError("--grading only applies with --table-bound")
     I = _load(args.ideal, MonomialIdeal)
-    numer = hilbert_numerator(I)
+    try:
+        numer = hilbert_numerator(I)
+    except ValueError as exc:
+        raise InputError(f"{args.ideal}: {exc}") from exc
     payload = {"numerator": [[list(e), c] for e, c in sorted(numer.items())]}
     if args.table_bound is not None:
         if args.grading is None:
@@ -207,7 +213,10 @@ def _cmd_chain(args):
             raise InputError(f"--refine: {args.refine}: {exc}") from exc
         return {"blocks": blocks}, None
     if args.group_primes:
-        return {"blocks": group_by_associated_primes(F)}, None
+        try:
+            return {"blocks": group_by_associated_primes(F)}, None
+        except ValueError as exc:
+            raise InputError(f"{args.family}: {exc}") from exc
     chain = extract_descending_chain(F)
     return {"chain": chain, "length": len(chain)}, None
 

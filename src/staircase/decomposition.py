@@ -12,16 +12,17 @@ Each component keeps, for every finite coordinate, the generators that
 witness its corner; a candidate's lists are its parent's filtered by
 h_i < g_i, plus [g] for i, because a witness for j in m^{a[i := g_i]} is
 one for j in m^a below g_i, and no earlier generator can witness i, as it
-would lie outside m^a.  Grouping the components by radical support and
-intersecting groupwise yields one primary component per associated prime.
+would lie outside m^a.  The m^a of one radical support s meet in Q_s,
+built by Alexander duality through the same kernel: with N their
+coordinatewise maximum and flip(v)_i = N_i + 1 - v_i where v_i > 0, else
+0, Q_s is generated by the flip(c) for the components m^c of (x^flip(a)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
-from .monomial import Exponent, MonomialIdeal, minimalize
+from .monomial import Exponent, MonomialIdeal
 
 
 @dataclass(frozen=True)
@@ -51,12 +52,8 @@ class MonomialPrime:
         return tuple(i for i in range(self.nvars) if i not in self.tau)
 
     def as_ideal(self) -> MonomialIdeal:
-        gens = []
-        for i in self.generators:
-            e = [0] * self.nvars
-            e[i] = 1
-            gens.append(tuple(e))
-        return minimalize(self.nvars, gens)
+        ones = tuple(int(i not in self.tau) for i in range(self.nvars))
+        return MonomialIdeal._trusted(self.nvars, _pure_powers(ones))
 
     def to_json(self) -> dict:
         return {"tau": sorted(self.tau)}
@@ -89,9 +86,9 @@ class PrimaryComponent:
     def _trusted(cls, prime: MonomialPrime, component: MonomialIdeal) -> PrimaryComponent:
         """Build without __post_init__: component must be primary to prime.
 
-        Only for primary_decomposition(), whose components intersect the
-        m^a of one support s: their generators are supported in s, and
-        x_i^{max a_i} is one of them for every i in s.
+        Only for primary_decomposition(): each component is dual to an ideal
+        supported in one s, so its generators are supported in s, and for
+        every i in s, x_i^{N_i}, the flip of the dual's component (x_i), is one.
         """
         pc = object.__new__(cls)
         object.__setattr__(pc, "prime", prime)
@@ -152,13 +149,17 @@ def _prime(nvars: int, support: tuple[int, ...]) -> MonomialPrime:
     return MonomialPrime(nvars, frozenset(range(nvars)) - set(support))
 
 
+def _flips(N: Exponent, vecs) -> tuple[Exponent, ...]:
+    return tuple(sorted(tuple(n + 1 - e if e else 0 for n, e in zip(N, v)) for v in vecs))
+
+
 def _pure_powers(a: Exponent) -> tuple[Exponent, ...]:
-    """Generators of m^a in canonical (lex) order: powers of distinct
-    variables, so an antichain, fit for MonomialIdeal._trusted."""
+    """Generators of m^a in lex order, which for powers of distinct variables
+    is descending index; an antichain, fit for MonomialIdeal._trusted."""
     n = len(a)
-    return tuple(sorted(
-        tuple(e if k == i else 0 for k in range(n)) for i, e in enumerate(a) if e > 0
-    ))
+    return tuple(
+        tuple(a[i] if k == i else 0 for k in range(n)) for i in reversed(range(n)) if a[i]
+    )
 
 
 def irreducible_decomposition(I: MonomialIdeal) -> list[MonomialIdeal]:
@@ -182,20 +183,19 @@ def associated_primes(I: MonomialIdeal) -> list[MonomialPrime]:
 
 
 def primary_decomposition(I: MonomialIdeal) -> list[PrimaryComponent]:
-    """One primary component per associated prime.
+    """One primary component per associated prime, by Alexander duality.
 
-    Groups the irreducible components sharing a radical and intersects
-    each group.  The result is irredundant because the irreducible
-    decomposition is.
+    Each Q_s is built as the module docstring says (Miller-Sturmfels, ch. 5);
+    flip reverses <= on support s, so the flip(a) and flip(c) are antichains.
+    The result is irredundant because the irreducible decomposition is.
     """
-    groups: dict[tuple[int, ...], list[MonomialIdeal]] = {}
+    groups: dict[tuple[int, ...], list[Exponent]] = {}
     for a in _irreducible_vectors(I):
-        component = MonomialIdeal._trusted(I.nvars, _pure_powers(a))
-        groups.setdefault(_support(a), []).append(component)
-    return [
-        PrimaryComponent._trusted(
-            _prime(I.nvars, sup),
-            reduce(lambda a, b: a.intersect(b), groups[sup]),
-        )
-        for sup in sorted(groups)
-    ]
+        groups.setdefault(_support(a), []).append(a)
+    components = []
+    for sup in sorted(groups):
+        N = tuple(map(max, zip(*groups[sup])))
+        dual = MonomialIdeal._trusted(I.nvars, _flips(N, groups[sup]))
+        component = MonomialIdeal._trusted(I.nvars, _flips(N, _irreducible_vectors(dual)))
+        components.append(PrimaryComponent._trusted(_prime(I.nvars, sup), component))
+    return components

@@ -76,9 +76,11 @@ class MonomialIdeal:
     _trusted() skips all of these checks.  It is only for canonical
     antichains the library has just built: in _minimal(), which serves
     minimalize() and from_json() after they check their input vectors,
-    and sum(), intersect() and quotient(); for the pure-power components
-    m^a in irreducible_decomposition() and primary_decomposition(); and
-    for the minimal points of a complement in poset.young_complement().
+    and sum(), intersect() and quotient(); for the pure-power ideals m^a
+    in irreducible_decomposition() and MonomialPrime.as_ideal(); for the
+    flipped antichains and the primary components Alexander duality
+    builds in primary_decomposition(); and for the minimal points of a
+    complement in poset.young_complement().
     PrimaryComponent._trusted() mirrors it for primary_decomposition()
     alone.  Never pass outside input to either.
     """
@@ -251,10 +253,10 @@ def exponents_up_to_degree(nvars: int, bound: int):
     up; at the bound the last nonzero entry goes to 0 and the one before
     it steps up, and when that is the first entry the walk is done.
     """
+    if bound < 0:
+        return
     if nvars == 0:
         yield ()
-        return
-    if bound < 0:
         return
     u, total = [0] * nvars, 0
     while True:

@@ -251,6 +251,24 @@ def test_chain_refine_error_names_flag_and_pivot_file(tmp_path, capsys):
         assert err == f"error: --refine: {pivot}: {message}\n"
 
 
+def test_rejected_ideal_or_family_names_the_file(tmp_path, capsys):
+    zero = write(tmp_path, "zero.json", {"vars": 2, "gens": []})
+    g21 = write(tmp_path, "g21.json", {"vars": 2, "gens": [[k, 20 - k] for k in range(21)]})
+    fam = write(tmp_path, "fam.json", [{"vars": 2, "gens": [[1, 0]]}, {"vars": 2, "gens": []}])
+    cases = [
+        (["decompose", "-I", zero], zero, "zero ideal does not decompose"),
+        (["decompose", "-I", zero, "--irreducible"], zero, "zero ideal does not decompose"),
+        (["decompose", "-I", zero, "--primes"], zero, "zero ideal does not decompose"),
+        (["hilbert", "-I", g21], g21, "21 generators exceed the 20-generator expansion limit"),
+        (["chain", "-F", fam, "--group-primes"], fam, "member 1 is degenerate (zero or unit ideal)"),
+    ]
+    for argv, path, message in cases:
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: {message}\n"
+
+
 def test_hilbert_grading_without_table_bound_exits_2(tmp_path, ideal_file, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["hilbert", "-I", ideal_file, "--grading", missing]) == 2

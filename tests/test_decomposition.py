@@ -173,6 +173,10 @@ def test_prime_validation():
     p = MonomialPrime(3, frozenset({1}))
     assert p.generators == (0, 2)
     assert p.as_ideal().gens == ((0, 0, 1), (1, 0, 0))
+    assert MonomialPrime(3, frozenset({0, 1, 2})).as_ideal() == MonomialIdeal.zero(3)
+    assert MonomialPrime(3, frozenset()).as_ideal() == MonomialIdeal(
+        3, ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    )
 
 
 def test_primary_component_validation():
@@ -243,12 +247,30 @@ def test_trusted_components_pass_public_check():
 
 
 def test_primary_decomposition_runs_no_public_component_check(monkeypatch):
-    def refuse(self):
-        raise AssertionError("PrimaryComponent.__post_init__ ran")
+    def refuse(*args):
+        raise AssertionError("PrimaryComponent.__post_init__ or MonomialIdeal.intersect ran")
 
     monkeypatch.setattr(PrimaryComponent, "__post_init__", refuse)
+    # the components come from the decomposition kernel, not from an intersect fold
+    monkeypatch.setattr(MonomialIdeal, "intersect", refuse)
     pd = primary_decomposition(ROADMAP_18)
     assert pd and all(isinstance(pc, PrimaryComponent) for pc in pd)
+
+
+def test_primary_by_duality_matches_intersect_fold_on_8_variables():
+    # 8 variables and 40-60 minimal generators: 130-180 primary components,
+    # about 0.7 s each for the pairwise-lcm fold of the oracle
+    rng = corpus.make_rng("primary-8-variables")
+    for _ in range(3):
+        size, I = rng.randint(40, 60), MonomialIdeal.zero(8)
+        while len(I.gens) < size:
+            g = corpus.random_exponent(rng, 8, 4)
+            if any(g):
+                I = minimalize(8, I.gens + (g,))
+        reference = oracles.primary_by_grouping([C.gens for C in irreducible_decomposition(I)])
+        assert [
+            (pc.prime.generators, pc.component.gens) for pc in primary_decomposition(I)
+        ] == reference, I
 
 
 def test_corner_test_matches_pairwise_prune():

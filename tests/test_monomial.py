@@ -196,7 +196,8 @@ def test_exponents_up_to_degree_in_lex_order_without_recursion():
         for bound in range(5):
             expected = list(oracles.monomials_up_to(nvars, bound))
             assert list(exponents_up_to_degree(nvars, bound)) == expected
-    assert list(exponents_up_to_degree(3, -1)) == []
+        # no vector, not even (), has a negative total degree
+        assert list(exponents_up_to_degree(nvars, -1)) == []
     # one level per variable once ran out of stack on 1,200 variables
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 30)
