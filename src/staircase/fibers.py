@@ -16,23 +16,24 @@ whole grade at a time.  Pick y >= 0 with every entry of yA at least 1:
 the unit vector of a row of ones (yA = 1, and a point's weight is |u|),
 or y = (1, ..., 1), whose yA are the column sums, each >= 1 as no column
 is zero.  The cover at weight W enumerates once, in lex order, every u
-with (yA).u <= W and buckets it by Au.  Every u over b has
-(yA).u = y.(Au) = y.b, so when y.b <= W the bucket of b is its whole
-fiber, already lex sorted, and a degree with no bucket is outside NA;
-covers for both y's coexist.  _degree_groups is the one reader of the u
-with |u| <= bound, grouped by Au, for atomic_scan, monoid_lift and the
-vertex ideals; it covers a row of ones, when the matrix has one.
-reachable_degrees covers y = (1, ..., 1) up to its bound.  A search that
-assigns one column at a time (_enumerate_fiber) finds every other fiber
-and stores it in the memo.
+with (yA).u <= W and buckets it by Au, carried as one integer key (see
+_bucketed).  Every u over b has (yA).u = y.(Au) = y.b, so when y.b <= W
+the bucket of b is its whole fiber, already lex sorted, and a degree
+with no bucket is outside NA; covers for both y's coexist.
+_degree_groups is the one reader of the u with |u| <= bound, grouped by
+Au, for atomic_scan, monoid_lift and the vertex ideals; it covers a row
+of ones, when the matrix has one.  reachable_degrees covers
+y = (1, ..., 1) up to its bound.  A search that assigns one column at a
+time (_enumerate_fiber) finds every other fiber and stores it in the
+memo.
 
-Atomicity is decided in _atomic_at, and the plan keeps each verdict.
-Two exact certificates read off the points settle most degrees: a unit
-vector among them makes b atomic, and a variable dividing all of them
-makes it not atomic.  A vertex verdict is screened by the lattice one
-with M = 0, so only lattice-atomic degrees build a hull.  What is left
-walks the split pairs found in the sub-box of one point (see _atomic).
-_check_in_na is the one test that a degree lies in NA.
+Atomicity is decided in _verdict, given the plan, and the plan keeps
+each verdict; a serial atomic_scan looks the plan up once and decides
+every degree in one loop.  Two exact certificates read off the points
+settle most degrees, a vertex verdict is screened by the lattice one
+with M = 0, and what is left walks the split pairs found in the sub-box
+of one point (see _verdict and _atomic).  _check_in_na is the one test
+that a degree lies in NA.
 """
 
 from __future__ import annotations
@@ -41,17 +42,17 @@ import math
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product, repeat
-from operator import add, mul, sub
+from collections import defaultdict
+from operator import add, le, mul, sub
 
 from .exactlp import in_convex_hull
 from .monomial import (
     Exponent,
     MonomialIdeal,
-    _divides,
+    _minimal,
     check_count,
     check_exponent,
     check_vectors,
-    minimalize,
 )
 
 Degree = tuple[int, ...]
@@ -151,7 +152,8 @@ def _check_ring(M: MonomialIdeal, A: FiberMatrix) -> None:
 class _Plan:
     """What enumeration and atomicity need of one matrix, built once.
 
-    ones is the index of a row of ones, or None.  The rest are memos.
+    colset holds the columns, for membership tests.  ones is the index
+    of a row of ones, or None.  The rest are memos.
     fibers maps each degree asked for or covered to its lex-sorted
     points, () when outside NA.  covered maps a grade (the index of a row
     of ones, or None for y = (1, ..., 1)) to the weight its cover is
@@ -162,6 +164,7 @@ class _Plan:
     """
 
     cols: tuple[Degree, ...]
+    colset: frozenset[Degree]
     pos_rows: tuple[tuple[int, ...], ...]
     # rows that no column beyond i can still serve; their residual must be 0
     dead_after: tuple[tuple[int, ...], ...]
@@ -181,6 +184,7 @@ def _plan(A: FiberMatrix) -> _Plan:
     cols = tuple(A.column(i) for i in range(n))
     return _Plan(
         cols=cols,
+        colset=frozenset(cols),
         pos_rows=tuple(tuple(r for r in range(d) if c[r] > 0) for c in cols),
         dead_after=tuple(
             tuple(r for r in range(d) if not any(A.rows[r][i + 1 :])) for i in range(n)
@@ -201,23 +205,41 @@ def _bucketed(cols, weights, top: int) -> dict[Degree, tuple[Exponent, ...]]:
 
     The columns are extended one at a time, each prefix by every value
     its remaining weight allows; prefixes stay in lex order, so the points
-    do too, and each bucket is one lex-sorted tuple.  weights are all >= 1.
+    do too, and each bucket is one lex-sorted tuple.  A degree b is carried
+    as the integer key sum over r of b_r R^r, so adding a column is one
+    integer addition, and each point goes into its bucket as the last
+    column is assigned.  The radix R = (max entry) top + 1 keeps the keys
+    of distinct degrees distinct: weights are all >= 1, so every u has
+    |u| <= weights.u <= top, and each b_r = sum_i A_ri u_i is at most
+    (max entry) |u| < R, one base-R digit.  Each key is decoded back to
+    its degree once per bucket.
     """
-    level = [((), (0,) * len(cols[0]), 0)]
-    for c, w in zip(cols, weights):
+    d = len(cols[0])
+    radix = max(map(max, cols)) * top + 1
+    keys = [sum(e * radix**r for r, e in enumerate(c)) for c in cols]
+    level = [((), 0, 0)]
+    for k, w in zip(keys[:-1], weights[:-1]):
         nxt = []
-        for u, deg, wt in level:
-            v = 0
-            while wt <= top:
-                nxt.append((u + (v,), deg, wt))
-                v += 1
+        for u, key, wt in level:
+            for v in range((top - wt) // w + 1):
+                nxt.append((u + (v,), key, wt))
+                key += k
                 wt += w
-                deg = tuple(map(add, deg, c))
         level = nxt
-    buckets: dict[Degree, list[Exponent]] = {}
-    for u, deg, _ in level:
-        buckets.setdefault(deg, []).append(u)
-    return {b: tuple(pts) for b, pts in buckets.items()}
+    k, w = keys[-1], weights[-1]
+    buckets: defaultdict[int, list[Exponent]] = defaultdict(list)
+    for u, key, wt in level:
+        for v in range((top - wt) // w + 1):
+            buckets[key].append(u + (v,))
+            key += k
+    out = {}
+    for key, pts in buckets.items():
+        b = []
+        for _ in range(d):
+            key, e = divmod(key, radix)
+            b.append(e)
+        out[tuple(b)] = tuple(pts)
+    return out
 
 
 def _graded(A: FiberMatrix, grade: int | None, top: int) -> dict[Degree, tuple[Exponent, ...]]:
@@ -328,7 +350,8 @@ def _fiber_points(A: FiberMatrix, b: Degree) -> tuple[Exponent, ...]:
 def _fiber_vertices(A: FiberMatrix, b: Degree) -> tuple[Exponent, ...]:
     vertices = _plan(A).vertices
     if b not in vertices:
-        vertices[b] = tuple(hull_vertices(_fiber_points(A, b)))
+        # fiber points come unique and lex sorted, as _hull takes them
+        vertices[b] = tuple(_hull(_fiber_points(A, b)))
     return vertices[b]
 
 
@@ -349,9 +372,20 @@ def in_hull(q, points) -> bool:
 
 
 def hull_vertices(points) -> list[Exponent]:
-    """Points that are not convex combinations of the others, in lex order.
+    """Points that are not convex combinations of the others, in lex order."""
+    pts = sorted({tuple(p) for p in points})
+    if not pts:
+        raise ValueError("empty point set has no hull")
+    if len(pts) > 1 and len(lengths := {len(p) for p in pts}) > 1:
+        raise ValueError(f"points have different lengths {sorted(lengths)}")
+    return _hull(pts)
 
-    Two passes of exact certificates leave the LP only the candidates.
+
+def _hull(pts):
+    """hull_vertices for sorted, distinct points of one length, unchecked.
+
+    One or two points are returned as given, as their own vertices.  Two
+    passes of exact certificates leave the LP only the candidates.
     First, for each coordinate and for the weight (1, 2, ..., n), the
     lex-first and lex-last point of least value and of greatest value are
     vertices: they are vertices of the face the weight or its negative
@@ -364,11 +398,6 @@ def hull_vertices(points) -> list[Exponent]:
     hull of the vertices, all among the other candidates, and p is a
     vertex iff the exact LP finds it outside the other candidates' hull.
     """
-    pts = sorted({tuple(p) for p in points})
-    if not pts:
-        raise ValueError("empty point set has no hull")
-    if len(pts) > 1 and len(lengths := {len(p) for p in pts}) > 1:
-        raise ValueError(f"points have different lengths {sorted(lengths)}")
     if len(pts) <= 2:
         return pts
     weights = range(1, len(pts[0]) + 1)
@@ -398,7 +427,10 @@ def _first_unsplit(points, f1):
     For p over b and u1 <= p over b1, u2 = p - u1 >= 0 lies over b - b1.
     """
     for point in points:
-        if not any(_divides(u1, point) for u1 in f1):
+        for u1 in f1:
+            if all(map(le, u1, point)):
+                break
+        else:
             return point
     return None
 
@@ -433,7 +465,7 @@ def _atomic(A: FiberMatrix, b: Degree, whole) -> bool:
     u1 = 0, and b1 = b only when u1 = p, because no column is zero; b1 = b
     fails b1 <= b - b1 in lex order.  Each nontrivial unordered pair from
     the sub-box is tried at most once, in any order, since the verdict
-    does not depend on the order.  This is the plain walk: _atomic_at
+    does not depend on the order.  This is the plain walk: _verdict
     calls it only on what its certificates and screen leave open.
     """
     if not any(b):
@@ -500,6 +532,12 @@ def is_ma_atomic(M: MonomialIdeal, A: FiberMatrix, b) -> bool:
 
 
 def _atomic_at(args) -> bool:
+    """_verdict on (M, A, b) through A's plan, for single queries and workers."""
+    M, A, b = args
+    return _verdict(_plan(A), M, A, b)
+
+
+def _verdict(plan: _Plan, M: MonomialIdeal | None, A: FiberMatrix, b: Degree) -> bool:
     """The verdict on (M, A, b), M None for vertex mode, kept in A's plan.
 
     The caller checked its arguments and gives b in NA.  The points are
@@ -522,27 +560,31 @@ def _atomic_at(args) -> bool:
     lattice-atomic is not vertex-atomic.  A lattice-atomic degree is
     vertex-atomic when b is a column, as e_i is then a point, or when it
     has at most two points, which are then its vertices.  Only the rest
-    build a hull and walk it.
+    build a hull and walk it.  Points the memo holds are read from it.
     """
-    M, A, b = args
-    plan = _plan(A)
     verdicts = plan.atomic
-    if (M, b) not in verdicts:
+    verdict = verdicts.get((M, b))
+    if verdict is None:
         if M is None:
-            points = _fiber_points(A, b)
-            verdicts[M, b] = _atomic_at((plan.zero, A, b)) and (
-                len(points) <= 2 or b in plan.cols or _atomic(A, b, _fiber_vertices(A, b))
+            verdict = _verdict(plan, plan.zero, A, b) and (
+                b in plan.colset
+                or len(plan.fibers.get(b) or _fiber_points(A, b)) <= 2
+                or _atomic(A, b, _fiber_vertices(A, b))
             )
         else:
-            points = _ma_fiber(M, A, b)
-            if b in plan.cols and any(sum(p) == 1 for p in points):
-                verdicts[M, b] = True
+            if M.gens:
+                points = _ma_fiber(M, A, b)
+            else:
+                points = plan.fibers.get(b) or _fiber_points(A, b)
+            if b in plan.colset and any(sum(p) == 1 for p in points):
+                verdict = True
             elif len(points) < 2 or any(map(min, *points)):
                 # no point outside M leaves nothing to decompose
-                verdicts[M, b] = False
+                verdict = False
             else:
-                verdicts[M, b] = _atomic(A, b, points)
-    return verdicts[M, b]
+                verdict = _atomic(A, b, points)
+        verdicts[M, b] = verdict
+    return verdict
 
 
 def atomic_scan(
@@ -574,23 +616,24 @@ def atomic_scan(
     # with a row of ones the groups are the fibers that row's cover holds,
     # and it then holds every fiber the scan reads: a split part has b1_r <= b_r
     universe = sorted(b for b in _degree_groups(A, bound) if any(b))
-    jobs = [(M, A, b) for b in universe]
+    plan = _plan(A)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        jobs = [(M, A, b) for b in universe]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             flags = list(pool.map(_atomic_at, jobs, chunksize=8))
         # the workers' memos go with them; their verdicts are kept here
-        _plan(A).atomic.update(((M, b), ok) for b, ok in zip(universe, flags))
+        plan.atomic.update(((M, b), ok) for b, ok in zip(universe, flags))
     else:
-        flags = [_atomic_at(j) for j in jobs]
+        flags = [_verdict(plan, M, A, b) for b in universe]
     return [b for b, ok in zip(universe, flags) if ok]
 
 
 def atomicity_ideal(A: FiberMatrix, b) -> MonomialIdeal:
     """Monomial ideal generated by the hull vertices of the fiber over b."""
     b = _check_in_na(A, b)
-    return minimalize(A.ncols, _fiber_vertices(A, b))
+    return _minimal(A.ncols, _fiber_vertices(A, b))
 
 
 def _vertex_split(A: FiberMatrix, bound: int) -> tuple[list[Exponent], list[Exponent]]:
@@ -612,7 +655,7 @@ def vertex_ideal_standard(A: FiberMatrix, bound: int) -> list[Exponent]:
 
 def vertex_ideal_gens_truncated(A: FiberMatrix, bound: int) -> MonomialIdeal:
     """Minimal generators, within |u| <= bound, of the non-vertex monomials."""
-    return minimalize(A.ncols, _vertex_split(A, bound)[1])
+    return _minimal(A.ncols, _vertex_split(A, bound)[1])
 
 
 def sagbi_generators(A: FiberMatrix, coeffs, bound: int) -> list[tuple[int, Degree]]:
@@ -658,4 +701,4 @@ def monoid_lift(G: FiberMatrix, ideal_degrees, bound: int) -> MonomialIdeal:
             if all(g >= 0 for g in gap) and _fiber_points(G, gap):
                 members.extend(points)
                 break
-    return minimalize(G.ncols, members)
+    return _minimal(G.ncols, members)

@@ -80,7 +80,11 @@ class MonomialIdeal:
     in irreducible_decomposition() and MonomialPrime.as_ideal(); for the
     flipped antichains and the primary components Alexander duality
     builds in primary_decomposition(); and for the minimal points of a
-    complement in poset.young_complement().
+    complement in poset.young_complement().  _minimal() itself, with no
+    check of its input, also serves the library's own exponent tuples:
+    fiber points in fibers.monoid_lift() and
+    fibers.vertex_ideal_gens_truncated(), and hull vertices in
+    fibers.atomicity_ideal().
     PrimaryComponent._trusted() mirrors it for primary_decomposition()
     alone.  Never pass outside input to either.
     """

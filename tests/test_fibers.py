@@ -225,6 +225,53 @@ def test_scans_and_reachable_degrees_share_the_cover():
                 assert all(second[b] is pts for b, pts in first.items())
 
 
+def test_integer_keyed_cover_against_box_and_walk_oracles():
+    # _bucketed carries each degree as one integer in radix
+    # (max entry) top + 1.  With unit weights, or the weights of a row of
+    # ones, top times a column holding the largest entry reaches the top
+    # digit, so a radix any smaller would carry into the next row and
+    # misplace or merge degrees; zero entries give keys with empty digits
+    rng = corpus.make_rng("integer-cover")
+    cases = [
+        FiberMatrix(((50,),)),
+        FiberMatrix(((50, 0), (0, 50))),
+        FiberMatrix(((0, 50, 1), (50, 0, 1))),
+        FiberMatrix(((1, 1, 1), (0, 0, 50), (50, 0, 0))),
+        FiberMatrix(((1, 1, 1, 1),)),
+    ]
+    for d in (1, 2, 3):
+        for _ in range(3):
+            n = rng.randint(1, 4)
+            cases.append(corpus.random_matrix(rng, d, n, 50))
+            cases.append(FiberMatrix(((1,) * n,) + corpus.random_matrix(rng, d, n, 50).rows[1:]))
+    assert any(fibers._plan(A).ones is not None for A in cases)
+    assert any(0 in row for A in cases for row in A.rows)
+    for A in cases:
+        cols = tuple(A.column(i) for i in range(A.ncols))
+        top = rng.randint(1, 4)
+        expected = {}
+        for u in oracles.monomials_up_to(A.ncols, top):
+            expected.setdefault(A.apply(u), []).append(u)
+        buckets = fibers._bucketed(cols, (1,) * A.ncols, top)
+        assert buckets.keys() == expected.keys(), A
+        for b, points in buckets.items():
+            assert list(points) == sorted(expected[b]), (A, b)
+            assert list(points) == [u for u in oracles.box_fiber_points(A.rows, b) if sum(u) <= top]
+        _clear_fiber_caches()
+        ones = fibers._plan(A).ones
+        if ones is not None:
+            cover = fibers._graded(A, ones, top)
+            assert cover.keys() == expected.keys(), A
+            for b, points in cover.items():
+                assert list(points) == oracles.box_fiber_points(A.rows, b), (A, b)
+        # y = (1, ..., 1): the weight of a degree is its coordinate sum
+        weight = max(map(sum, cols)) + rng.randint(0, 20)
+        cover = fibers._graded(A, None, weight)
+        assert sorted(cover) == oracles.reachable_degrees_by_walk(A.rows, weight), A
+        for b, points in cover.items():
+            assert list(points) == oracles.box_fiber_points(A.rows, b), (A, b)
+
+
 def test_atomic_scan_cover_matches_search_in_either_order():
     # a scan over a matrix with a row of ones reads its fibers from the cover;
     # the reference decides the same degrees by fiber search alone
@@ -563,12 +610,13 @@ def _walk_and_step(A, b, gens):
     return verdict, ("hull" if gens is None and len(points) > 2 else "walk")
 
 
-def test_certificates_and_screen_match_the_plain_walk():
-    # the unit and common-divisor certificates and the lattice screen give
-    # the plain walk's verdict in every mode, on cold caches and on caches
-    # another mode left; each step decides some degree.  Over (12, 2) and
-    # (6, 12) of the last two matrices no pair splits every point, but one
-    # splits every vertex, which only the walk over the hull finds
+def _certificate_corpus():
+    """The seeded (A, bound, M) cases the certificates and the scan loop are tested on.
+
+    Over (12, 2) and (6, 12) of the last two matrices no pair splits every
+    point, but one splits every vertex, which only the walk over the hull
+    finds.
+    """
     rng = corpus.make_rng("certificates")
     cases = [
         (corpus.random_matrix(rng, rng.randint(1, 3), rng.randint(2, 5), 3), rng.randint(2, 4))
@@ -578,11 +626,21 @@ def test_certificates_and_screen_match_the_plain_walk():
         (FiberMatrix(((3, 2, 2, 3, 3), (1, 0, 1, 0, 1))), 4),
         (FiberMatrix(((3, 3, 0, 1, 0), (3, 2, 2, 1, 3))), 4),
     ]
+    return [(A, bound, corpus.random_ideal(rng, A.ncols, 2, 2)) for A, bound in cases]
+
+
+def _scan_universe(A, bound):
+    zero = (0,) * A.nrows
+    return sorted({A.apply(u) for u in oracles.monomials_up_to(A.ncols, bound)} - {zero})
+
+
+def test_certificates_and_screen_match_the_plain_walk():
+    # the unit and common-divisor certificates and the lattice screen give
+    # the plain walk's verdict in every mode, on cold caches and on caches
+    # another mode left; each step decides some degree
     steps = set()
-    for A, bound in cases:
-        zero = (0,) * A.nrows
-        universe = sorted({A.apply(u) for u in oracles.monomials_up_to(A.ncols, bound)} - {zero})
-        M = corpus.random_ideal(rng, A.ncols, 2, 2)
+    for A, bound, M in _certificate_corpus():
+        universe = _scan_universe(A, bound)
         modes = [("vertex", None, None), ("lattice", None, ()), ("lattice", M, M.gens)]
         expected = {}
         for mode, ideal, gens in modes:
@@ -613,6 +671,28 @@ def test_certificates_and_screen_match_the_plain_walk():
         ("hull", True),
         ("hull", False),
     }
+
+
+def test_serial_scan_loop_matches_the_adapter_per_degree():
+    # a serial scan decides every degree through one plan in one loop; the
+    # adapter the pool and the single queries use, on a fresh plan for each
+    # degree, gives the same verdicts, whichever mode scanned first
+    for A, bound, M in _certificate_corpus():
+        universe = _scan_universe(A, bound)
+        zero = MonomialIdeal.zero(A.ncols)
+        modes = [("vertex", None, None), ("lattice", None, zero), ("lattice", M, M)]
+        adapter = {}
+        for _, _, key in modes:
+            for b in universe:
+                _clear_fiber_caches()
+                adapter[key, b] = fibers._atomic_at((key, A, b))
+        for order in (modes, modes[::-1]):
+            _clear_fiber_caches()
+            for mode, ideal, key in order:
+                scan = atomic_scan(A, bound, mode=mode, M=ideal)
+                assert scan == [b for b in universe if adapter[key, b]], (A, mode, ideal)
+                verdicts = fibers._plan(A).atomic
+                assert all(verdicts[key, b] is adapter[key, b] for b in universe), (A, mode)
 
 
 def test_certified_vertex_scan_builds_no_hull(monkeypatch):
