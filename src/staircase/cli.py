@@ -239,7 +239,7 @@ def _cmd_atomic_scan(args):
             raise InputError("--ideal only applies to --mode lattice")
         owner = f"the matrix has {A.ncols} columns"
         M = _load_sized(args.ideal, MonomialIdeal, "--ideal", A.ncols, owner)
-    degrees = atomic_scan(A, args.bound, mode=args.mode, M=M, workers=args.workers)
+    degrees = atomic_scan(A, args.bound, mode=args.mode, M=M)
     return [list(b) for b in degrees], None
 
 
@@ -247,6 +247,8 @@ def _cmd_sagbi(args):
     A = _load(args.matrix, FiberMatrix)
     owner = f"the matrix has {A.ncols} columns"
     coeffs = _parse_vector(args.coeffs, "--coeffs", A.ncols, owner, signed=True)
+    if 0 in coeffs:
+        raise InputError(f"--coeffs: {coeffs} has a zero entry")
     pairs = sagbi_generators(A, coeffs, args.bound)
     return [[k, list(b)] for k, b in pairs], None
 
@@ -398,7 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=_int_at_least(1), required=True)
     p.add_argument("--mode", choices=("vertex", "lattice"), default="vertex")
     p.add_argument("--ideal", metavar="FILE", help="avoidance ideal M for lattice mode (default: zero)")
-    p.add_argument("--workers", type=_int_at_least(1), default=1, help="parallel workers (results identical)")
     p.set_defaults(handler=_cmd_atomic_scan)
 
     p = sub.add_parser("sagbi", help="subalgebra generators (k_b, b) over atomic degrees")

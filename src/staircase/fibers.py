@@ -27,9 +27,14 @@ y = (1, ..., 1) up to its bound.  A search that assigns one column at a
 time (_enumerate_fiber) finds every other fiber and stores it in the
 memo.
 
+_hull keys each point by one integer in radix R = 2m + 1, m the spread
+of the coordinates.  Each digit of 2p - q - r then lies in [-2m, 2m],
+below R in size, so 2p - q is a point iff its key is a key; hull_vertices
+scales rational input to integers first.
+
 Atomicity is decided in _verdict, given the plan, and the plan keeps
-each verdict; a serial atomic_scan looks the plan up once and decides
-every degree in one loop.  Two exact certificates read off the points
+each verdict; atomic_scan looks the plan up once and decides every
+degree in one serial loop.  Two exact certificates read off the points
 settle most degrees, a vertex verdict is screened by the lattice one
 with M = 0, and what is left walks the split pairs found in the sub-box
 of one point (see _verdict and _atomic).  _check_in_na is the one test
@@ -378,11 +383,15 @@ def hull_vertices(points) -> list[Exponent]:
         raise ValueError("empty point set has no hull")
     if len(pts) > 1 and len(lengths := {len(p) for p in pts}) > 1:
         raise ValueError(f"points have different lengths {sorted(lengths)}")
-    return _hull(pts)
+    # a positive scale keeps lex order, and the images' vertices are the vertices' images
+    ratios = [[x.as_integer_ratio() for x in p] for p in pts]
+    scale = math.lcm(*(d for r in ratios for _, d in r))
+    images = {tuple(n * (scale // d) for n, d in r): p for r, p in zip(ratios, pts)}
+    return [images[v] for v in _hull(list(images))]
 
 
 def _hull(pts):
-    """hull_vertices for sorted, distinct points of one length, unchecked.
+    """hull_vertices for sorted, distinct integer points of one length, unchecked.
 
     One or two points are returned as given, as their own vertices.  Two
     passes of exact certificates leave the LP only the candidates.
@@ -397,6 +406,14 @@ def _hull(pts):
     is a midpoint.  So when an undecided p is no vertex, it lies in the
     hull of the vertices, all among the other candidates, and p is a
     vertex iff the exact LP finds it outside the other candidates' hull.
+
+    The midpoint test reads one key per point, key(p) = sum p_i R^i with
+    R = 2m + 1, m the greatest minus the least coordinate c.  Then 2p - q
+    is a point r iff 2 key(p) - key(q) = key(r): the difference is the sum
+    of the digits 2p_i - q_i - r_i = 2(p_i - c) - (q_i - c) - (r_i - c),
+    each in [-2m, 2m] and so below R in size, times R^i, and such a sum is
+    0 only when every digit is, as its lowest nonzero digit is no multiple
+    of R.
     """
     if len(pts) <= 2:
         return pts
@@ -406,13 +423,15 @@ def _hull(pts):
         for extreme in (min(values), max(values)):
             ties = [p for p, v in zip(pts, values) if v == extreme]
             vertices.update((ties[0], ties[-1]))
-    present = set(pts)
+    radix = 2 * (max(map(max, pts)) - min(map(min, pts))) + 1
+    powers = [radix**i for i in range(len(pts[0]))]
+    keys = [sum(map(mul, powers, p)) for p in pts]
+    present = set(keys)
     # one of q, 2p - q is lex-smaller than p, so earlier points suffice
     undecided = [
         p
-        for k, p in enumerate(pts)
-        if p not in vertices
-        and not any(tuple(2 * x - y for x, y in zip(p, q)) in present for q in pts[:k])
+        for k, (p, key) in enumerate(zip(pts, keys))
+        if p not in vertices and present.isdisjoint(map((2 * key).__sub__, keys[:k]))
     ]
     candidates = sorted(vertices.union(undecided))
     for p in undecided:
@@ -457,8 +476,8 @@ def _atomic(A: FiberMatrix, b: Degree, whole) -> bool:
     """Does no nontrivial pair b1 + b2 = b in NA split whole?
 
     A pair splits whole when each of its points has a divisor over b1:
-    the rest lies over b2, and avoids M when the point does.  The zero
-    degree is never atomic.  A pair that splits whole splits its point p:
+    the rest lies over b2, and avoids M when the point does.  A pair that
+    splits whole splits its point p:
     p = u1 + u2 with A u1 = b1, so u1 <= p.  So b1 runs over A u1 for
     0 <= u1 <= p, p the point with the fewest sub-box points, prod(p_i + 1),
     and each pair is in NA, as b - b1 = A(p - u1).  b1 = 0 only when
@@ -468,8 +487,6 @@ def _atomic(A: FiberMatrix, b: Degree, whole) -> bool:
     does not depend on the order.  This is the plain walk: _verdict
     calls it only on what its certificates and screen leave open.
     """
-    if not any(b):
-        return False
     p = min(whole, key=lambda u: math.prod(e + 1 for e in u))
     rows, tried = A.rows, set()
     for u1 in product(*(range(e + 1) for e in p)):
@@ -490,7 +507,7 @@ def is_atomic(A: FiberMatrix, b) -> bool:
     0 + 0 = 0 decomposes it.  Nontrivial means b1, b2 outside {0, b}.
     Each pair is tested as minkowski_decomposes tests it.
     """
-    return _atomic_at((None, A, _check_in_na(A, b)))
+    return _verdict(_plan(A), None, A, _check_in_na(A, b))
 
 
 def _ma_fiber(M: MonomialIdeal, A: FiberMatrix, b: Degree) -> tuple[Exponent, ...]:
@@ -528,12 +545,6 @@ def is_ma_atomic(M: MonomialIdeal, A: FiberMatrix, b) -> bool:
     b = _check_degree(A, b)
     if not _ma_fiber(M, A, b):
         raise ValueError(f"empty (M,A) fiber over {b}")
-    return _atomic_at((M, A, b))
-
-
-def _atomic_at(args) -> bool:
-    """_verdict on (M, A, b) through A's plan, for single queries and workers."""
-    M, A, b = args
     return _verdict(_plan(A), M, A, b)
 
 
@@ -592,7 +603,6 @@ def atomic_scan(
     bound: int,
     mode: str = "vertex",
     M: MonomialIdeal | None = None,
-    workers: int = 1,
 ) -> list[Degree]:
     """All atomic degrees Au with |u| <= bound, sorted lex.
 
@@ -602,8 +612,6 @@ def atomic_scan(
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     if mode not in ("vertex", "lattice"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "vertex":
@@ -617,17 +625,7 @@ def atomic_scan(
     # and it then holds every fiber the scan reads: a split part has b1_r <= b_r
     universe = sorted(b for b in _degree_groups(A, bound) if any(b))
     plan = _plan(A)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = [(M, A, b) for b in universe]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flags = list(pool.map(_atomic_at, jobs, chunksize=8))
-        # the workers' memos go with them; their verdicts are kept here
-        plan.atomic.update(((M, b), ok) for b, ok in zip(universe, flags))
-    else:
-        flags = [_verdict(plan, M, A, b) for b in universe]
-    return [b for b, ok in zip(universe, flags) if ok]
+    return [b for b in universe if _verdict(plan, M, A, b)]
 
 
 def atomicity_ideal(A: FiberMatrix, b) -> MonomialIdeal:

@@ -255,12 +255,18 @@ def test_rejected_ideal_or_family_names_the_file(tmp_path, capsys):
     zero = write(tmp_path, "zero.json", {"vars": 2, "gens": []})
     g21 = write(tmp_path, "g21.json", {"vars": 2, "gens": [[k, 20 - k] for k in range(21)]})
     fam = write(tmp_path, "fam.json", [{"vars": 2, "gens": [[1, 0]]}, {"vars": 2, "gens": []}])
+    line = write(tmp_path, "line.json", {"vars": 2, "gens": [[1, 1]]})
     cases = [
         (["decompose", "-I", zero], zero, "zero ideal does not decompose"),
         (["decompose", "-I", zero, "--irreducible"], zero, "zero ideal does not decompose"),
         (["decompose", "-I", zero, "--primes"], zero, "zero ideal does not decompose"),
         (["hilbert", "-I", g21], g21, "21 generators exceed the 20-generator expansion limit"),
         (["chain", "-F", fam, "--group-primes"], fam, "member 1 is degenerate (zero or unit ideal)"),
+        (
+            ["young", "--to-order-ideal", line],
+            line,
+            "ideal must be artinian (else the complement is infinite)",
+        ),
     ]
     for argv, path, message in cases:
         assert main(argv) == 2, argv
@@ -467,12 +473,56 @@ def test_malformed_vector_fields_exit_2(tmp_path, capsys):
                     assert f'"{field}" must be a list of lists' in err, err
 
 
-def test_atomic_scan_rejects_nonpositive_workers(matrix_file, capsys):
-    for workers in ("0", "-3"):
-        with pytest.raises(SystemExit) as exc:
-            main(["atomic-scan", "-A", matrix_file, "--bound", "3", "--workers", workers])
-        assert exc.value.code == 2
-        assert "--workers: must be at least 1" in capsys.readouterr().err
+def test_atomic_scan_has_no_workers_flag(matrix_file, capsys):
+    # every scan runs one serial loop, with no option to pick another
+    with pytest.raises(SystemExit) as exc:
+        main(["atomic-scan", "-A", matrix_file, "--bound", "3", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+# (matrix, ideal or None, arguments, stdout): scans whose output is pinned
+# byte for byte, that of the ((2, 3, 5, 7),) vertex scan at bound 20 being
+# its 68 atomic degrees [2] ... [140]
+PINNED_SCANS = [
+    (
+        {"rows": 2, "cols": 4, "entries": [[1, 1, 1, 1], [0, 1, 2, 3]]},
+        None,
+        ["--bound", "5", "--mode", "lattice"],
+        "[[1, 0], [1, 1], [1, 2], [1, 3], [2, 2], [2, 3], [2, 4], [3, 3], "
+        "[3, 4], [3, 5], [3, 6], [4, 4], [4, 6], [4, 8], [5, 6], [5, 9]]",
+    ),
+    (
+        {"rows": 2, "cols": 3, "entries": [[1, 1, 1], [0, 17, 40]]},
+        {"vars": 3, "gens": [[0, 2, 1], [1, 0, 2]]},
+        ["--bound", "6", "--mode", "lattice"],
+        "[[1, 0], [1, 17], [1, 40]]",
+    ),
+    (
+        {"rows": 1, "cols": 4, "entries": [[2, 3, 5, 7]]},
+        None,
+        ["--bound", "20", "--mode", "vertex"],
+        "[[2], [3], [5], [6], [7], [8], [9], [10], [11], [12], [13], [14], [15], "
+        "[16], [17], [18], [19], [20], [21], [22], [23], [24], [25], [26], [27], "
+        "[28], [30], [32], [33], [34], [35], [36], [37], [38], [39], [40], [42], "
+        "[45], [46], [48], [49], [50], [53], [54], [55], [56], [60], [63], [64], "
+        "[66], [68], [69], [70], [75], [76], [78], [80], [84], [90], [96], [98], "
+        "[105], [108], [110], [120], [126], [138], [140]]",
+    ),
+]
+
+
+def test_atomic_scans_print_the_pinned_bytes(tmp_path, capsys):
+    for entries, ideal, argv, expected in PINNED_SCANS:
+        extra = ["--ideal", write(tmp_path, "M.json", ideal)] if ideal else []
+        assert main(["atomic-scan", "-A", write(tmp_path, "A.json", entries), *argv, *extra]) == 0
+        assert capsys.readouterr().out == expected + "\n", argv
+
+
+def test_zero_coefficient_names_its_flag_and_vector(matrix_file, capsys):
+    assert main(["sagbi", "-A", matrix_file, "--coeffs", "0,3", "--bound", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --coeffs: (0, 3) has a zero entry\n"
 
 
 def test_stdout_deterministic(matrix_file, capsys):

@@ -72,6 +72,61 @@ def test_hull_vertices_against_oracle_random():
         assert hull_vertices(pts) == oracles.hull_vertices_by_definition(pts), pts
 
 
+def test_hull_vertices_against_oracle_at_the_key_radix_boundary():
+    # coordinates at 0 and at m make 2p - q reach -m and 2m, digits that
+    # carry into another point's key in any radix below 2m + 1: in radix
+    # m + 1 = 4, 2(2, 1) - (0, 3) = (4, -1) would read as the key of (0, 0)
+    cases = [[(0, 0), (0, 3), (2, 1), (3, 2)], [(0, 0), (0, 3), (1, 2), (2, 1), (3, 2)]]
+    rng = corpus.make_rng("exact-hull-radix")
+    for _ in range(80):
+        dim, m = rng.randint(2, 3), rng.randint(1, 4)
+        pts = [tuple(rng.randint(0, m) for _ in range(dim)) for _ in range(rng.randint(3, 8))]
+        pts.append(tuple(rng.choice((0, m)) for _ in range(dim)))
+        cases.append(pts)
+    for pts in cases:
+        assert hull_vertices(pts) == oracles.hull_vertices_by_definition(pts), pts
+
+
+# negative-integer and Fraction point sets, and their vertices as recorded
+# from the midpoint test that built one tuple per pair of points
+HALF, THIRD, SIXTH = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+RECORDED_HULLS = [
+    ([(-3, 1), (-1, 1), (1, 1), (0, 0), (-2, 5)], [(-3, 1), (-2, 5), (0, 0), (1, 1)]),
+    (
+        [(-4, -4), (-2, -3), (0, -2), (-3, -1), (-1, -1), (-2, 0)],
+        [(-4, -4), (-3, -1), (-2, 0), (0, -2)],
+    ),
+    (
+        [(-2, 0, -1), (0, -2, -1), (-1, -1, -1), (-1, -1, -3), (-1, -1, 1), (0, 0, 0)],
+        [(-2, 0, -1), (-1, -1, -3), (-1, -1, 1), (0, -2, -1), (0, 0, 0)],
+    ),
+    (
+        [(HALF, 0), (0, THIRD), (-5 * SIXTH, Fraction(-7, 4)), (0, 0), (HALF / 2, SIXTH)],
+        [(-5 * SIXTH, Fraction(-7, 4)), (0, THIRD), (HALF, 0)],
+    ),
+    (
+        [(-HALF, HALF), (HALF, HALF), (0, HALF), (THIRD, -2 * THIRD), (SIXTH, -SIXTH / 2)],
+        [(-HALF, HALF), (THIRD, -2 * THIRD), (HALF, HALF)],
+    ),
+    ([(3 * HALF,), (-7 * THIRD,), (SIXTH,), (0,), (-7 * THIRD,)], [(-7 * THIRD,), (3 * HALF,)]),
+]
+
+
+def test_hull_vertices_on_negative_and_fraction_sets():
+    for pts, expected in RECORDED_HULLS:
+        # repr also pins the type of every coordinate handed back
+        assert repr(hull_vertices(pts)) == repr(expected), pts
+        assert hull_vertices(pts) == oracles.hull_vertices_by_definition(pts), pts
+    rng = corpus.make_rng("exact-hull-rational")
+    for _ in range(40):
+        dim = rng.randint(1, 3)
+        pts = [
+            tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))) for _ in range(dim))
+            for _ in range(rng.randint(1, 8))
+        ]
+        assert hull_vertices(pts) == oracles.hull_vertices_by_definition(pts), pts
+
+
 def _small_fibers(salt, count):
     """count seeded (A, b) whose fibers have at most ORACLE_POINTS points."""
     rng = corpus.make_rng(salt)

@@ -674,25 +674,25 @@ def test_certificates_and_screen_match_the_plain_walk():
 
 
 def test_serial_scan_loop_matches_the_adapter_per_degree():
-    # a serial scan decides every degree through one plan in one loop; the
-    # adapter the pool and the single queries use, on a fresh plan for each
-    # degree, gives the same verdicts, whichever mode scanned first
+    # a scan decides every degree through one plan in one loop; the verdict
+    # kernel on a fresh plan for each degree gives the same verdicts,
+    # whichever mode scanned first
     for A, bound, M in _certificate_corpus():
         universe = _scan_universe(A, bound)
         zero = MonomialIdeal.zero(A.ncols)
         modes = [("vertex", None, None), ("lattice", None, zero), ("lattice", M, M)]
-        adapter = {}
+        fresh = {}
         for _, _, key in modes:
             for b in universe:
                 _clear_fiber_caches()
-                adapter[key, b] = fibers._atomic_at((key, A, b))
+                fresh[key, b] = fibers._verdict(fibers._plan(A), key, A, b)
         for order in (modes, modes[::-1]):
             _clear_fiber_caches()
             for mode, ideal, key in order:
                 scan = atomic_scan(A, bound, mode=mode, M=ideal)
-                assert scan == [b for b in universe if adapter[key, b]], (A, mode, ideal)
+                assert scan == [b for b in universe if fresh[key, b]], (A, mode, ideal)
                 verdicts = fibers._plan(A).atomic
-                assert all(verdicts[key, b] is adapter[key, b] for b in universe), (A, mode)
+                assert all(verdicts[key, b] is fresh[key, b] for b in universe), (A, mode)
 
 
 def test_certified_vertex_scan_builds_no_hull(monkeypatch):
@@ -821,6 +821,9 @@ def test_is_atomic_examples():
     assert is_atomic(SEGMENT, (1,)) is True
     assert is_atomic(SEGMENT, (2,)) is False
     assert is_atomic(SEGMENT, (0,)) is False
+    # the zero degree's one point, 0, is no unit vector, whatever M avoids
+    assert is_ma_atomic(ZERO2, SEGMENT, (0,)) is False
+    assert is_ma_atomic(minimalize(2, [(1, 0)]), SEGMENT, (0,)) is False
     with pytest.raises(ValueError):
         is_atomic(FiberMatrix(((2, 3),)), (1,))
 
@@ -891,42 +894,18 @@ def test_atomic_scan_examples():
     # every point would lie in a unit ideal; the ring mismatch must still raise
     with pytest.raises(ValueError, match="3 variables"):
         atomic_scan(SEGMENT, 3, mode="lattice", M=MonomialIdeal.unit(3))
-    with pytest.raises(ValueError, match="workers"):
-        atomic_scan(SEGMENT, 3, workers=0)
 
 
 def test_lattice_scan_skips_degrees_inside_the_avoidance_ideal():
     # over (1, 0) and (1, 1) every point lies in M = (x_0): nothing to decompose
     M = minimalize(2, [(1, 0)])
     assert atomic_scan(IDENTITY2, 3, mode="lattice", M=M) == [(0, 1)]
-    assert atomic_scan(IDENTITY2, 3, mode="lattice", M=M, workers=2) == [(0, 1)]
     with pytest.raises(ValueError, match="empty"):
         is_ma_atomic(M, IDENTITY2, (1, 0))
 
 
-def test_atomic_scan_workers_match_sequential():
-    A = FiberMatrix(((1, 2), (2, 1)))
-    seq = atomic_scan(A, 4, mode="vertex")
-    par = atomic_scan(A, 4, mode="vertex", workers=2)
-    assert seq == par
-    seq_l = atomic_scan(A, 4, mode="lattice")
-    par_l = atomic_scan(A, 4, mode="lattice", workers=2)
-    assert seq_l == par_l
-    # a parallel scan from cold keeps the pool's verdicts, each the serial
-    # one, and a serial rescan then decides nothing again
-    zero = MonomialIdeal.zero(A.ncols)
-    for mode, M, scan in (("vertex", None, seq), ("lattice", zero, seq_l)):
-        _clear_fiber_caches()
-        assert atomic_scan(A, 4, mode=mode, workers=2) == scan
-        verdicts = dict(fibers._plan(A).atomic)
-        universe = {b for b in fibers._degree_groups(A, 4) if any(b)}
-        assert verdicts == {(M, b): b in scan for b in universe}
-        assert atomic_scan(A, 4, mode=mode) == scan
-        assert fibers._plan(A).atomic == verdicts
-
-
 def test_import_leaves_the_process_pool_unloaded():
-    # concurrent.futures is imported only by a scan with workers > 1
+    # no scan runs a process pool, so nothing imports concurrent.futures
     src = os.path.dirname(os.path.dirname(fibers.__file__))
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import staircase, staircase.cli; "

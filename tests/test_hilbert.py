@@ -161,6 +161,10 @@ def test_same_hilbert_dimension_mismatch():
         same_hilbert_up_to(
             minimalize(2, [(1, 0)]), minimalize(3, [(1, 0, 0)]), Grading(((1, 1),)), 3
         )
+    with pytest.raises(ValueError, match="ideals have 2 variables, grading has 3 columns"):
+        same_hilbert_up_to(
+            minimalize(2, [(1, 0)]), minimalize(2, [(0, 1)]), Grading(((1, 1, 1),)), 3
+        )
 
 
 def test_function_permutation_equivariant():

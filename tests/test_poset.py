@@ -152,6 +152,16 @@ def test_finite_order_ideal_validation():
     assert not empty.member((0, 0))
 
 
+def test_finite_order_ideal_issubset():
+    small = FiniteOrderIdeal(2, ((0, 0), (1, 0)))
+    large = FiniteOrderIdeal(2, ((0, 0), (1, 0), (0, 1)))
+    assert small.issubset(large) is True
+    assert large.issubset(small) is False
+    assert FiniteOrderIdeal(2, ()).issubset(small) is True
+    with pytest.raises(ValueError, match="different rings"):
+        small.issubset(FiniteOrderIdeal(3, ((0, 0, 0),)))
+
+
 def test_young_complement_examples():
     O = FiniteOrderIdeal(2, ((0, 0), (1, 0), (0, 1)))
     assert young_complement(O).gens == ((0, 2), (1, 1), (2, 0))
