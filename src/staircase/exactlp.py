@@ -1,54 +1,54 @@
 """Exact rational feasibility of convex-combination systems.
 
 Decides whether a target point is a convex combination of a finite point
-set with no floats and no fractions.Fraction arithmetic in the loop.  Each
-row of the system is scaled by the lcm of its denominators, and a phase-1
-simplex with Bland's rule (no cycling, guaranteed termination) pivots on
-an integer tableau by fraction-free, integer-preserving elimination
-(Edmonds 1967; Bareiss 1968, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination"): the tableau holds D times the
-rational tableau, where D is the previous pivot, and every update
-row <- (piv * row - f * pivrow) // D divides exactly.
+set with no floats and no Fraction anywhere: the coordinates (int, bool,
+Fraction, float, Decimal) are read at their exact value and scaled once
+by the lcm of every denominator.  A phase-1 simplex with Bland's rule (no
+cycling, guaranteed termination) pivots on the integer tableau by
+fraction-free, integer-preserving elimination (Edmonds 1967; Bareiss 1968,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination"): the tableau holds D times the rational tableau, where D is
+the previous pivot, and every update row <- (piv * row - f * pivrow) // D
+divides exactly.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 def in_convex_hull(target, points) -> bool:
     """True iff target = sum(l_i * p_i) for some l_i >= 0 with sum l_i = 1.
 
-    target: sequence of ints/Fractions; points: sequence of same-length
-    sequences.  Empty point set never contains anything.
+    target and points: same-length sequences of ints, bools, Fractions,
+    floats or Decimals, scaled together to integers by one common lcm, with
+    no Fraction anywhere.  Empty point set never contains anything.
     """
-    points = [tuple(p) for p in points]
-    target = tuple(target)
+    target, *points = _integer_points([target, *points])
     if not points:
         return False
-    dim = len(target)
-    if any(len(p) != dim for p in points):
+    if any(len(p) != len(target) for p in points):
         raise ValueError("dimension mismatch between target and points")
-
-    # Equality system M l = d: one row per coordinate plus the sum-to-1 row,
-    # each row scaled to integers.
-    rows, rhs = [], []
-    for k in range(dim):
-        row, b = _integer_row([p[k] for p in points], target[k])
-        rows.append(row)
-        rhs.append(b)
-    rows.append([1] * len(points))
-    rhs.append(1)
-    return _phase_one_feasible(rows, rhs)
+    # Equality system M l = d: one row per coordinate plus the sum-to-1 row.
+    return _phase_one_feasible([*zip(*points), [1] * len(points)], [*target, 1])
 
 
-def _integer_row(coeffs, b):
-    """Scale one equation by the lcm of its denominators: all ints out."""
-    coeffs = [Fraction(x) for x in coeffs]
-    b = Fraction(b)
-    scale = math.lcm(b.denominator, *(x.denominator for x in coeffs))
-    return [int(x * scale) for x in coeffs], int(b * scale)
+def _integer_points(points) -> list[tuple[int, ...]]:
+    """The points times the lcm of every denominator, as integer tuples.
+
+    Coordinates are read at their exact value by as_integer_ratio(); any
+    other, nan and inf included, is a ValueError naming it.
+    """
+    ratios = [[_ratio(x) for x in p] for p in points]
+    scale = math.lcm(*(d for r in ratios for _, d in r))
+    return [tuple(n * (scale // d) for n, d in r) for r in ratios]
+
+
+def _ratio(x) -> tuple[int, int]:
+    try:
+        return x.as_integer_ratio()
+    except (AttributeError, ValueError, OverflowError):
+        raise ValueError(f"coordinate {x!r} is not a finite rational number") from None
 
 
 def _phase_one_feasible(rows, rhs) -> bool:

@@ -30,7 +30,7 @@ memo.
 _hull keys each point by one integer in radix R = 2m + 1, m the spread
 of the coordinates.  Each digit of 2p - q - r then lies in [-2m, 2m],
 below R in size, so 2p - q is a point iff its key is a key; hull_vertices
-scales rational input to integers first.
+scales rational input to integers first, by exactlp._integer_points.
 
 Atomicity is decided in _verdict, given the plan, and the plan keeps
 each verdict; atomic_scan looks the plan up once and decides every
@@ -50,7 +50,7 @@ from itertools import product, repeat
 from collections import defaultdict
 from operator import add, le, mul, sub
 
-from .exactlp import in_convex_hull
+from .exactlp import _integer_points, in_convex_hull
 from .monomial import (
     Exponent,
     MonomialIdeal,
@@ -378,16 +378,15 @@ def in_hull(q, points) -> bool:
 
 def hull_vertices(points) -> list[Exponent]:
     """Points that are not convex combinations of the others, in lex order."""
-    pts = sorted({tuple(p) for p in points})
-    if not pts:
+    points = [tuple(p) for p in points][::-1]
+    if not points:
         raise ValueError("empty point set has no hull")
-    if len(pts) > 1 and len(lengths := {len(p) for p in pts}) > 1:
+    # a positive scale keeps lex order and vertices; reversed, each image keeps the
+    # first point equal to it, as a set does
+    images = dict(zip(_integer_points(points), points))
+    if len(lengths := {len(p) for p in images}) > 1:
         raise ValueError(f"points have different lengths {sorted(lengths)}")
-    # a positive scale keeps lex order, and the images' vertices are the vertices' images
-    ratios = [[x.as_integer_ratio() for x in p] for p in pts]
-    scale = math.lcm(*(d for r in ratios for _, d in r))
-    images = {tuple(n * (scale // d) for n, d in r): p for r, p in zip(ratios, pts)}
-    return [images[v] for v in _hull(list(images))]
+    return [images[v] for v in _hull(sorted(images))]
 
 
 def _hull(pts):

@@ -24,8 +24,8 @@ XElem = tuple[int, int]
 
 
 def check_xelem(p) -> XElem:
-    i, j = p
-    if not (isinstance(i, int) and isinstance(j, int)):
+    i, j = p if isinstance(p, (tuple, list)) and len(p) == 2 else (None, None)
+    if bool in (type(i), type(j)) or not (isinstance(i, int) and isinstance(j, int)):
         raise ValueError(f"element {p!r} must be a pair of integers")
     if not (0 <= i < j):
         raise ValueError(f"element {p!r} violates 0 <= i < j")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -568,3 +571,14 @@ def test_shared_parser_leaks_no_state(tmp_path, ideal_file, capsys, monkeypatch)
     assert lifts[0] != lifts[1] and lifts[2] == {"vars": 2, "gens": []}
     assert json.loads(shared[3][1]) == {"member": True}
     assert "ideal" in json.loads(shared[4][1])
+
+
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    # a fresh interpreter, since this test process has imported Fraction itself
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, staircase.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -9,6 +9,7 @@ vertices, and mutual hull membership of vertex sums for Minkowski sums.
 
 import functools
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -264,3 +265,80 @@ def test_in_convex_hull_fraction_points():
     pts = [(half, 0), (0, Fraction(1, 3)), (Fraction(-5, 6), Fraction(-7, 4))]
     for q in [(0, 0), (Fraction(1, 4), Fraction(1, 6)), (half, half), (-1, -2)]:
         assert in_convex_hull(q, pts) is oracles.hull_member(q, pts), q
+
+
+def test_in_convex_hull_float_and_decimal_at_their_exact_values():
+    # each coordinate is read at its exact value, as Fraction(x) reads it
+    rng = corpus.make_rng("exact-lp-float-decimal")
+    kinds = [
+        lambda: rng.randint(-12, 12) / rng.choice((1, 2, 4, 8)),
+        lambda: rng.randint(-9, 9) / 10,  # not dyadic: 0.1 is no tenth as a float
+        lambda: Decimal(rng.randint(-30, 30)) / rng.choice((1, 2, 5, 10)),
+    ]
+    for _ in range(150):
+        dim = rng.randint(1, 3)
+        make = rng.choice(kinds)
+        pts = [tuple(make() for _ in range(dim)) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.5:  # the midpoint of two points, always inside
+            p, q = rng.choice(pts), rng.choice(pts)
+            target = tuple((x + y) / 2 for x, y in zip(p, q))
+        else:
+            target = tuple(make() for _ in range(dim))
+        expected = oracles.hull_member(
+            tuple(map(Fraction, target)), [tuple(map(Fraction, p)) for p in pts]
+        )
+        assert in_convex_hull(target, pts) is expected, (target, pts)
+        assert in_hull(target, pts) is expected
+
+
+# int, Fraction, float, Decimal and mixed sets, with their vertices as the
+# scaled midpoint test returned them before the hull and the LP shared one
+# rational-to-integer kernel; an equal point of another type is a repeat,
+# and the first one given is kept
+D = Decimal
+RECORDED_TYPED_HULLS = [
+    ([(0, 0), (4, 0), (0, 4), (1, 1), (2, 2), (4, 0)], [(0, 0), (0, 4), (4, 0)]),
+    (
+        [(HALF, Fraction(0)), (Fraction(0), THIRD), (HALF / 2, SIXTH), (-HALF, -HALF)],
+        [(-HALF, -HALF), (Fraction(0), THIRD), (HALF, Fraction(0))],
+    ),
+    (
+        [(0.5, 0.0), (0.0, 0.25), (0.125, 0.125), (-1.5, 2.0), (0.25, 0.0)],
+        [(-1.5, 2.0), (0.0, 0.25), (0.25, 0.0), (0.5, 0.0)],
+    ),
+    (
+        [(D("0.1"), D("0")), (D("0"), D("0.3")), (D("0.05"), D("0.15")), (D("-2.5"), D("1"))],
+        [(D("-2.5"), D("1")), (D("0"), D("0.3")), (D("0.1"), D("0"))],
+    ),
+    ([(1,), (1.0,), (Fraction(1),), (D(3),), (3,), (2.0,)], [(1,), (D(3),)]),
+    (
+        [(0.1, 2), (Fraction(1, 10), 2), (D("0.1"), 2), (0, 0), (1, 1)],
+        [(0, 0), (Fraction(1, 10), 2), (0.1, 2), (1, 1)],
+    ),
+    ([(True, False), (False, True), (0.5, 0.5), (0, 0)], [(0, 0), (False, True), (True, False)]),
+]
+
+
+def test_hull_vertices_keep_values_and_types_of_int_fraction_float_decimal_sets():
+    for pts, expected in RECORDED_TYPED_HULLS:
+        # repr pins the type of every coordinate handed back
+        assert repr(hull_vertices(pts)) == repr(expected), pts
+        exact = [tuple(map(Fraction, p)) for p in pts]
+        assert hull_vertices(pts) == oracles.hull_vertices_by_definition(exact), pts
+
+
+NOT_RATIONAL = ["1/2", None, float("nan"), float("inf"), "a"]
+
+
+@pytest.mark.parametrize("bad", NOT_RATIONAL, ids=repr)
+def test_non_rational_coordinate_is_named(bad):
+    # the hull and the LP read coordinates through one kernel, which names
+    # the first coordinate that is no finite rational number
+    named = re.escape(f"coordinate {bad!r} is not a finite rational number")
+    pts = [(bad,), (1,), (2,)]  # with "a" the mixed str/int set, which sorted() cannot order
+    with pytest.raises(ValueError, match=named):
+        hull_vertices(pts)
+    with pytest.raises(ValueError, match=named):
+        in_hull((1,), pts)
+    with pytest.raises(ValueError, match=named):
+        in_convex_hull((bad,), [(0,), (2,)])

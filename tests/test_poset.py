@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import re
 import sys
 
 import pytest
@@ -35,6 +36,18 @@ def test_x_less_validation():
         x_less((2, 2), (0, 1))
     with pytest.raises(ValueError):
         x_less((0, 1), (-1, 2))
+
+
+def test_x_less_names_an_element_that_is_no_pair_of_integers():
+    # bools are no integers here, as in exponent vectors, and a non-pair
+    # fails with the element named rather than Python's unpacking error
+    for bad in [(False, True), 5, (1,), (0, 1, 2), "ab", None, (0, 1.0)]:
+        shown = re.escape(f"element {bad!r} must be a pair of integers")
+        with pytest.raises(ValueError, match=shown):
+            x_less(bad, (0, 2))
+        with pytest.raises(ValueError, match=shown):
+            x_less((0, 1), bad)
+    assert x_less([0, 1], (0, 2))  # a list pair is a pair
 
 
 def test_x_less_is_strict_partial_order():
