@@ -33,12 +33,17 @@ below R in size, so 2p - q is a point iff its key is a key; hull_vertices
 scales rational input to integers first, by exactlp._integer_points.
 
 Atomicity is decided in _verdict, given the plan, and the plan keeps
-each verdict; atomic_scan looks the plan up once and decides every
-degree in one serial loop.  Two exact certificates read off the points
-settle most degrees, a vertex verdict is screened by the lattice one
-with M = 0, and what is left walks the split pairs found in the sub-box
-of one point (see _verdict and _atomic).  _check_in_na is the one test
-that a degree lies in NA.
+each verdict in one memo per ideal; atomic_scan looks the plan and the
+memos up once and decides every degree in one serial loop.  Two exact
+certificates read off the points settle most degrees, a vertex verdict
+is screened by the lattice one with M = 0, and what is left walks the
+split pairs found in the sub-box of one point (see _verdict and
+_atomic).  A vertex verdict walks the exposed vertices first (_exposed,
+which _hull shares): they are vertices, so when no pair splits them none
+splits all vertices, and only a degree some pair splits them of builds
+its hull.  The walk forms the split parts b1 as one sumset of integer
+keys in radix max(b) + 1, with no carries as b1 <= b.  _check_in_na is
+the one test that a degree lies in NA.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import product, repeat
+from itertools import repeat
 from collections import defaultdict
 from operator import add, le, mul, sub
 
@@ -162,10 +167,11 @@ class _Plan:
     fibers maps each degree asked for or covered to its lex-sorted
     points, () when outside NA.  covered maps a grade (the index of a row
     of ones, or None for y = (1, ..., 1)) to the weight its cover is
-    complete up to.  vertices maps a degree in NA to its hull vertices,
-    and avoiding maps (M, b), M nonzero, to the points over b outside M.
-    atomic maps (M, b) to whether b is atomic, M None for vertex mode;
-    zero is the zero ideal, the key of lattice verdicts with M = 0.
+    complete up to.  vertices maps a degree in NA to its hull vertices.
+    The other two memos are keyed by the ideal first, so a scan hashes it
+    once: avoiding[M][b], M nonzero, holds the points over b outside M,
+    and atomic[M][b] whether b is atomic, M None for vertex mode; zero is
+    the zero ideal, the key of lattice verdicts with M = 0.
     """
 
     cols: tuple[Degree, ...]
@@ -179,8 +185,8 @@ class _Plan:
     fibers: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
     covered: dict[int | None, int] = field(default_factory=dict)
     vertices: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
-    avoiding: dict[tuple[MonomialIdeal, Degree], tuple[Exponent, ...]] = field(default_factory=dict)
-    atomic: dict[tuple[MonomialIdeal | None, Degree], bool] = field(default_factory=dict)
+    avoiding: dict[MonomialIdeal, dict[Degree, tuple[Exponent, ...]]] = field(default_factory=dict)
+    atomic: dict[MonomialIdeal | None, dict[Degree, bool]] = field(default_factory=dict)
 
 
 @cache
@@ -389,22 +395,37 @@ def hull_vertices(points) -> list[Exponent]:
     return [images[v] for v in _hull(sorted(images))]
 
 
+def _exposed(pts) -> set[Exponent]:
+    """Vertices of the hull of sorted, distinct points that weights expose.
+
+    For each coordinate and for the weight (1, 2, ..., n), the lex-first
+    and lex-last point of least value and of greatest value are vertices:
+    they are vertices of the face the weight or its negative exposes, and
+    a vertex of a face is one of the hull.  The weight (1, ..., 1) is left
+    out: it is constant over every fiber of a matrix with a row of ones.
+    """
+    weights = range(1, len(pts[0]) + 1)
+    exposed = set()
+    for values in (*zip(*pts), [sum(map(mul, weights, p)) for p in pts]):
+        for extreme in (min(values), max(values)):
+            ties = [p for p, v in zip(pts, values) if v == extreme]
+            exposed.update((ties[0], ties[-1]))
+    return exposed
+
+
 def _hull(pts):
     """hull_vertices for sorted, distinct integer points of one length, unchecked.
 
     One or two points are returned as given, as their own vertices.  Two
-    passes of exact certificates leave the LP only the candidates.
-    First, for each coordinate and for the weight (1, 2, ..., n), the
-    lex-first and lex-last point of least value and of greatest value are
-    vertices: they are vertices of the face the weight or its negative
-    exposes.  The weight (1, ..., 1) is left out: it is constant over every
-    fiber of a matrix with a row of ones.  Then a point p with 2p - q in
-    the set for some q != p is the midpoint of two others, so not a
-    vertex; a point neither test settles is undecided.  The candidates,
-    exposed and undecided points, hold every vertex, as each other point
-    is a midpoint.  So when an undecided p is no vertex, it lies in the
-    hull of the vertices, all among the other candidates, and p is a
-    vertex iff the exact LP finds it outside the other candidates' hull.
+    passes of exact certificates leave the LP only the candidates.  First,
+    the exposed points (_exposed) are vertices.  Then a point p with
+    2p - q in the set for some q != p is the midpoint of two others, so
+    not a vertex; a point neither test settles is undecided.  The
+    candidates, exposed and undecided points, hold every vertex, as each
+    other point is a midpoint.  So when an undecided p is no vertex, it
+    lies in the hull of the vertices, all among the other candidates, and
+    p is a vertex iff the exact LP finds it outside the other candidates'
+    hull.
 
     The midpoint test reads one key per point, key(p) = sum p_i R^i with
     R = 2m + 1, m the greatest minus the least coordinate c.  Then 2p - q
@@ -416,12 +437,7 @@ def _hull(pts):
     """
     if len(pts) <= 2:
         return pts
-    weights = range(1, len(pts[0]) + 1)
-    vertices = set()
-    for values in (*zip(*pts), [sum(map(mul, weights, p)) for p in pts]):
-        for extreme in (min(values), max(values)):
-            ties = [p for p, v in zip(pts, values) if v == extreme]
-            vertices.update((ties[0], ties[-1]))
+    vertices = _exposed(pts)
     radix = 2 * (max(map(max, pts)) - min(map(min, pts))) + 1
     powers = [radix**i for i in range(len(pts[0]))]
     keys = [sum(map(mul, powers, p)) for p in pts]
@@ -485,16 +501,35 @@ def _atomic(A: FiberMatrix, b: Degree, whole) -> bool:
     the sub-box is tried at most once, in any order, since the verdict
     does not depend on the order.  This is the plain walk: _verdict
     calls it only on what its certificates and screen leave open.
+
+    The b1 are formed as one sumset of integer keys.  In radix
+    R = max(b) + 1 a degree c has key(c) = sum over r of c_r R^(d-1-r).
+    Every b1 = A u1 with u1 <= p has b - b1 = A(p - u1) >= 0, so each b1_r
+    and each b2_r is at most b_r < R, one base-R digit.  So distinct b1
+    have distinct keys, key order is lex order, and key(b - b1) =
+    key(b) - key(b1).  The set of sums of t_i key(column i), 0 <= t_i <=
+    p_i, is then the set of distinct b1, and 0 < key(b1), 2 key(b1) <=
+    key(b) says b1 != 0 and b1 <= b2 in lex order.  Each kept key is
+    decoded to its degree once.
     """
     p = min(whole, key=lambda u: math.prod(e + 1 for e in u))
-    rows, tried = A.rows, set()
-    for u1 in product(*(range(e + 1) for e in p)):
-        b1 = tuple(sum(map(mul, r, u1)) for r in rows)
-        b2 = tuple(map(sub, b, b1))
-        if not any(b1) or b1 > b2 or b1 in tried:
+    radix = max(b) + 1
+    keys, top = [0] * len(p), 0
+    for row, e in zip(A.rows, b):
+        keys = [key * radix + a for key, a in zip(keys, row)]
+        top = top * radix + e
+    sums = {0}
+    for key, e in zip(keys, p):
+        if e:
+            sums = {s + t for s in sums for t in range(0, key * e + 1, key)}
+    for key in sums:
+        if not 0 < 2 * key <= top:
             continue
-        tried.add(b1)
-        if _first_unsplit(whole, _fiber_points(A, b1)) is None:
+        b1 = []
+        for _ in b:
+            key, e = divmod(key, radix)
+            b1.append(e)
+        if _first_unsplit(whole, _fiber_points(A, tuple(b1[::-1]))) is None:
             return False
     return True
 
@@ -513,10 +548,10 @@ def _ma_fiber(M: MonomialIdeal, A: FiberMatrix, b: Degree) -> tuple[Exponent, ..
     # the zero ideal avoids every point: its fiber is the memo's own tuple
     if M.is_zero():
         return _fiber_points(A, b)
-    avoiding = _plan(A).avoiding
-    if (M, b) not in avoiding:
-        avoiding[M, b] = tuple(u for u in _fiber_points(A, b) if not M._member(u))
-    return avoiding[M, b]
+    avoiding = _plan(A).avoiding.setdefault(M, {})
+    if b not in avoiding:
+        avoiding[b] = tuple(u for u in _fiber_points(A, b) if not M._member(u))
+    return avoiding[b]
 
 
 def ma_fiber(M: MonomialIdeal, A: FiberMatrix, b) -> list[Exponent]:
@@ -547,11 +582,15 @@ def is_ma_atomic(M: MonomialIdeal, A: FiberMatrix, b) -> bool:
     return _verdict(_plan(A), M, A, b)
 
 
-def _verdict(plan: _Plan, M: MonomialIdeal | None, A: FiberMatrix, b: Degree) -> bool:
+def _verdict(
+    plan: _Plan, M: MonomialIdeal | None, A: FiberMatrix, b: Degree, verdicts=None, screen=None
+) -> bool:
     """The verdict on (M, A, b), M None for vertex mode, kept in A's plan.
 
-    The caller checked its arguments and gives b in NA.  The points are
-    those over b outside M, all of them in vertex mode.  Two exact
+    The caller checked its arguments and gives b in NA.  verdicts is M's
+    memo plan.atomic[M] and screen the zero ideal's, which vertex mode
+    reads; each is looked up here unless a scan passes it.  The points
+    are those over b outside M, all of them in vertex mode.  Two exact
     certificates are read off them before any walk.
     - A unit vector e_i among the points makes b atomic.  Then b is column
       i, and a pair that splits e_i has b1 = A u1 with u1 <= e_i, so b1 is
@@ -569,18 +608,26 @@ def _verdict(plan: _Plan, M: MonomialIdeal | None, A: FiberMatrix, b: Degree) ->
     every point splits every vertex, so a degree that is not
     lattice-atomic is not vertex-atomic.  A lattice-atomic degree is
     vertex-atomic when b is a column, as e_i is then a point, or when it
-    has at most two points, which are then its vertices.  Only the rest
-    build a hull and walk it.  Points the memo holds are read from it.
+    has at most two points, which are then its vertices.  The rest are
+    walked over the exposed vertices E (_exposed) first, with no hull:
+    E is a subset of the vertices V, so a pair that splits every vertex
+    splits every point of E, and when no pair splits E none splits V.
+    Only a degree some pair splits E of builds its hull and walks V.
+    Points the memo holds are read from it.
     """
-    verdicts = plan.atomic
-    verdict = verdicts.get((M, b))
+    if verdicts is None:
+        verdicts = plan.atomic.setdefault(M, {})
+    verdict = verdicts.get(b)
     if verdict is None:
         if M is None:
-            verdict = _verdict(plan, plan.zero, A, b) and (
-                b in plan.colset
-                or len(plan.fibers.get(b) or _fiber_points(A, b)) <= 2
-                or _atomic(A, b, _fiber_vertices(A, b))
-            )
+            verdict = _verdict(plan, plan.zero, A, b, screen)
+            if verdict and b not in plan.colset:
+                points = plan.fibers.get(b) or _fiber_points(A, b)
+                verdict = (
+                    len(points) <= 2
+                    or _atomic(A, b, sorted(_exposed(points)))
+                    or _atomic(A, b, _fiber_vertices(A, b))
+                )
         else:
             if M.gens:
                 points = _ma_fiber(M, A, b)
@@ -593,7 +640,7 @@ def _verdict(plan: _Plan, M: MonomialIdeal | None, A: FiberMatrix, b: Degree) ->
                 verdict = False
             else:
                 verdict = _atomic(A, b, points)
-        verdicts[M, b] = verdict
+        verdicts[b] = verdict
     return verdict
 
 
@@ -624,7 +671,9 @@ def atomic_scan(
     # and it then holds every fiber the scan reads: a split part has b1_r <= b_r
     universe = sorted(b for b in _degree_groups(A, bound) if any(b))
     plan = _plan(A)
-    return [b for b in universe if _verdict(plan, M, A, b)]
+    # a scan looks up M's memo, and the zero ideal's for vertex mode, once
+    verdicts, screen = plan.atomic.setdefault(M, {}), plan.atomic.setdefault(plan.zero, {})
+    return [b for b in universe if _verdict(plan, M, A, b, verdicts, screen)]
 
 
 def atomicity_ideal(A: FiberMatrix, b) -> MonomialIdeal:

@@ -3,6 +3,8 @@
 Each oracle takes a different route from the code under test: membership
 by raw divisor scan, fibers by full box enumeration, hull membership by
 affinely-independent-subset search instead of a feasibility tableau,
+hull vertices by that membership test on every point (or on every point
+that is no midpoint, compared coordinate by coordinate),
 exposed hull vertices by dot products with explicit weight vectors
 instead of reading the coordinates, splits of a degree from the
 sub-boxes of all its fiber points instead of one point's, atomicity by
@@ -208,15 +210,17 @@ def first_unsplit_by_sums(rows, points, b1, b2, gens=()):
     return next((p for p in sorted(points) if p not in sums), None)
 
 
-def atomic_by_sub_box_walk(rows, b, whole) -> bool:
+def atomic_by_sub_box_walk(rows, b, whole, fiber=box_fiber_points) -> bool:
     """Atomicity of b by the plain walk, with no certificate and no screen.
 
     whole is what the verdict is about: the hull vertices of the fiber
     over b, or its points outside M.  b1 runs over A u1 for u1 in the
     sub-box of the point of whole with the fewest sub-box points, and a
     nontrivial pair splits when every point of whole has a divisor among
-    the box-enumerated points over b1.  The zero degree, or an empty
-    whole, is not atomic.
+    the points over b1, which fiber(rows, b1) gives: by box enumeration
+    unless a caller passes an enumeration tested against it, for fibers
+    too large to enumerate by box.  The zero degree, or an empty whole,
+    is not atomic.
     """
     b = tuple(b)
     if not whole or not any(b):
@@ -226,7 +230,7 @@ def atomic_by_sub_box_walk(rows, b, whole) -> bool:
         b1 = tuple(sum(x * y for x, y in zip(row, u1)) for row in rows)
         if not any(b1) or b1 == b:
             continue
-        over_b1 = box_fiber_points(rows, b1)
+        over_b1 = fiber(rows, b1)
         if all(any(divides(v, w) for v in over_b1) for w in whole):
             return False
     return True
@@ -312,6 +316,24 @@ def hull_member(q, points) -> bool:
 def hull_vertices_by_definition(points) -> list[tuple[int, ...]]:
     pts = sorted({tuple(p) for p in points})
     return [p for p in pts if not hull_member(p, [q for q in pts if q != p])]
+
+
+def hull_vertices_by_definition_of_non_midpoints(points) -> list[tuple[int, ...]]:
+    """hull_vertices_by_definition on the points no two others have as midpoint.
+
+    A midpoint (q + r) / 2 of two other points is no vertex.  So the
+    points left hold every vertex, their hull is the whole hull, and its
+    vertices are the same.  Each point p is tested against every other q
+    by whether 2p - q is a point, coordinate by coordinate.
+    """
+    pts = sorted({tuple(p) for p in points})
+    present = set(pts)
+    rest = [
+        p
+        for p in pts
+        if not any(q != p and tuple(2 * x - y for x, y in zip(p, q)) in present for q in pts)
+    ]
+    return hull_vertices_by_definition(rest)
 
 
 def exposed_points_by_weights(pts) -> set[tuple[int, ...]]:

@@ -578,10 +578,11 @@ def test_verdict_memo_survives_scans():
         _clear_fiber_caches()
         for mode, ideal in (("vertex", None), ("lattice", M)):
             scan = atomic_scan(A, 3, mode=mode, M=ideal)
-            verdicts = dict(fibers._plan(A).atomic)
+            # the memo holds one dict per ideal: copy each, so a change shows
+            verdicts = {key: dict(memo) for key, memo in fibers._plan(A).atomic.items()}
             assert atomic_scan(A, 3, mode=mode, M=ideal) == scan
             assert fibers._plan(A).atomic == verdicts
-        assert {(M, b) for b in universe} <= verdicts.keys()
+        assert set(universe) <= verdicts[M].keys()
         for b in universe:
             assert (is_atomic(A, b), bool(ma_fiber(M, A, b)) and is_ma_atomic(M, A, b)) == cold[b]
         assert fibers._plan(A).atomic == verdicts
@@ -692,7 +693,7 @@ def test_serial_scan_loop_matches_the_adapter_per_degree():
                 scan = atomic_scan(A, bound, mode=mode, M=ideal)
                 assert scan == [b for b in universe if fresh[key, b]], (A, mode, ideal)
                 verdicts = fibers._plan(A).atomic
-                assert all(verdicts[key, b] is fresh[key, b] for b in universe), (A, mode)
+                assert all(verdicts[key][b] is fresh[key, b] for b in universe), (A, mode)
 
 
 def test_certified_vertex_scan_builds_no_hull(monkeypatch):
@@ -707,7 +708,8 @@ def test_certified_vertex_scan_builds_no_hull(monkeypatch):
     assert atomic_scan(A, 4, mode="vertex") == sorted(A.column(i) for i in range(3))
     plan = fibers._plan(A)
     assert walks == [] and plan.vertices == {}
-    assert len(plan.atomic) == 2 * len({b for b in fibers._degree_groups(A, 4) if any(b)})
+    verdicts = sum(map(len, plan.atomic.values()))
+    assert verdicts == 2 * len({b for b in fibers._degree_groups(A, 4) if any(b)})
 
 
 def test_lattice_scan_reads_the_verdicts_a_vertex_scan_left(monkeypatch):
@@ -725,10 +727,110 @@ def test_lattice_scan_reads_the_verdicts_a_vertex_scan_left(monkeypatch):
     assert walks and set(vertex) <= set(lattice)
     zero = MonomialIdeal.zero(A.ncols)
     universe = {b for b in fibers._degree_groups(A, 5) if any(b)}
-    assert {b for M, b in fibers._plan(A).atomic if M == zero} == universe
+    assert set(fibers._plan(A).atomic[zero]) == universe
     walks.clear()
     assert atomic_scan(A, 5, mode="lattice") == lattice
     assert walks == []
+
+
+def _oracle_scans(A, bound, M):
+    """The vertex, lattice and M-avoiding lattice scans by the oracle's plain walk.
+
+    The vertex walk reads the hull vertices by definition, the lattice
+    walks read the box-enumerated points, outside M for the last.
+    """
+    scans = {"vertex": [], "lattice": [], "avoiding": []}
+    for b in _scan_universe(A, bound):
+        points = oracles.box_fiber_points(A.rows, b)
+        wholes = {
+            "vertex": oracles.hull_vertices_by_definition_of_non_midpoints(points),
+            "lattice": points,
+            "avoiding": [u for u in points if not oracles.member(M.gens, u)],
+        }
+        for mode, whole in wholes.items():
+            if oracles.atomic_by_sub_box_walk(A.rows, b, whole):
+                scans[mode].append(b)
+    return scans
+
+
+def test_verdicts_match_the_oracle_walk_over_definition_vertices():
+    # vertex verdicts, certified on the exposed vertices or walked over the
+    # hull, and lattice verdicts with M = 0 and M != 0, whose split parts
+    # come from one integer-key sumset, each against the oracle's walk, on
+    # cold caches and after the other scans
+    cases = _certificate_corpus()
+    cases.append((FiberMatrix(((2, 3, 5, 7),)), 5, minimalize(4, [(0, 2, 0, 0), (1, 0, 0, 1)])))
+    for A, bound, M in cases:
+        expected = _oracle_scans(A, bound, M)
+        scans = {
+            "vertex": partial(atomic_scan, A, bound, mode="vertex"),
+            "lattice": partial(atomic_scan, A, bound, mode="lattice"),
+            "avoiding": partial(atomic_scan, A, bound, mode="lattice", M=M),
+        }
+        for mode, scan in scans.items():
+            _clear_fiber_caches()
+            assert scan() == expected[mode], (A, mode)
+        for mode, scan in scans.items():
+            assert scan() == expected[mode], (A, mode)
+
+
+def test_split_part_sumset_matches_the_oracle_walk():
+    # the walk on whole fibers and on hull vertices, single points included,
+    # against the oracle's walk over tuple degrees; over (2, 2, 2) of the
+    # first matrix the split part (0, 2, 1) has a digit equal to max(b), so a
+    # radix of max(b) would carry and decode its key as (1, 0, 1)
+    pinned = FiberMatrix(((0, 2), (2, 0), (1, 1)))
+    assert oracles.atomic_by_sub_box_walk(pinned.rows, (2, 2, 2), [(1, 1)]) is False
+    cases = [(pinned, (2, 2, 2))]
+    rng = corpus.make_rng("split-keys")
+    for _ in range(1200):
+        A = corpus.random_matrix(rng, rng.randint(2, 3), rng.randint(2, 4), 3)
+        cases.append((A, A.apply(corpus.random_exponent(rng, A.ncols, 2))))
+    for A, b in cases:
+        if not any(b):
+            continue
+        points = fiber_points(A, b)
+        for whole in (points, hull_vertices(points)):
+            assert fibers._atomic(A, b, whole) is oracles.atomic_by_sub_box_walk(A.rows, b, whole), (A, b)
+
+
+def test_vertex_scans_walk_the_exposed_vertices_before_any_hull(monkeypatch):
+    # a lattice atom no pair splits at its exposed vertices is a vertex atom
+    # with no hull; the hull is built only when a pair splits them
+    hulls = []
+    real_hull = fibers._hull
+    monkeypatch.setattr(fibers, "_hull", lambda pts: hulls.append(pts) or real_hull(pts))
+    for rows, bound in ((((1, 1, 1, 1, 1), (0, 1, 3, 4, 6)), 7), (((2, 3, 5, 7),), 20)):
+        A = FiberMatrix(rows)
+        _clear_fiber_caches()
+        scan = atomic_scan(A, bound, mode="vertex")
+        assert hulls == [] and fibers._plan(A).vertices == {}, rows
+
+    # the last scan's verdicts are the oracle walk's over each fiber's hull
+    # vertices; its fibers, over up to 140, are too large for the box oracle
+    # and are enumerated by the library (test_fiber_points_against_box_oracle)
+    def points_over(rows, b):
+        return fiber_points(FiberMatrix(rows), b)
+
+    expected = [
+        b
+        for b in _scan_universe(A, 20)
+        if oracles.atomic_by_sub_box_walk(A.rows, b, hull_vertices(fiber_points(A, b)), points_over)
+    ]
+    assert scan == expected
+    # over (11,) of (3, 4, 2, 1, 6), 33 points, a pair splits the exposed
+    # vertices, so the hull is built; no pair splits all 13 vertices
+    A = FiberMatrix(((3, 4, 2, 1, 6),))
+    hulls.clear()
+    _clear_fiber_caches()
+    assert (11,) in atomic_scan(A, 5, mode="vertex")
+    plan = fibers._plan(A)
+    points, vertices = plan.fibers[11,], plan.vertices[11,]
+    exposed = sorted(fibers._exposed(points))
+    assert len(points) == 33 and len(vertices) == 13 and set(exposed) < set(vertices)
+    assert points in hulls
+    assert not oracles.atomic_by_sub_box_walk(A.rows, (11,), exposed)
+    assert oracles.atomic_by_sub_box_walk(A.rows, (11,), vertices)
 
 
 def test_hull_vertices_examples():
