@@ -8,49 +8,39 @@ both flavours of atomicity, scans for atomic degrees, builds vertex
 ideals and subalgebra generators from them, and lifts monomial ideals
 through a monoid parameterization.
 
-Each matrix owns one plan, built once by _plan, and the plan owns every
-memo this module keeps: fibers, hull vertices, M-avoiding points and
-atomicity verdicts, so _plan.cache_clear() resets them all.  The fiber
-memo holds only true fibers (() outside NA).  A graded cover fills it a
-whole grade at a time.  Pick y >= 0 with every entry of yA at least 1:
-the unit vector of a row of ones (yA = 1, and a point's weight is |u|),
-or y = (1, ..., 1), whose yA are the column sums, each >= 1 as no column
-is zero.  The cover at weight W enumerates once, in lex order, every u
-with (yA).u <= W and buckets it by Au, carried as one integer key (see
-_bucketed).  Every u over b has (yA).u = y.(Au) = y.b, so when y.b <= W
-the bucket of b is its whole fiber, already lex sorted, and a degree
-with no bucket is outside NA; covers for both y's coexist.
-_degree_groups is the one reader of the u with |u| <= bound, grouped by
-Au, for atomic_scan, monoid_lift and the vertex ideals; it covers a row
-of ones, when the matrix has one.  reachable_degrees covers
-y = (1, ..., 1) up to its bound.  A search that assigns one column at a
-time (_enumerate_fiber) finds every other fiber and stores it in the
-memo.
+Each matrix has one plan (_Plan), built once by _plan: the matrix's
+rows and columns, what the fiber search needs, and every memo this
+module keeps, so _plan.cache_clear() resets them all.  The public
+functions check their arguments and look the plan up; every private
+function below them takes the plan in place of the matrix.  The memos
+are plan entries: fibers, graded covers, hull vertices, M-avoiding
+points and verdicts (see _Plan).
 
-_hull keys each point by one integer in radix R = 2m + 1, m the spread
-of the coordinates.  Each digit of 2p - q - r then lies in [-2m, 2m],
-below R in size, so 2p - q is a point iff its key is a key; hull_vertices
-scales rational input to integers first, by exactlp._integer_points.
+A graded cover fills the fiber memo a whole grade at a time (_graded).
+Pick y >= 0 with every entry of yA at least 1: the unit vector of a row
+of ones (a point's weight is then |u|), or y = (1, ..., 1), whose yA are
+the column sums.  The cover at weight W enumerates every u with
+(yA).u <= W once, bucketed by Au (_bucketed).  Every u over b has weight
+y.b, so when y.b <= W the bucket of b is its whole fiber and a degree
+with no bucket is outside NA.  _degree_groups is the one reader of the u
+with |u| <= bound, for atomic_scan, monoid_lift and the vertex ideals;
+hilbert.reachable_degrees reads the y = (1, ..., 1) cover.  Every other
+fiber is found by a search that assigns one column at a time
+(_enumerate_fiber).
 
-Atomicity is decided in _verdict, given the plan, and the plan keeps
-each verdict in one memo per ideal; atomic_scan looks the plan and the
-memos up once and decides every degree in one serial loop.  Two exact
-certificates read off the points settle most degrees, a vertex verdict
-is screened by the lattice one with M = 0, and what is left walks the
-split pairs found in the sub-box of one point (see _verdict and
-_atomic).  A vertex verdict walks the exposed vertices first (_exposed,
-which _hull shares): they are vertices, so when no pair splits them none
-splits all vertices, and only a degree some pair splits them of builds
-its hull.  The walk forms the split parts b1 as one sumset of integer
-keys in radix max(b) + 1, with no carries as b1 <= b.  _check_in_na is
-the one test that a degree lies in NA.
+Atomicity is decided in _verdict, the one kernel every check and scan
+runs.  Two exact certificates read off the points settle most degrees,
+a vertex verdict is screened by the lattice one with M = 0 and then
+walked over the exposed vertices (_exposed, which _hull shares), and
+what is left walks the split pairs in the sub-box of one point
+(_atomic).  _check_in_na is the one test that a degree lies in NA.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from itertools import repeat
 from collections import defaultdict
 from operator import add, le, mul, sub
@@ -141,7 +131,7 @@ def _check_degree(A: FiberMatrix, b) -> Degree:
 
 def _check_in_na(A: FiberMatrix, b) -> Degree:
     b = _check_degree(A, b)
-    if not _fiber_points(A, b):
+    if not _fiber_points(_plan(A), b):
         raise ValueError(f"empty fiber over {b}")
     return b
 
@@ -160,20 +150,24 @@ def _check_ring(M: MonomialIdeal, A: FiberMatrix) -> None:
 
 @dataclass
 class _Plan:
-    """What enumeration and atomicity need of one matrix, built once.
+    """One matrix's fiber layer: the handle every private function takes.
 
-    colset holds the columns, for membership tests.  ones is the index
-    of a row of ones, or None.  The rest are memos.
-    fibers maps each degree asked for or covered to its lex-sorted
-    points, () when outside NA.  covered maps a grade (the index of a row
-    of ones, or None for y = (1, ..., 1)) to the weight its cover is
-    complete up to.  vertices maps a degree in NA to its hull vertices.
-    The other two memos are keyed by the ideal first, so a scan hashes it
-    once: avoiding[M][b], M nonzero, holds the points over b outside M,
-    and atomic[M][b] whether b is atomic, M None for vertex mode; zero is
-    the zero ideal, the key of lattice verdicts with M = 0.
+    rows and cols are the matrix's, colset holds the columns for
+    membership tests, ones is the index of a row of ones or None, and
+    zero is the zero ideal.  The rest are memos.
+    - fibers maps each degree asked for or covered to its lex-sorted
+      points, () when outside NA.
+    - covers maps a grade (the index of a row of ones, or None for
+      y = (1, ..., 1)) to (top, buckets): the weight its cover is complete
+      up to, and the nonempty fibers of weight <= top in lex order.
+    - vertices maps a degree in NA to its hull vertices.
+    - avoiding[M.gens][b], M nonzero, holds the points over b outside M.
+    - atomic[key][b] says whether b is atomic, key M.gens in lattice mode
+      and None in vertex mode.  A tuple of generators hashes in C, where a
+      MonomialIdeal runs its dataclass hash in Python.
     """
 
+    rows: tuple[tuple[int, ...], ...]
     cols: tuple[Degree, ...]
     colset: frozenset[Degree]
     pos_rows: tuple[tuple[int, ...], ...]
@@ -183,10 +177,10 @@ class _Plan:
     ones: int | None
     zero: MonomialIdeal
     fibers: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
-    covered: dict[int | None, int] = field(default_factory=dict)
+    covers: dict[int | None, tuple[int, dict]] = field(default_factory=dict)
     vertices: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
-    avoiding: dict[MonomialIdeal, dict[Degree, tuple[Exponent, ...]]] = field(default_factory=dict)
-    atomic: dict[MonomialIdeal | None, dict[Degree, bool]] = field(default_factory=dict)
+    avoiding: defaultdict[tuple, dict] = field(default_factory=partial(defaultdict, dict))
+    atomic: defaultdict[tuple | None, dict] = field(default_factory=partial(defaultdict, dict))
 
 
 @cache
@@ -194,6 +188,7 @@ def _plan(A: FiberMatrix) -> _Plan:
     d, n = A.nrows, A.ncols
     cols = tuple(A.column(i) for i in range(n))
     return _Plan(
+        rows=A.rows,
         cols=cols,
         colset=frozenset(cols),
         pos_rows=tuple(tuple(r for r in range(d) if c[r] > 0) for c in cols),
@@ -212,22 +207,22 @@ def _weight(b: Degree, grade: int | None) -> int:
 
 
 def _bucketed(cols, weights, top: int) -> dict[Degree, tuple[Exponent, ...]]:
-    """Every u with weights.u <= top, bucketed by Au.
+    """Every u with weights.u <= top, bucketed by Au, degrees in lex order.
 
     The columns are extended one at a time, each prefix by every value
     its remaining weight allows; prefixes stay in lex order, so the points
     do too, and each bucket is one lex-sorted tuple.  A degree b is carried
-    as the integer key sum over r of b_r R^r, so adding a column is one
-    integer addition, and each point goes into its bucket as the last
+    as the integer key sum over r of b_r R^(d-1-r), so adding a column is
+    one integer addition, and each point goes into its bucket as the last
     column is assigned.  The radix R = (max entry) top + 1 keeps the keys
     of distinct degrees distinct: weights are all >= 1, so every u has
     |u| <= weights.u <= top, and each b_r = sum_i A_ri u_i is at most
-    (max entry) |u| < R, one base-R digit.  Each key is decoded back to
-    its degree once per bucket.
+    (max entry) |u| < R, one base-R digit.  So key order is lex order, and
+    the buckets are emitted in sorted key order, each key decoded once.
     """
     d = len(cols[0])
     radix = max(map(max, cols)) * top + 1
-    keys = [sum(e * radix**r for r, e in enumerate(c)) for c in cols]
+    keys = [sum(e * radix**r for r, e in enumerate(reversed(c))) for c in cols]
     level = [((), 0, 0)]
     for k, w in zip(keys[:-1], weights[:-1]):
         nxt = []
@@ -243,45 +238,49 @@ def _bucketed(cols, weights, top: int) -> dict[Degree, tuple[Exponent, ...]]:
         for v in range((top - wt) // w + 1):
             buckets[key].append(u + (v,))
             key += k
-    out = {}
-    for key, pts in buckets.items():
-        b = []
-        for _ in range(d):
-            key, e = divmod(key, radix)
-            b.append(e)
-        out[tuple(b)] = tuple(pts)
-    return out
+    return {_degree(key, radix, d): tuple(buckets[key]) for key in sorted(buckets)}
 
 
-def _graded(A: FiberMatrix, grade: int | None, top: int) -> dict[Degree, tuple[Exponent, ...]]:
-    """Every nonempty fiber of weight <= top for the y given by grade.
+def _degree(key: int, radix: int, d: int) -> Degree:
+    """The degree of length d whose base-radix digits, most significant first, form key."""
+    b = [0] * d
+    for r in range(d - 1, -1, -1):
+        key, b[r] = divmod(key, radix)
+    return tuple(b)
 
-    Covers y up to weight top first, if it is not yet.  Growing a cover
-    enumerates every u of weight <= top again, so the fibers it already
-    held are bucketed anew, to equal tuples.
+
+def _graded(plan: _Plan, grade: int | None, top: int) -> dict[Degree, tuple[Exponent, ...]]:
+    """Every nonempty fiber of weight <= top for the y given by grade, in lex order.
+
+    Covers y up to weight top first, if it is not yet, and stores the
+    fibers in the memo.  At the cover's top the answer is the cover's own
+    buckets, which callers only read; below it, those of weight <= top.
+    Growing a cover enumerates every u of weight <= top again, so the
+    fibers it already held are bucketed anew, to equal tuples.
     """
-    plan = _plan(A)
-    if top > plan.covered.get(grade, -1):
-        weights = tuple(map(sum, plan.cols)) if grade is None else A.rows[grade]
-        plan.fibers.update(_bucketed(plan.cols, weights, top))
-        plan.covered[grade] = top
-    return {b: pts for b, pts in plan.fibers.items() if pts and _weight(b, grade) <= top}
+    held, buckets = plan.covers.get(grade, (-1, None))
+    if top > held:
+        weights = tuple(map(sum, plan.cols)) if grade is None else plan.rows[grade]
+        held, buckets = plan.covers[grade] = top, _bucketed(plan.cols, weights, top)
+        plan.fibers.update(buckets)
+    if top == held:
+        return buckets
+    return {b: pts for b, pts in buckets.items() if _weight(b, grade) <= top}
 
 
-def _degree_groups(A: FiberMatrix, bound: int) -> dict[Degree, tuple[Exponent, ...]]:
-    """The u with |u| <= bound, grouped by Au, each group lex sorted.
+def _degree_groups(plan: _Plan, bound: int) -> dict[Degree, tuple[Exponent, ...]]:
+    """The u with |u| <= bound, grouped by Au, each group lex sorted, degrees in lex order.
 
     With a row of ones, |u| is u's weight in the cover for that row, so
     the groups are the fibers it covers up to weight bound; else they come
     from the same enumeration with unit weights, kept for this call only.
     """
-    plan = _plan(A)
     if plan.ones is not None:
-        return _graded(A, plan.ones, bound)
-    return _bucketed(plan.cols, (1,) * A.ncols, bound)
+        return _graded(plan, plan.ones, bound)
+    return _bucketed(plan.cols, (1,) * len(plan.cols), bound)
 
 
-def _enumerate_fiber(A: FiberMatrix, b: Degree) -> list[Exponent]:
+def _enumerate_fiber(plan: _Plan, b: Degree) -> list[Exponent]:
     """Level-by-level assignment of exponents with residual-feasibility pruning.
 
     This serves the degrees no graded cover reaches: scans on a matrix
@@ -300,7 +299,6 @@ def _enumerate_fiber(A: FiberMatrix, b: Degree) -> list[Exponent]:
     checked on every row, in the same loop that steps the column before
     it.
     """
-    plan = _plan(A)
     if any(br % g if g else br for br, g in zip(b, plan.gcds)):
         return []
     cols, pos_rows, dead_after = plan.cols, plan.pos_rows, plan.dead_after
@@ -343,38 +341,37 @@ def _enumerate_fiber(A: FiberMatrix, b: Degree) -> list[Exponent]:
     return out
 
 
-def _fiber_points(A: FiberMatrix, b: Degree) -> tuple[Exponent, ...]:
+def _fiber_points(plan: _Plan, b: Degree) -> tuple[Exponent, ...]:
     """All u with Au = b, lex sorted; empty iff b is outside NA.
 
-    Read from the matrix's fiber memo.  A degree missing from it is
-    outside NA when its weight is within a covered one, and is otherwise
-    found by _enumerate_fiber and stored.
+    Read from the plan's fiber memo.  A degree missing from it is outside
+    NA when its weight is within a cover's top, and is otherwise found by
+    _enumerate_fiber and stored.
     """
-    plan = _plan(A)
     points = plan.fibers.get(b)
     if points is None:
-        covered = any(_weight(b, grade) <= top for grade, top in plan.covered.items())
-        points = plan.fibers[b] = () if covered else tuple(_enumerate_fiber(A, b))
+        covered = any(_weight(b, grade) <= top for grade, (top, _) in plan.covers.items())
+        points = plan.fibers[b] = () if covered else tuple(_enumerate_fiber(plan, b))
     return points
 
 
-def _fiber_vertices(A: FiberMatrix, b: Degree) -> tuple[Exponent, ...]:
-    vertices = _plan(A).vertices
+def _fiber_vertices(plan: _Plan, b: Degree) -> tuple[Exponent, ...]:
+    vertices = plan.vertices
     if b not in vertices:
         # fiber points come unique and lex sorted, as _hull takes them
-        vertices[b] = tuple(_hull(_fiber_points(A, b)))
+        vertices[b] = tuple(_hull(_fiber_points(plan, b)))
     return vertices[b]
 
 
 def fiber_points(A: FiberMatrix, b) -> list[Exponent]:
     """All u with Au = b, in lex order.  Empty means b is outside the monoid NA."""
-    return list(_fiber_points(A, _check_degree(A, b)))
+    return list(_fiber_points(_plan(A), _check_degree(A, b)))
 
 
 def fiber(A: FiberMatrix, b) -> Fiber:
     """The fiber over b together with its hull vertices; b must lie in NA."""
-    b = _check_in_na(A, b)
-    return Fiber(b, _fiber_points(A, b), _fiber_vertices(A, b))
+    b, plan = _check_in_na(A, b), _plan(A)
+    return Fiber(b, _fiber_points(plan, b), _fiber_vertices(plan, b))
 
 
 def in_hull(q, points) -> bool:
@@ -484,10 +481,11 @@ def minkowski_decomposes(A: FiberMatrix, b, b1, b2) -> bool:
     with no hull: u1 <= v over b1 leaves u2 = v - u1 >= 0 over b2.
     """
     b, b1, b2 = _check_pair(A, b, b1, b2)
-    return _first_unsplit(_fiber_vertices(A, b), _fiber_points(A, b1)) is None
+    plan = _plan(A)
+    return _first_unsplit(_fiber_vertices(plan, b), _fiber_points(plan, b1)) is None
 
 
-def _atomic(A: FiberMatrix, b: Degree, whole) -> bool:
+def _atomic(plan: _Plan, b: Degree, whole) -> bool:
     """Does no nontrivial pair b1 + b2 = b in NA split whole?
 
     A pair splits whole when each of its points has a divisor over b1:
@@ -515,7 +513,7 @@ def _atomic(A: FiberMatrix, b: Degree, whole) -> bool:
     p = min(whole, key=lambda u: math.prod(e + 1 for e in u))
     radix = max(b) + 1
     keys, top = [0] * len(p), 0
-    for row, e in zip(A.rows, b):
+    for row, e in zip(plan.rows, b):
         keys = [key * radix + a for key, a in zip(keys, row)]
         top = top * radix + e
     sums = {0}
@@ -523,14 +521,9 @@ def _atomic(A: FiberMatrix, b: Degree, whole) -> bool:
         if e:
             sums = {s + t for s in sums for t in range(0, key * e + 1, key)}
     for key in sums:
-        if not 0 < 2 * key <= top:
-            continue
-        b1 = []
-        for _ in b:
-            key, e = divmod(key, radix)
-            b1.append(e)
-        if _first_unsplit(whole, _fiber_points(A, tuple(b1[::-1]))) is None:
-            return False
+        if 0 < 2 * key <= top:
+            if _first_unsplit(whole, _fiber_points(plan, _degree(key, radix, len(b)))) is None:
+                return False
     return True
 
 
@@ -541,23 +534,23 @@ def is_atomic(A: FiberMatrix, b) -> bool:
     0 + 0 = 0 decomposes it.  Nontrivial means b1, b2 outside {0, b}.
     Each pair is tested as minkowski_decomposes tests it.
     """
-    return _verdict(_plan(A), None, A, _check_in_na(A, b))
+    return _verdict(_plan(A), None, _check_in_na(A, b))
 
 
-def _ma_fiber(M: MonomialIdeal, A: FiberMatrix, b: Degree) -> tuple[Exponent, ...]:
+def _ma_fiber(plan: _Plan, M: MonomialIdeal, b: Degree) -> tuple[Exponent, ...]:
     # the zero ideal avoids every point: its fiber is the memo's own tuple
-    if M.is_zero():
-        return _fiber_points(A, b)
-    avoiding = _plan(A).avoiding.setdefault(M, {})
+    if not M.gens:
+        return _fiber_points(plan, b)
+    avoiding = plan.avoiding[M.gens]
     if b not in avoiding:
-        avoiding[b] = tuple(u for u in _fiber_points(A, b) if not M._member(u))
+        avoiding[b] = tuple(u for u in _fiber_points(plan, b) if not M._member(u))
     return avoiding[b]
 
 
 def ma_fiber(M: MonomialIdeal, A: FiberMatrix, b) -> list[Exponent]:
     """Fiber points whose monomials avoid M, in lex order."""
     _check_ring(M, A)
-    return list(_ma_fiber(M, A, _check_degree(A, b)))
+    return list(_ma_fiber(_plan(A), M, _check_degree(A, b)))
 
 
 def ma_decomposes(M: MonomialIdeal, A: FiberMatrix, b, b1, b2):
@@ -569,29 +562,27 @@ def ma_decomposes(M: MonomialIdeal, A: FiberMatrix, b, b1, b2):
     """
     _check_ring(M, A)
     b, b1, b2 = _check_pair(A, b, b1, b2)
-    witness = _first_unsplit(_ma_fiber(M, A, b), _fiber_points(A, b1))
+    plan = _plan(A)
+    witness = _first_unsplit(_ma_fiber(plan, M, b), _fiber_points(plan, b1))
     return (witness is None), witness
 
 
 def is_ma_atomic(M: MonomialIdeal, A: FiberMatrix, b) -> bool:
     """No nontrivial pair in NA splits every M-avoiding point over b."""
     _check_ring(M, A)
-    b = _check_degree(A, b)
-    if not _ma_fiber(M, A, b):
+    b, plan = _check_degree(A, b), _plan(A)
+    if not _ma_fiber(plan, M, b):
         raise ValueError(f"empty (M,A) fiber over {b}")
-    return _verdict(_plan(A), M, A, b)
+    return _verdict(plan, M, b)
 
 
-def _verdict(
-    plan: _Plan, M: MonomialIdeal | None, A: FiberMatrix, b: Degree, verdicts=None, screen=None
-) -> bool:
-    """The verdict on (M, A, b), M None for vertex mode, kept in A's plan.
+def _verdict(plan: _Plan, M: MonomialIdeal | None, b: Degree) -> bool:
+    """The verdict on (M, b), M None for vertex mode, kept in the plan.
 
-    The caller checked its arguments and gives b in NA.  verdicts is M's
-    memo plan.atomic[M] and screen the zero ideal's, which vertex mode
-    reads; each is looked up here unless a scan passes it.  The points
-    are those over b outside M, all of them in vertex mode.  Two exact
-    certificates are read off them before any walk.
+    The caller checked its arguments and gives b in NA.  The verdict is
+    kept under M's generators, None in vertex mode.  The points are those
+    over b outside M, all of them in vertex mode.  Two exact certificates
+    are read off them before any walk.
     - A unit vector e_i among the points makes b atomic.  Then b is column
       i, and a pair that splits e_i has b1 = A u1 with u1 <= e_i, so b1 is
       0 or b.  In vertex mode e_i is a vertex: a point p != e_i over b
@@ -604,42 +595,37 @@ def _verdict(
     So a degree with a single point is atomic iff that point is a unit
     vector: else it is 0, over the zero degree, or has a variable
     dividing it.  In vertex mode the lattice verdict with M = 0, kept
-    under the zero ideal's key, screens the rest: a pair that splits
-    every point splits every vertex, so a degree that is not
-    lattice-atomic is not vertex-atomic.  A lattice-atomic degree is
+    under the key (), screens the rest: a pair that splits every point
+    splits every vertex, so a degree that is not lattice-atomic is not
+    vertex-atomic.  A lattice-atomic degree is
     vertex-atomic when b is a column, as e_i is then a point, or when it
     has at most two points, which are then its vertices.  The rest are
     walked over the exposed vertices E (_exposed) first, with no hull:
     E is a subset of the vertices V, so a pair that splits every vertex
     splits every point of E, and when no pair splits E none splits V.
     Only a degree some pair splits E of builds its hull and walks V.
-    Points the memo holds are read from it.
     """
-    if verdicts is None:
-        verdicts = plan.atomic.setdefault(M, {})
+    verdicts = plan.atomic[None if M is None else M.gens]
     verdict = verdicts.get(b)
     if verdict is None:
         if M is None:
-            verdict = _verdict(plan, plan.zero, A, b, screen)
+            verdict = _verdict(plan, plan.zero, b)
             if verdict and b not in plan.colset:
-                points = plan.fibers.get(b) or _fiber_points(A, b)
+                points = _fiber_points(plan, b)
                 verdict = (
                     len(points) <= 2
-                    or _atomic(A, b, sorted(_exposed(points)))
-                    or _atomic(A, b, _fiber_vertices(A, b))
+                    or _atomic(plan, b, sorted(_exposed(points)))
+                    or _atomic(plan, b, _fiber_vertices(plan, b))
                 )
         else:
-            if M.gens:
-                points = _ma_fiber(M, A, b)
-            else:
-                points = plan.fibers.get(b) or _fiber_points(A, b)
+            points = _ma_fiber(plan, M, b)
             if b in plan.colset and any(sum(p) == 1 for p in points):
                 verdict = True
             elif len(points) < 2 or any(map(min, *points)):
                 # no point outside M leaves nothing to decompose
                 verdict = False
             else:
-                verdict = _atomic(A, b, points)
+                verdict = _atomic(plan, b, points)
         verdicts[b] = verdict
     return verdict
 
@@ -667,28 +653,25 @@ def atomic_scan(
         M = MonomialIdeal.zero(A.ncols)
     else:
         _check_ring(M, A)
+    plan = _plan(A)
     # with a row of ones the groups are the fibers that row's cover holds,
     # and it then holds every fiber the scan reads: a split part has b1_r <= b_r
-    universe = sorted(b for b in _degree_groups(A, bound) if any(b))
-    plan = _plan(A)
-    # a scan looks up M's memo, and the zero ideal's for vertex mode, once
-    verdicts, screen = plan.atomic.setdefault(M, {}), plan.atomic.setdefault(plan.zero, {})
-    return [b for b in universe if _verdict(plan, M, A, b, verdicts, screen)]
+    return [b for b in _degree_groups(plan, bound) if any(b) and _verdict(plan, M, b)]
 
 
 def atomicity_ideal(A: FiberMatrix, b) -> MonomialIdeal:
     """Monomial ideal generated by the hull vertices of the fiber over b."""
     b = _check_in_na(A, b)
-    return _minimal(A.ncols, _fiber_vertices(A, b))
+    return _minimal(A.ncols, _fiber_vertices(_plan(A), b))
 
 
-def _vertex_split(A: FiberMatrix, bound: int) -> tuple[list[Exponent], list[Exponent]]:
+def _vertex_split(plan: _Plan, bound: int) -> tuple[list[Exponent], list[Exponent]]:
     """The u with |u| <= bound that are hull vertices of their own fiber, and the rest."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     vertices, others = [], []
-    for b, points in _degree_groups(A, bound).items():
-        hull = _fiber_vertices(A, b)
+    for b, points in _degree_groups(plan, bound).items():
+        hull = _fiber_vertices(plan, b)
         for u in points:
             (vertices if u in hull else others).append(u)
     return vertices, others
@@ -696,12 +679,12 @@ def _vertex_split(A: FiberMatrix, bound: int) -> tuple[list[Exponent], list[Expo
 
 def vertex_ideal_standard(A: FiberMatrix, bound: int) -> list[Exponent]:
     """All u with |u| <= bound that are hull vertices of their own fiber, lex sorted."""
-    return sorted(_vertex_split(A, bound)[0])
+    return sorted(_vertex_split(_plan(A), bound)[0])
 
 
 def vertex_ideal_gens_truncated(A: FiberMatrix, bound: int) -> MonomialIdeal:
     """Minimal generators, within |u| <= bound, of the non-vertex monomials."""
-    return _minimal(A.ncols, _vertex_split(A, bound)[1])
+    return _minimal(A.ncols, _vertex_split(_plan(A), bound)[1])
 
 
 def sagbi_generators(A: FiberMatrix, coeffs, bound: int) -> list[tuple[int, Degree]]:
@@ -718,10 +701,10 @@ def sagbi_generators(A: FiberMatrix, coeffs, bound: int) -> list[tuple[int, Degr
         raise ValueError(f"need {A.ncols} coefficients, got {len(coeffs)}")
     if any(c == 0 for c in coeffs):
         raise ValueError("coefficients must be nonzero")
-    out = []
+    out, plan = [], _plan(A)
     for b in atomic_scan(A, bound, mode="vertex"):
         k = 0
-        for u in _fiber_points(A, b):
+        for u in _fiber_points(plan, b):
             k = math.gcd(k, abs(math.prod(c**e for c, e in zip(coeffs, u))))
         out.append((k, b))
     return out
@@ -738,13 +721,13 @@ def monoid_lift(G: FiberMatrix, ideal_degrees, bound: int) -> MonomialIdeal:
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     degrees = [_check_degree(G, b) for b in ideal_degrees]
-    members = []
+    members, plan = [], _plan(G)
     # with a row of ones, a gap's weight is at most |a| <= bound, so the
     # cover answers membership in NG
-    for value, points in _degree_groups(G, bound).items():
+    for value, points in _degree_groups(plan, bound).items():
         for bj in degrees:
             gap = tuple(v - w for v, w in zip(value, bj))
-            if all(g >= 0 for g in gap) and _fiber_points(G, gap):
+            if all(g >= 0 for g in gap) and _fiber_points(plan, gap):
                 members.extend(points)
                 break
     return _minimal(G.ncols, members)

@@ -10,7 +10,7 @@ prod(1 - t_i).
 
 from __future__ import annotations
 
-from .fibers import FiberMatrix, _graded, ma_fiber
+from .fibers import FiberMatrix, _graded, _plan, ma_fiber
 from .monomial import Exponent, MonomialIdeal, _divides, lcm_exponent
 
 Grading = FiberMatrix
@@ -66,7 +66,7 @@ def reachable_degrees(D: Grading, bound: int) -> list[tuple[int, ...]]:
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    return sorted(_graded(D, None, bound))
+    return list(_graded(_plan(D), None, bound))
 
 
 def same_hilbert_up_to(I: MonomialIdeal, J: MonomialIdeal, D: Grading, bound: int) -> bool:

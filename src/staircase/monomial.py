@@ -62,6 +62,8 @@ def _divides(a: Exponent, b: Exponent) -> bool:
 
 def lcm_exponent(a: Exponent, b: Exponent) -> Exponent:
     """Componentwise max: the exponent of lcm(x^a, x^b)."""
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     return tuple(map(max, a, b))
 
 
@@ -257,6 +259,8 @@ def exponents_up_to_degree(nvars: int, bound: int):
     up; at the bound the last nonzero entry goes to 0 and the one before
     it steps up, and when that is the first entry the walk is done.
     """
+    if nvars < 0:
+        raise ValueError("nvars must be nonnegative")
     if bound < 0:
         return
     if nvars == 0:

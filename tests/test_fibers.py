@@ -184,14 +184,15 @@ def test_cover_fibers_against_search_and_box_oracle():
         weights = {b: sum(x * yr for x, yr in zip(b, y)) for b in degrees}
         # the middle weight: degrees below, at and beyond the covered one
         top = sorted(weights.values())[len(weights) // 2]
-        cover = fibers._graded(A, grade, top)
+        plan = fibers._plan(A)
+        cover = fibers._graded(plan, grade, top)
         for b in sorted(degrees):
             expected = sorted(oracles.box_fiber_points(A.rows, b))
-            assert fiber_points(A, b) == fibers._enumerate_fiber(A, b) == expected, (A, b)
+            assert fiber_points(A, b) == fibers._enumerate_fiber(plan, b) == expected, (A, b)
             if weights[b] <= top:
                 assert (b in cover) == bool(expected)
                 if expected:
-                    assert fibers._fiber_points(A, b) is cover[b]
+                    assert fibers._fiber_points(plan, b) is cover[b]
                     from_cover += 1
             else:
                 beyond += 1
@@ -201,7 +202,7 @@ def test_cover_fibers_against_search_and_box_oracle():
 def test_scans_and_reachable_degrees_share_the_cover():
     # a scan covers the row of ones, reachable_degrees y = (1, ..., 1); both
     # covers fill the one fiber memo and persist, in either order, and a
-    # repeat call adds no memo entries
+    # repeat call adds no memo entries and returns the cover's own dict
     rng = corpus.make_rng("scan-reachable")
     for A in _ones_matrices(rng, 6):
         r = _plan_ones(A)
@@ -217,7 +218,9 @@ def test_scans_and_reachable_degrees_share_the_cover():
                     assert reachable_degrees(A, bound) == walk
                     assert atomic_scan(A, 3, mode="lattice") == scan
                     plan = fibers._plan(A)
-                    assert plan.covered == {r: 3, None: bound}
+                    assert {g: top for g, (top, _) in plan.covers.items()} == {r: 3, None: bound}
+                    for grade, top in ((r, 3), (None, bound)):
+                        assert fibers._graded(plan, grade, top) is plan.covers[grade][1]
                     rounds.append(dict(plan.fibers))
                 # the second round reused both covers and every fiber
                 first, second = rounds
@@ -230,7 +233,8 @@ def test_integer_keyed_cover_against_box_and_walk_oracles():
     # (max entry) top + 1.  With unit weights, or the weights of a row of
     # ones, top times a column holding the largest entry reaches the top
     # digit, so a radix any smaller would carry into the next row and
-    # misplace or merge degrees; zero entries give keys with empty digits
+    # misplace or merge degrees; zero entries give keys with empty digits.
+    # The keys are big-endian, so the degrees come out in lex order
     rng = corpus.make_rng("integer-cover")
     cases = [
         FiberMatrix(((50,),)),
@@ -254,19 +258,22 @@ def test_integer_keyed_cover_against_box_and_walk_oracles():
             expected.setdefault(A.apply(u), []).append(u)
         buckets = fibers._bucketed(cols, (1,) * A.ncols, top)
         assert buckets.keys() == expected.keys(), A
+        assert list(buckets) == sorted(buckets), A
         for b, points in buckets.items():
             assert list(points) == sorted(expected[b]), (A, b)
             assert list(points) == [u for u in oracles.box_fiber_points(A.rows, b) if sum(u) <= top]
         _clear_fiber_caches()
-        ones = fibers._plan(A).ones
-        if ones is not None:
-            cover = fibers._graded(A, ones, top)
+        plan = fibers._plan(A)
+        if plan.ones is not None:
+            cover = fibers._graded(plan, plan.ones, top)
             assert cover.keys() == expected.keys(), A
+            assert list(cover) == sorted(cover), A
             for b, points in cover.items():
                 assert list(points) == oracles.box_fiber_points(A.rows, b), (A, b)
         # y = (1, ..., 1): the weight of a degree is its coordinate sum
         weight = max(map(sum, cols)) + rng.randint(0, 20)
-        cover = fibers._graded(A, None, weight)
+        cover = fibers._graded(plan, None, weight)
+        assert list(cover) == sorted(cover), A
         assert sorted(cover) == oracles.reachable_degrees_by_walk(A.rows, weight), A
         for b, points in cover.items():
             assert list(points) == oracles.box_fiber_points(A.rows, b), (A, b)
@@ -291,7 +298,7 @@ def test_atomic_scan_cover_matches_search_in_either_order():
             else:
                 N = ideal or MonomialIdeal.zero(A.ncols)
                 reference = [b for b in universe if ma_fiber(N, A, b) and is_ma_atomic(N, A, b)]
-            assert not fibers._plan(A).covered  # the reference used no cover
+            assert not fibers._plan(A).covers  # the reference used no cover
             r = _plan_ones(A)
             for order in ((small, large), (large, small)):
                 _clear_fiber_caches()
@@ -441,11 +448,11 @@ def test_atomic_walk_tries_each_sub_box_pair_once(monkeypatch):
     real_atomic, real_unsplit = fibers._atomic, fibers._first_unsplit
     runs, current, reading = [], [], []
 
-    def traced_atomic(A, b, whole):
+    def traced_atomic(plan, b, whole):
         current.append((b, [], []))
-        verdict = real_atomic(A, b, whole)
+        verdict = real_atomic(plan, b, whole)
         _, asked, pairs = current.pop()
-        runs.append((A, b, whole, verdict, asked, pairs))
+        runs.append((plan.rows, b, whole, verdict, asked, pairs))
         return verdict
 
     def traced_read(real):
@@ -490,33 +497,33 @@ def test_atomic_walk_tries_each_sub_box_pair_once(monkeypatch):
 
     splits = {}
     atomic_with_pairs = late_splits = 0
-    for A, b, whole, verdict, asked, pairs in runs:
+    for rows, b, whole, verdict, asked, pairs in runs:
         # each pair reads the points over its b1 and nothing else
-        assert asked == [b1 for b1, _, _ in pairs], (A, b)
+        assert asked == [b1 for b1, _, _ in pairs], (rows, b)
         if not any(b):
             assert pairs == [] and verdict is False
             continue
         b1s = [b1 for b1, _, _ in pairs]
-        assert len(set(b1s)) == len(b1s), (A, b)
-        if (A, b) not in splits:
-            points = oracles.box_fiber_points(A.rows, b)
-            splits[A, b] = set(oracles.split_pairs_from_points(A.rows, b, points))
-        assert {(b1, b2) for b1, b2, _ in pairs} <= splits[A, b], (A, b)
-        assert all(any(b1) and any(b2) and b1 <= b2 for b1, b2, _ in pairs), (A, b)
+        assert len(set(b1s)) == len(b1s), (rows, b)
+        if (rows, b) not in splits:
+            points = oracles.box_fiber_points(rows, b)
+            splits[rows, b] = set(oracles.split_pairs_from_points(rows, b, points))
+        assert {(b1, b2) for b1, b2, _ in pairs} <= splits[rows, b], (rows, b)
+        assert all(any(b1) and any(b2) and b1 <= b2 for b1, b2, _ in pairs), (rows, b)
         if verdict:
             p = min(whole, key=lambda u: math.prod(e + 1 for e in u))
             sub_box = itertools.product(*(range(e + 1) for e in p))
-            degrees = {tuple(sum(x * y for x, y in zip(r, u1)) for r in A.rows) for u1 in sub_box}
+            degrees = {tuple(sum(x * y for x, y in zip(r, u1)) for r in rows) for u1 in sub_box}
             expected = {
                 (b1, b2)
                 for b1 in degrees
                 if any(b1) and b1 <= (b2 := tuple(x - y for x, y in zip(b, b1))) and any(b2)
             }
-            assert {(b1, b2) for b1, b2, _ in pairs} == expected, (A, b)
+            assert {(b1, b2) for b1, b2, _ in pairs} == expected, (rows, b)
             assert not any(split for _, _, split in pairs)
             atomic_with_pairs += bool(pairs)
         else:
-            assert [split for _, _, split in pairs] == [False] * (len(pairs) - 1) + [True], (A, b)
+            assert [split for _, _, split in pairs] == [False] * (len(pairs) - 1) + [True], (rows, b)
             late_splits += len(pairs) > 1
     # the contract is checked on atoms with pairs and on splits found late
     assert atomic_with_pairs and late_splits
@@ -546,7 +553,7 @@ def test_plan_is_the_only_cache():
     fibers._plan.cache_clear()
     fresh = fibers._plan(A)
     assert fresh is not plan
-    assert not (fresh.fibers or fresh.covered or fresh.vertices or fresh.avoiding or fresh.atomic)
+    assert not (fresh.fibers or fresh.covers or fresh.vertices or fresh.avoiding or fresh.atomic)
     assert answers() == warm
 
 
@@ -558,7 +565,7 @@ def test_zero_ideal_reads_the_fiber_memo():
     plan = fibers._plan(A)
     assert plan.atomic and not plan.avoiding
     for b in plan.fibers:
-        assert fibers._ma_fiber(zero, A, b) is fibers._fiber_points(A, b)
+        assert fibers._ma_fiber(plan, zero, b) is fibers._fiber_points(plan, b)
     assert not plan.avoiding
 
 
@@ -578,11 +585,12 @@ def test_verdict_memo_survives_scans():
         _clear_fiber_caches()
         for mode, ideal in (("vertex", None), ("lattice", M)):
             scan = atomic_scan(A, 3, mode=mode, M=ideal)
-            # the memo holds one dict per ideal: copy each, so a change shows
+            # the memo holds one dict per ideal, keyed by its generators: copy
+            # each, so a change shows
             verdicts = {key: dict(memo) for key, memo in fibers._plan(A).atomic.items()}
             assert atomic_scan(A, 3, mode=mode, M=ideal) == scan
             assert fibers._plan(A).atomic == verdicts
-        assert set(universe) <= verdicts[M].keys()
+        assert set(universe) <= verdicts[M.gens].keys()
         for b in universe:
             assert (is_atomic(A, b), bool(ma_fiber(M, A, b)) and is_ma_atomic(M, A, b)) == cold[b]
         assert fibers._plan(A).atomic == verdicts
@@ -686,14 +694,14 @@ def test_serial_scan_loop_matches_the_adapter_per_degree():
         for _, _, key in modes:
             for b in universe:
                 _clear_fiber_caches()
-                fresh[key, b] = fibers._verdict(fibers._plan(A), key, A, b)
+                fresh[key, b] = fibers._verdict(fibers._plan(A), key, b)
         for order in (modes, modes[::-1]):
             _clear_fiber_caches()
             for mode, ideal, key in order:
                 scan = atomic_scan(A, bound, mode=mode, M=ideal)
                 assert scan == [b for b in universe if fresh[key, b]], (A, mode, ideal)
-                verdicts = fibers._plan(A).atomic
-                assert all(verdicts[key][b] is fresh[key, b] for b in universe), (A, mode)
+                verdicts = fibers._plan(A).atomic[None if key is None else key.gens]
+                assert all(verdicts[b] is fresh[key, b] for b in universe), (A, mode)
 
 
 def test_certified_vertex_scan_builds_no_hull(monkeypatch):
@@ -709,7 +717,7 @@ def test_certified_vertex_scan_builds_no_hull(monkeypatch):
     plan = fibers._plan(A)
     assert walks == [] and plan.vertices == {}
     verdicts = sum(map(len, plan.atomic.values()))
-    assert verdicts == 2 * len({b for b in fibers._degree_groups(A, 4) if any(b)})
+    assert verdicts == 2 * len({b for b in fibers._degree_groups(plan, 4) if any(b)})
 
 
 def test_lattice_scan_reads_the_verdicts_a_vertex_scan_left(monkeypatch):
@@ -725,9 +733,10 @@ def test_lattice_scan_reads_the_verdicts_a_vertex_scan_left(monkeypatch):
     _clear_fiber_caches()
     vertex = atomic_scan(A, 5, mode="vertex")
     assert walks and set(vertex) <= set(lattice)
-    zero = MonomialIdeal.zero(A.ncols)
-    universe = {b for b in fibers._degree_groups(A, 5) if any(b)}
-    assert set(fibers._plan(A).atomic[zero]) == universe
+    plan = fibers._plan(A)
+    universe = {b for b in fibers._degree_groups(plan, 5) if any(b)}
+    # the lattice verdicts with M = 0 are kept under the zero ideal's generators, ()
+    assert set(plan.atomic[()]) == universe
     walks.clear()
     assert atomic_scan(A, 5, mode="lattice") == lattice
     assert walks == []
@@ -791,7 +800,8 @@ def test_split_part_sumset_matches_the_oracle_walk():
             continue
         points = fiber_points(A, b)
         for whole in (points, hull_vertices(points)):
-            assert fibers._atomic(A, b, whole) is oracles.atomic_by_sub_box_walk(A.rows, b, whole), (A, b)
+            verdict = fibers._atomic(fibers._plan(A), b, whole)
+            assert verdict is oracles.atomic_by_sub_box_walk(A.rows, b, whole), (A, b)
 
 
 def test_vertex_scans_walk_the_exposed_vertices_before_any_hull(monkeypatch):

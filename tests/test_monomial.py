@@ -26,6 +26,12 @@ def test_lcm_exponent():
     assert lcm_exponent((0, 0), (0, 0)) == (0, 0)
 
 
+def test_lcm_exponent_length_mismatch():
+    # zip once stopped at the shorter vector and returned (1,)
+    with pytest.raises(ValueError, match="length mismatch: 1 vs 2"):
+        lcm_exponent((1,), (1, 2))
+
+
 def test_minimalize_examples():
     assert minimalize(2, [(2, 0), (1, 1), (2, 1)]).gens == ((1, 1), (2, 0))
     assert minimalize(2, []).is_zero()
@@ -189,6 +195,13 @@ def test_standard_monomials():
         (0, 1),
         (0, 2),
     ]
+
+
+def test_exponents_up_to_degree_rejects_negative_nvars():
+    # a negative nvars once died with IndexError at u[-1]
+    for bound in (-1, 0, 2):
+        with pytest.raises(ValueError, match="nvars must be nonnegative"):
+            list(exponents_up_to_degree(-1, bound))
 
 
 def test_exponents_up_to_degree_in_lex_order_without_recursion():
