@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decomposition import associated_primes
-from .monomial import MonomialIdeal
+from .monomial import MonomialIdeal, _has_divisor
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def refine_by_standard_trace(F: IdealFamily, pivot: MonomialIdeal) -> list[list[
     standard = pivot.standard_monomials()
     blocks: dict[frozenset, list[int]] = {}
     for i, ideal in enumerate(F.members):
-        trace = frozenset(m for m in standard if ideal.member(m))
+        trace = frozenset(m for m in standard if _has_divisor(ideal.gens, m))
         blocks.setdefault(trace, []).append(i)
     return sorted(blocks.values(), key=lambda blk: blk[0])
 

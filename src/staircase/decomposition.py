@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .monomial import Exponent, MonomialIdeal
+from .monomial import Exponent, MonomialIdeal, _check_int
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,14 @@ class MonomialPrime:
     tau: frozenset[int]
 
     def __post_init__(self):
+        _check_int(self.nvars, "nvars")
         if self.nvars < 1:
             raise ValueError("need at least one variable")
         if not isinstance(self.tau, frozenset):
             object.__setattr__(self, "tau", frozenset(self.tau))
-        if not all(isinstance(i, int) and 0 <= i < self.nvars for i in self.tau):
+        for i in self.tau:
+            _check_int(i, "tau entry")
+        if not all(0 <= i < self.nvars for i in self.tau):
             raise ValueError(f"tau {sorted(self.tau)} out of range for {self.nvars} variables")
 
     @property

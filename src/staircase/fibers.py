@@ -43,12 +43,13 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import repeat
 from collections import defaultdict
-from operator import add, le, mul, sub
+from operator import add, mul, sub
 
 from .exactlp import _integer_points, in_convex_hull
 from .monomial import (
     Exponent,
     MonomialIdeal,
+    _has_divisor,
     _minimal,
     check_count,
     check_exponent,
@@ -457,13 +458,7 @@ def _first_unsplit(points, f1):
 
     For p over b and u1 <= p over b1, u2 = p - u1 >= 0 lies over b - b1.
     """
-    for point in points:
-        for u1 in f1:
-            if all(map(le, u1, point)):
-                break
-        else:
-            return point
-    return None
+    return next((p for p in points if not _has_divisor(f1, p)), None)
 
 
 def minkowski_decomposes(A: FiberMatrix, b, b1, b2) -> bool:
@@ -543,7 +538,7 @@ def _ma_fiber(plan: _Plan, M: MonomialIdeal, b: Degree) -> tuple[Exponent, ...]:
         return _fiber_points(plan, b)
     avoiding = plan.avoiding[M.gens]
     if b not in avoiding:
-        avoiding[b] = tuple(u for u in _fiber_points(plan, b) if not M._member(u))
+        avoiding[b] = tuple(u for u in _fiber_points(plan, b) if not _has_divisor(M.gens, u))
     return avoiding[b]
 
 

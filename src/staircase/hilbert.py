@@ -11,7 +11,7 @@ prod(1 - t_i).
 from __future__ import annotations
 
 from .fibers import FiberMatrix, _graded, _plan, ma_fiber
-from .monomial import Exponent, MonomialIdeal, _divides, lcm_exponent
+from .monomial import Exponent, MonomialIdeal, _has_divisor, check_exponent, lcm_exponent
 
 Grading = FiberMatrix
 
@@ -49,11 +49,11 @@ def hilbert_numerator(I: MonomialIdeal) -> dict[Exponent, int]:
 
 def numerator_fine_count(terms: dict[Exponent, int], b) -> int:
     """Coefficient of t^b in terms / prod(1-t_i): sum of coefficients below b."""
-    b = tuple(b)
+    b = check_exponent(b)
     for e in terms:
         if len(e) != len(b):
             raise ValueError(f"degree {b} has length {len(b)}, term {e} has length {len(e)}")
-    return sum(c for e, c in terms.items() if _divides(e, b))
+    return sum(c for e, c in terms.items() if _has_divisor((e,), b))
 
 
 def reachable_degrees(D: Grading, bound: int) -> list[tuple[int, ...]]:

@@ -5,6 +5,13 @@ A monomial ideal is the upward closure (under componentwise <=, i.e.
 divisibility) of a finite antichain of minimal generators.  The empty
 generator set is the zero ideal; the single generator (0,...,0) is the
 unit ideal.
+
+_has_divisor(gens, u), "does some g in gens divide u", is the library's
+one divisor test.  Here divides(), member(), contains(), the antichain
+check, both standard-monomial lists and _minimal() call it; elsewhere
+the split test fibers._first_unsplit(), the M-avoiding filter
+fibers._ma_fiber(), hilbert.numerator_fine_count() and
+chains.refine_by_standard_trace() do.
 """
 
 from __future__ import annotations
@@ -37,6 +44,12 @@ def check_count(value, field: str) -> int:
     return value
 
 
+def _check_int(value, name: str) -> None:
+    # a count or an index: an int, never a bool, which JSON would print as true
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_vectors(value, field: str) -> list:
     """Validate a JSON field holding vectors: a list whose items are lists."""
     if not isinstance(value, list) or not all(isinstance(v, list) for v in value):
@@ -49,15 +62,16 @@ def check_vectors(value, field: str) -> list:
 
 def divides(a, b) -> bool:
     """True iff x^a divides x^b, i.e. a <= b componentwise."""
-    a, b = tuple(a), tuple(b)
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return _divides(a, b)
+    a = check_exponent(a)
+    return _has_divisor((a,), check_exponent(b, len(a)))
 
 
-def _divides(a: Exponent, b: Exponent) -> bool:
-    # divides() for tuples of equal length, unchecked
-    return all(map(le, a, b))
+def _has_divisor(gens, u: Exponent) -> bool:
+    # does some g in gens divide u?  Lengths unchecked.
+    for g in gens:
+        if all(map(le, g, u)):
+            return True
+    return False
 
 
 def lcm_exponent(a: Exponent, b: Exponent) -> Exponent:
@@ -89,20 +103,26 @@ class MonomialIdeal:
     fibers.atomicity_ideal().
     PrimaryComponent._trusted() mirrors it for primary_decomposition()
     alone.  Never pass outside input to either.
+
+    member() checks its exponent and asks _has_divisor(self.gens, u);
+    library code that holds a valid tuple of the right length asks
+    _has_divisor directly.
     """
 
     nvars: int
     gens: tuple[Exponent, ...]
 
     def __post_init__(self):
+        _check_int(self.nvars, "nvars")
         if self.nvars < 0:
             raise ValueError("nvars must be nonnegative")
         for g in self.gens:
             check_exponent(g, self.nvars)
         if self.gens != tuple(sorted(set(self.gens))):
             raise ValueError("generators not in canonical (sorted, distinct) order")
+        # sorted and distinct, so only an earlier generator can divide a later one
         for g, h in itertools.combinations(self.gens, 2):
-            if _divides(g, h) or _divides(h, g):
+            if _has_divisor((g,), h):
                 raise ValueError(f"generators {g} and {h} are not an antichain")
 
     @classmethod
@@ -133,16 +153,12 @@ class MonomialIdeal:
 
     def member(self, m) -> bool:
         """True iff x^m lies in the ideal (some generator divides m)."""
-        return self._member(check_exponent(m, self.nvars))
-
-    def _member(self, u: Exponent) -> bool:
-        # member() for an exponent tuple of the right length, unchecked
-        return any(_divides(g, u) for g in self.gens)
+        return _has_divisor(self.gens, check_exponent(m, self.nvars))
 
     def contains(self, other: MonomialIdeal) -> bool:
         """True iff other is a subideal of self (every generator of other is a member)."""
         self._check_same_ring(other)
-        return all(self._member(g) for g in other.gens)
+        return all(_has_divisor(self.gens, g) for g in other.gens)
 
     def __le__(self, other: MonomialIdeal) -> bool:
         """Containment as sets: self <= other iff self is a subideal of other."""
@@ -199,7 +215,7 @@ class MonomialIdeal:
         return [
             u
             for u in itertools.product(*(range(b) for b in bounds))
-            if not self._member(u)
+            if not _has_divisor(self.gens, u)
         ]
 
     def standard_monomials_up_to(self, bound: int) -> list[Exponent]:
@@ -209,7 +225,7 @@ class MonomialIdeal:
         return [
             u
             for u in exponents_up_to_degree(self.nvars, bound)
-            if not self._member(u)
+            if not _has_divisor(self.gens, u)
         ]
 
     def to_json(self) -> dict:
@@ -236,6 +252,7 @@ class MonomialIdeal:
 
 def minimalize(nvars: int, gens) -> MonomialIdeal:
     """Canonicalize a generating set to its antichain of minimal generators."""
+    _check_int(nvars, "nvars")
     if nvars < 0:
         raise ValueError("nvars must be nonnegative")
     return _minimal(nvars, [check_exponent(g, nvars) for g in gens])
@@ -247,7 +264,7 @@ def _minimal(nvars: int, vecs) -> MonomialIdeal:
     for v in sorted(set(vecs)):
         # lex sorted, so no later vector divides an earlier one unless
         # equal; one forward sweep suffices and keeps the order.
-        if not any(_divides(m, v) for m in minimal):
+        if not _has_divisor(minimal, v):
             minimal.append(v)
     return MonomialIdeal._trusted(nvars, tuple(minimal))
 

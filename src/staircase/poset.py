@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .monomial import (
     Exponent,
     MonomialIdeal,
+    _check_int,
     check_count,
     check_exponent,
     check_vectors,
@@ -122,6 +123,7 @@ class FiniteOrderIdeal:
     points: tuple[Exponent, ...]
 
     def __post_init__(self):
+        _check_int(self.nvars, "nvars")
         if self.nvars < 1:
             raise ValueError("need at least one variable")
         pts = tuple(sorted({check_exponent(p, self.nvars) for p in self.points}))

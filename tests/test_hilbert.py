@@ -80,6 +80,13 @@ def test_numerator_matches_fine_membership():
             assert numerator_fine_count(terms, b) == (0 if I.member(b) else 1)
 
 
+def test_numerator_fine_count_rejects_a_degree_that_is_no_exponent():
+    # (0.5, 0) once counted as lying above the constant term, giving 1
+    for b in ((0.5, 0), (-1, 0), (True, 0)):
+        with pytest.raises(ValueError, match="exponent vector"):
+            numerator_fine_count({(0, 0): 1}, b)
+
+
 def test_numerator_fine_count_rejects_a_degree_of_another_length():
     terms = hilbert_numerator(minimalize(2, [(2, 0), (1, 1)]))
     assert numerator_fine_count(terms, (1, 0)) == 1

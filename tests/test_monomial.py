@@ -1,10 +1,20 @@
 import inspect
 import json
+import re
 import sys
 
 import pytest
 
-from staircase import MonomialIdeal, divides, exponents_up_to_degree, lcm_exponent, minimalize
+from staircase import (
+    FiniteOrderIdeal,
+    MonomialIdeal,
+    MonomialPrime,
+    divides,
+    exponents_up_to_degree,
+    lcm_exponent,
+    minimalize,
+)
+from staircase.monomial import _has_divisor
 
 import corpus
 import oracles
@@ -19,6 +29,29 @@ def test_divides_basic():
 def test_divides_length_mismatch():
     with pytest.raises(ValueError):
         divides((1, 0), (1, 0, 0))
+
+
+def test_divides_rejects_what_is_no_exponent():
+    # each of these once returned True
+    for a, b in (((-1, 0), (0, 0)), ((0.5,), (1,)), ((1,), (1.5,)), ((0, True), (0, 1))):
+        with pytest.raises(ValueError, match="exponent vector"):
+            divides(a, b)
+
+
+def test_has_divisor_matches_oracles():
+    rng = corpus.make_rng("has_divisor")
+    for nvars in range(4):
+        unit = (0,) * nvars
+        for _ in range(60):
+            gens = tuple(corpus.random_exponent(rng, nvars, 3) for _ in range(rng.randint(0, 4)))
+            if rng.random() < 0.2:
+                gens += (unit,)
+            u = corpus.random_exponent(rng, nvars, 4)
+            assert _has_divisor(gens, u) is oracles.member(gens, u)
+            for g in gens:
+                assert _has_divisor((g,), u) is oracles.divides(g, u)
+        assert not _has_divisor((), unit)
+        assert _has_divisor((unit,), unit)
 
 
 def test_lcm_exponent():
@@ -304,6 +337,9 @@ def test_public_paths_still_reject_bad_input():
         MonomialIdeal(2, ((0, 1), (0, 1)))  # repeated
     with pytest.raises(ValueError, match="antichain"):
         MonomialIdeal(2, ((1, 0), (1, 1)))
+    message = "generators (1, 0, 0) and (1, 1, 0) are not an antichain"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MonomialIdeal(3, ((0, 2, 0), (1, 0, 0), (1, 1, 0)))
     with pytest.raises(ValueError):
         minimalize(-1, [])
     I = minimalize(2, [(1, 0)])
@@ -312,3 +348,21 @@ def test_public_paths_still_reject_bad_input():
             I.member(m)
         with pytest.raises(ValueError):
             I.quotient(m)
+
+
+def test_a_count_or_index_is_an_int_never_a_bool():
+    # True once passed as 1 and reached to_json() as "vars": true or "tau": [true]
+    for nvars in (True, 2.0, "2"):
+        for build in (
+            lambda: MonomialIdeal(nvars, ()),
+            lambda: minimalize(nvars, []),
+            lambda: FiniteOrderIdeal(nvars, ()),
+            lambda: MonomialPrime(nvars, frozenset()),
+        ):
+            with pytest.raises(ValueError, match="nvars must be an integer"):
+                build()
+    for tau in ({True}, {0.0}, {"a", 1}):
+        with pytest.raises(ValueError, match="tau entry must be an integer"):
+            MonomialPrime(2, tau)
+    with pytest.raises(ValueError, match="nvars must be nonnegative"):
+        MonomialIdeal(-1, ())
