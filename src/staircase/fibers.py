@@ -24,16 +24,18 @@ the column sums.  The cover at weight W enumerates every u with
 y.b, so when y.b <= W the bucket of b is its whole fiber and a degree
 with no bucket is outside NA.  _degree_groups is the one reader of the u
 with |u| <= bound, for atomic_scan, monoid_lift and the vertex ideals;
-hilbert.reachable_degrees reads the y = (1, ..., 1) cover.  Every other
-fiber is found by a search that assigns one column at a time
-(_enumerate_fiber).
+hilbert.reachable_degrees reads the y = (1, ..., 1) cover, and so does a
+scan on one row with no row of ones, which covers it up to every degree
+the scan reads.  Every other fiber is found by a search that assigns one
+column at a time (_enumerate_fiber).
 
 Atomicity is decided in _verdict, the one kernel every check and scan
 runs.  Two exact certificates read off the points settle most degrees,
 a vertex verdict is screened by the lattice one with M = 0 and then
 walked over the exposed vertices (_exposed, which _hull shares), and
-what is left walks the split pairs in the sub-box of one point
-(_atomic).  _check_in_na is the one test that a degree lies in NA.
+what is left walks the split pairs in the sub-box of one point, pruned
+by the sub-box of a second (_atomic).  _check_in_na is the one test that
+a degree lies in NA.
 """
 
 from __future__ import annotations
@@ -219,7 +221,8 @@ def _bucketed(cols, weights, top: int) -> dict[Degree, tuple[Exponent, ...]]:
     of distinct degrees distinct: weights are all >= 1, so every u has
     |u| <= weights.u <= top, and each b_r = sum_i A_ri u_i is at most
     (max entry) |u| < R, one base-R digit.  So key order is lex order, and
-    the buckets are emitted in sorted key order, each key decoded once.
+    the buckets are emitted in sorted key order.  The sorted keys are
+    decoded in bulk, one list of digits per row, zipped into degrees.
     """
     d = len(cols[0])
     radix = max(map(max, cols)) * top + 1
@@ -239,7 +242,10 @@ def _bucketed(cols, weights, top: int) -> dict[Degree, tuple[Exponent, ...]]:
         for v in range((top - wt) // w + 1):
             buckets[key].append(u + (v,))
             key += k
-    return {_degree(key, radix, d): tuple(buckets[key]) for key in sorted(buckets)}
+    order = sorted(buckets)
+    powers = [radix**r for r in range(d - 1, -1, -1)]
+    digits = [[key // power % radix for key in order] for power in powers]
+    return {b: tuple(buckets[key]) for b, key in zip(zip(*digits), order)}
 
 
 def _degree(key: int, radix: int, d: int) -> Degree:
@@ -285,10 +291,10 @@ def _enumerate_fiber(plan: _Plan, b: Degree) -> list[Exponent]:
     """Level-by-level assignment of exponents with residual-feasibility pruning.
 
     This serves the degrees no graded cover reaches: scans on a matrix
-    with no row of ones, single queries such as a deep degree on a
-    one-row matrix, and degrees above every covered weight.  At the root,
-    b_r must be a multiple of the gcd of row r; a zero row has gcd 0 and
-    admits only b_r = 0.  As in _bucketed, the columns are extended one at
+    with several rows and no row of ones, single queries such as a deep
+    degree on a one-row matrix, and degrees above every covered weight.
+    At the root, b_r must be a multiple of the gcd of row r; a zero row
+    has gcd 0 and admits only b_r = 0.  As in _bucketed, the columns are extended one at
     a time, each prefix u by every value its residual b - Au allows, so
     prefixes stay in lex order and so do the points; there is no
     recursion, however many columns.  A prefix is dropped when it leaves
@@ -403,11 +409,12 @@ def _exposed(pts) -> set[Exponent]:
     out: it is constant over every fiber of a matrix with a row of ones.
     """
     weights = range(1, len(pts[0]) + 1)
+    last = len(pts) - 1
     exposed = set()
     for values in (*zip(*pts), [sum(map(mul, weights, p)) for p in pts]):
+        backward = values[::-1]
         for extreme in (min(values), max(values)):
-            ties = [p for p, v in zip(pts, values) if v == extreme]
-            exposed.update((ties[0], ties[-1]))
+            exposed.update((pts[values.index(extreme)], pts[last - backward.index(extreme)]))
     return exposed
 
 
@@ -495,15 +502,21 @@ def _atomic(plan: _Plan, b: Degree, whole) -> bool:
     does not depend on the order.  This is the plain walk: _verdict
     calls it only on what its certificates and screen leave open.
 
-    The b1 are formed as one sumset of integer keys.  In radix
+    The pair splits a second point q as well, the lex-last point of whole
+    (the lex-first one if the lex-last is p), so b1 is also A u1 for some
+    u1 <= q.  Once the first pair fails, the walk skips every b1 outside
+    q's sub-box: those pairs leave q unsplit, so the verdict is the plain
+    walk's.  A walk that ends at its first pair builds no second sub-box.
+
+    The b1 are formed as one sumset of integer keys (_sub_box).  In radix
     R = max(b) + 1 a degree c has key(c) = sum over r of c_r R^(d-1-r).
     Every b1 = A u1 with u1 <= p has b - b1 = A(p - u1) >= 0, so each b1_r
     and each b2_r is at most b_r < R, one base-R digit.  So distinct b1
     have distinct keys, key order is lex order, and key(b - b1) =
     key(b) - key(b1).  The set of sums of t_i key(column i), 0 <= t_i <=
     p_i, is then the set of distinct b1, and 0 < key(b1), 2 key(b1) <=
-    key(b) says b1 != 0 and b1 <= b2 in lex order.  Each kept key is
-    decoded to its degree once.
+    key(b) says b1 != 0 and b1 <= b2 in lex order.  The same holds for q,
+    a point over b too.  Each tried key is decoded to its degree once.
     """
     p = min(whole, key=lambda u: math.prod(e + 1 for e in u))
     radix = max(b) + 1
@@ -511,15 +524,24 @@ def _atomic(plan: _Plan, b: Degree, whole) -> bool:
     for row, e in zip(plan.rows, b):
         keys = [key * radix + a for key, a in zip(keys, row)]
         top = top * radix + e
+    within_q = None
+    for key in _sub_box(keys, p):
+        if not 0 < 2 * key <= top or (within_q is not None and key not in within_q):
+            continue
+        if _first_unsplit(whole, _fiber_points(plan, _degree(key, radix, len(b)))) is None:
+            return False
+        if within_q is None:
+            within_q = _sub_box(keys, whole[0] if whole[-1] == p else whole[-1])
+    return True
+
+
+def _sub_box(keys, p) -> set[int]:
+    """The sums of t_i keys_i over 0 <= t_i <= p_i: the keys of A u1 for 0 <= u1 <= p."""
     sums = {0}
     for key, e in zip(keys, p):
         if e:
             sums = {s + t for s in sums for t in range(0, key * e + 1, key)}
-    for key in sums:
-        if 0 < 2 * key <= top:
-            if _first_unsplit(whole, _fiber_points(plan, _degree(key, radix, len(b)))) is None:
-                return False
-    return True
+    return sums
 
 
 def is_atomic(A: FiberMatrix, b) -> bool:
@@ -650,7 +672,11 @@ def atomic_scan(
         _check_ring(M, A)
     plan = _plan(A)
     # with a row of ones the groups are the fibers that row's cover holds,
-    # and it then holds every fiber the scan reads: a split part has b1_r <= b_r
+    # and it then holds every fiber the scan reads: a split part has b1_r <= b_r.
+    # On one row every such degree is at most max(row) * bound, so one cover
+    # holds them all; on more rows it could hold far more points than the scan reads
+    if plan.ones is None and len(plan.rows) == 1:
+        _graded(plan, None, max(plan.rows[0]) * bound)
     return [b for b in _degree_groups(plan, bound) if any(b) and _verdict(plan, M, b)]
 
 
@@ -712,17 +738,27 @@ def monoid_lift(G: FiberMatrix, ideal_degrees, bound: int) -> MonomialIdeal:
     by the monoid elements ideal_degrees.  Returns the minimal a with
     |a| <= bound whose value G.a lands in the ideal, i.e. in some
     ideal_degree plus the monoid.
+
+    Membership depends on the value alone, and members are closed under
+    a -> a + e_i within the bound, as the value then gains column i.  So
+    a member a is minimal iff no a - e_i is a member, and a - e_i, within
+    the bound too, lies over value - column i.  The values come in lex
+    order, and value - column i is lex-smaller, so it is decided first: a
+    member is kept when a_i = 0 for every i with value - column i a member
+    value.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     degrees = [_check_degree(G, b) for b in ideal_degrees]
-    members, plan = [], _plan(G)
+    values, gens, plan = set(), [], _plan(G)
     # with a row of ones, a gap's weight is at most |a| <= bound, so the
     # cover answers membership in NG
     for value, points in _degree_groups(plan, bound).items():
         for bj in degrees:
-            gap = tuple(v - w for v, w in zip(value, bj))
-            if all(g >= 0 for g in gap) and _fiber_points(plan, gap):
-                members.extend(points)
+            gap = tuple(map(sub, value, bj))
+            if min(gap) >= 0 and _fiber_points(plan, gap):
+                values.add(value)
+                below = [i for i, c in enumerate(plan.cols) if tuple(map(sub, value, c)) in values]
+                gens.extend(a for a in points if not any(a[i] for i in below))
                 break
-    return _minimal(G.ncols, members)
+    return MonomialIdeal._trusted(G.ncols, tuple(sorted(gens)))

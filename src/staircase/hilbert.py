@@ -48,11 +48,16 @@ def hilbert_numerator(I: MonomialIdeal) -> dict[Exponent, int]:
 
 
 def numerator_fine_count(terms: dict[Exponent, int], b) -> int:
-    """Coefficient of t^b in terms / prod(1-t_i): sum of coefficients below b."""
+    """Coefficient of t^b in terms / prod(1-t_i): sum of coefficients below b.
+
+    b and every term must be exponent vectors of one length; a bad one is
+    named in the ValueError.
+    """
     b = check_exponent(b)
     for e in terms:
         if len(e) != len(b):
             raise ValueError(f"degree {b} has length {len(b)}, term {e} has length {len(e)}")
+        check_exponent(e)
     return sum(c for e, c in terms.items() if _has_divisor((e,), b))
 
 

@@ -96,11 +96,11 @@ class MonomialIdeal:
     in irreducible_decomposition() and MonomialPrime.as_ideal(); for the
     flipped antichains and the primary components Alexander duality
     builds in primary_decomposition(); and for the minimal points of a
-    complement in poset.young_complement().  _minimal() itself, with no
-    check of its input, also serves the library's own exponent tuples:
-    fiber points in fibers.monoid_lift() and
-    fibers.vertex_ideal_gens_truncated(), and hull vertices in
-    fibers.atomicity_ideal().
+    complement in poset.young_complement(); and for the minimal members
+    fibers.monoid_lift() picks by upward closure.  _minimal() itself,
+    with no check of its input, also serves the library's own exponent
+    tuples: fiber points in fibers.vertex_ideal_gens_truncated(), and hull
+    vertices in fibers.atomicity_ideal().
     PrimaryComponent._trusted() mirrors it for primary_decomposition()
     alone.  Never pass outside input to either.
 
@@ -276,6 +276,8 @@ def exponents_up_to_degree(nvars: int, bound: int):
     up; at the bound the last nonzero entry goes to 0 and the one before
     it steps up, and when that is the first entry the walk is done.
     """
+    _check_int(nvars, "nvars")
+    _check_int(bound, "bound")
     if nvars < 0:
         raise ValueError("nvars must be nonnegative")
     if bound < 0:

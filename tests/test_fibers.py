@@ -442,6 +442,12 @@ def test_fiber_of_many_columns_without_recursion():
     assert pairs == sorted(expected)
 
 
+def _sub_box_degrees(rows, p):
+    """The degrees A u1 for 0 <= u1 <= p."""
+    sub_box = itertools.product(*(range(e + 1) for e in p))
+    return {tuple(sum(x * y for x, y in zip(r, u1)) for r in rows) for u1 in sub_box}
+
+
 def test_atomic_walk_tries_each_sub_box_pair_once(monkeypatch):
     # record, for every _atomic call, the degrees whose points it reads and
     # whether each pair splits whole, then check the walk's contract
@@ -494,9 +500,19 @@ def test_atomic_walk_tries_each_sub_box_pair_once(monkeypatch):
     _clear_fiber_caches()
     assert is_ma_atomic(M, A, (2, 2)) is True
     assert atomic_scan(A, 4, mode="lattice", M=M) == [(0, 2), (1, 0), (1, 1), (2, 2)]
+    # pinned: over (16,) of (4, 5, 6) the points are (0, 2, 1), (1, 0, 2)
+    # and (4, 0, 0), the last with the fewest sub-box points, so the
+    # pruning point is the lex-first; its sub-box holds neither part 4 nor
+    # 8 of the lex-last, so whichever is tried first, the other is pruned
+    A = FiberMatrix(((4, 5, 6),))
+    _clear_fiber_caches()
+    whole = fiber_points(A, (16,))
+    assert fibers._atomic(fibers._plan(A), (16,), whole) is True
+    assert oracles.atomic_by_sub_box_walk(A.rows, (16,), whole) is True
+    assert len(runs[-1][-1]) == 1 and runs[-1][-1][0][0] in {(4,), (8,)}
 
     splits = {}
-    atomic_with_pairs = late_splits = 0
+    atomic_with_pairs = late_splits = pruned = 0
     for rows, b, whole, verdict, asked, pairs in runs:
         # each pair reads the points over its b1 and nothing else
         assert asked == [b1 for b1, _, _ in pairs], (rows, b)
@@ -510,23 +526,33 @@ def test_atomic_walk_tries_each_sub_box_pair_once(monkeypatch):
             splits[rows, b] = set(oracles.split_pairs_from_points(rows, b, points))
         assert {(b1, b2) for b1, b2, _ in pairs} <= splits[rows, b], (rows, b)
         assert all(any(b1) and any(b2) and b1 <= b2 for b1, b2, _ in pairs), (rows, b)
+        # the pairs come from the sub-box of p; after the first, from that
+        # of q too, the lex-last point of whole or, when that is p, the first
+        p = min(whole, key=lambda u: math.prod(e + 1 for e in u))
+        q = whole[0] if whole[-1] == p else whole[-1]
+        in_q = _sub_box_degrees(rows, q)
+        candidates = {
+            (b1, b2)
+            for b1 in _sub_box_degrees(rows, p)
+            if any(b1) and b1 <= (b2 := tuple(x - y for x, y in zip(b, b1))) and any(b2)
+        }
+        tried = {(b1, b2) for b1, b2, _ in pairs}
+        assert tried <= candidates, (rows, b)
+        assert all(b1 in in_q for b1, _, _ in pairs[1:]), (rows, b)
         if verdict:
-            p = min(whole, key=lambda u: math.prod(e + 1 for e in u))
-            sub_box = itertools.product(*(range(e + 1) for e in p))
-            degrees = {tuple(sum(x * y for x, y in zip(r, u1)) for r in rows) for u1 in sub_box}
-            expected = {
-                (b1, b2)
-                for b1 in degrees
-                if any(b1) and b1 <= (b2 := tuple(x - y for x, y in zip(b, b1))) and any(b2)
-            }
-            assert {(b1, b2) for b1, b2, _ in pairs} == expected, (rows, b)
+            # every untried pair leaves q unsplit, and every pair of both
+            # sub-boxes is tried
+            assert all(b1 not in in_q for b1, _ in candidates - tried), (rows, b)
+            assert {(b1, b2) for b1, b2 in candidates if b1 in in_q} <= tried, (rows, b)
             assert not any(split for _, _, split in pairs)
             atomic_with_pairs += bool(pairs)
+            pruned += tried != candidates
         else:
             assert [split for _, _, split in pairs] == [False] * (len(pairs) - 1) + [True], (rows, b)
             late_splits += len(pairs) > 1
-    # the contract is checked on atoms with pairs and on splits found late
-    assert atomic_with_pairs and late_splits
+    # the contract is checked on atoms with pairs, on atoms whose walk
+    # pruned a pair and on splits found late
+    assert atomic_with_pairs and pruned and late_splits
 
 
 def test_plan_is_the_only_cache():
@@ -781,6 +807,53 @@ def test_verdicts_match_the_oracle_walk_over_definition_vertices():
             assert scan() == expected[mode], (A, mode)
         for mode, scan in scans.items():
             assert scan() == expected[mode], (A, mode)
+
+
+def test_one_row_scans_read_one_cover_and_match_the_oracle_walk(monkeypatch):
+    # a one-row scan covers y = (1,) up to max(row) * bound before its
+    # verdict loop, so every fiber it reads, over its degrees and their
+    # split parts, comes from that one enumeration and none is searched for
+    searches = []
+    real_search = fibers._enumerate_fiber
+    monkeypatch.setattr(
+        fibers, "_enumerate_fiber", lambda plan, b: searches.append(b) or real_search(plan, b)
+    )
+    rng = corpus.make_rng("one-row-cover")
+    cases = [(FiberMatrix(((2, 3, 5, 7),)), 4), (FiberMatrix(((1, 1, 1),)), 8)]
+    for _ in range(8):
+        n = rng.randint(2, 4)
+        cases.append((corpus.random_matrix(rng, 1, n, 5), rng.randint(1, 5 if n == 4 else 8)))
+    for A, bound in cases:
+        M = corpus.random_ideal(rng, A.ncols, 2, 2)
+        expected = _oracle_scans(A, bound, M)
+        scans = {
+            "vertex": partial(atomic_scan, A, bound, mode="vertex"),
+            "lattice": partial(atomic_scan, A, bound, mode="lattice"),
+            "avoiding": partial(atomic_scan, A, bound, mode="lattice", M=M),
+        }
+        for mode, scan in scans.items():
+            _clear_fiber_caches()
+            assert scan() == expected[mode], (A, bound, mode)
+            plan = fibers._plan(A)
+            # a row of ones is its own cover, up to bound
+            grade, top = (None, max(A.rows[0]) * bound) if plan.ones is None else (0, bound)
+            assert {g: t for g, (t, _) in plan.covers.items()} == {grade: top}, A
+    assert searches == []
+
+
+def test_multi_row_scans_without_a_row_of_ones_keep_no_cover():
+    # the y = (1, ..., 1) cover a one-row scan reads would hold far more
+    # points than a scan on two rows reads: for ((1, 0, 60), (0, 1, 60)) at
+    # bound 10, every u with u_1 + u_2 + 120 u_3 <= 1200
+    rng = corpus.make_rng("no-cover")
+    matrices = [FiberMatrix(((1, 0, 60), (0, 1, 60)))]
+    matrices += [A for A in _no_ones_matrices(rng, 4) if A.nrows > 1]
+    for A in matrices:
+        M = corpus.random_ideal(rng, A.ncols, 2, 2)
+        for mode, ideal in (("vertex", None), ("lattice", None), ("lattice", M)):
+            _clear_fiber_caches()
+            atomic_scan(A, 3, mode=mode, M=ideal)
+            assert None not in fibers._plan(A).covers, (A, mode)
 
 
 def test_split_part_sumset_matches_the_oracle_walk():
@@ -1187,6 +1260,38 @@ def test_monoid_lift_examples():
     assert monoid_lift(G, [], 3).is_zero()
     assert monoid_lift(IDENTITY2, [(1, 2)], 5).gens == ((1, 2),)
     assert monoid_lift(IDENTITY2, [(0, 0)], 2).is_unit()
+
+
+def test_monoid_lift_generators_are_the_minimal_members():
+    # monoid_lift keeps a member a when no a - e_i is one; the oracle
+    # minimalizes the whole member set, found by box enumeration.  The
+    # zero degree makes every a a member, so the lift is the unit ideal
+    rng = corpus.make_rng("lift-minimal")
+    matrices = [
+        corpus.random_matrix(rng, rng.randint(1, 2), rng.randint(1, 3), 3) for _ in range(8)
+    ]
+    matrices += _ones_matrices(rng, 4) + [FiberMatrix(((2, 3),)), IDENTITY2]
+    assert any(fibers._plan(G).ones is None for G in matrices)
+    assert any(fibers._plan(G).ones is not None for G in matrices)
+    for G in matrices:
+        zero = (0,) * G.nrows
+        choices = [[], [zero], [G.apply(corpus.random_exponent(rng, G.ncols, 2)) for _ in range(2)]]
+        for degrees in choices:
+            bound = rng.randint(0, 4)
+            gaps = {
+                a: [tuple(v - w for v, w in zip(G.apply(a), bj)) for bj in degrees]
+                for a in oracles.monomials_up_to(G.ncols, bound)
+            }
+            members = [
+                a
+                for a, rests in gaps.items()
+                if any(min(gap) >= 0 and oracles.box_fiber_points(G.rows, gap) for gap in rests)
+            ]
+            _clear_fiber_caches()
+            lifted = monoid_lift(G, degrees, bound)
+            assert lifted.gens == oracles.minimal_gens(members), (G, degrees, bound)
+            assert lifted == minimalize(G.ncols, members)
+        assert monoid_lift(G, [zero], 2).is_unit() and monoid_lift(G, [], 2).is_zero()
 
 
 def test_monoid_lift_membership_definition():

@@ -87,6 +87,17 @@ def test_numerator_fine_count_rejects_a_degree_that_is_no_exponent():
             numerator_fine_count({(0, 0): 1}, b)
 
 
+def test_numerator_fine_count_rejects_a_term_that_is_no_exponent():
+    # {(0.5, 0): 1, (True, 0): 2} once counted 3 below (1, 0)
+    for terms, bad in (
+        ({(0.5, 0): 1, (True, 0): 2}, r"\(0\.5, 0\)"),
+        ({(0, 0): 1, (True, 0): 2}, r"\(True, 0\)"),
+        ({(0, 0): 1, (-1, 0): -1}, r"\(-1, 0\)"),
+    ):
+        with pytest.raises(ValueError, match=f"exponent vector {bad}"):
+            numerator_fine_count(terms, (1, 0))
+
+
 def test_numerator_fine_count_rejects_a_degree_of_another_length():
     terms = hilbert_numerator(minimalize(2, [(2, 0), (1, 1)]))
     assert numerator_fine_count(terms, (1, 0)) == 1

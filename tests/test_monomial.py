@@ -358,9 +358,15 @@ def test_a_count_or_index_is_an_int_never_a_bool():
             lambda: minimalize(nvars, []),
             lambda: FiniteOrderIdeal(nvars, ()),
             lambda: MonomialPrime(nvars, frozenset()),
+            # True once walked as 1 variable, and 2.0 died with a TypeError
+            lambda: list(exponents_up_to_degree(nvars, 1)),
         ):
             with pytest.raises(ValueError, match="nvars must be an integer"):
                 build()
+    # 1.5 once walked up to degree 2
+    for bound in (True, 1.5, "2"):
+        with pytest.raises(ValueError, match="bound must be an integer"):
+            list(exponents_up_to_degree(2, bound))
     for tau in ({True}, {0.0}, {"a", 1}):
         with pytest.raises(ValueError, match="tau entry must be an integer"):
             MonomialPrime(2, tau)
