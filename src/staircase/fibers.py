@@ -26,8 +26,9 @@ with no bucket is outside NA.  _degree_groups is the one reader of the u
 with |u| <= bound, for atomic_scan, monoid_lift and the vertex ideals;
 hilbert.reachable_degrees reads the y = (1, ..., 1) cover, and so does a
 scan on one row with no row of ones, which covers it up to every degree
-the scan reads.  Every other fiber is found by a search that assigns one
-column at a time (_enumerate_fiber).
+the scan reads when that holds at most twice the points of the scan's
+own fibers (_one_row_cover).  Every other fiber is found by a search
+that assigns one column at a time (_enumerate_fiber).
 
 Atomicity is decided in _verdict, the one kernel every check and scan
 runs.  Two exact certificates read off the points settle most degrees,
@@ -409,12 +410,11 @@ def _exposed(pts) -> set[Exponent]:
     out: it is constant over every fiber of a matrix with a row of ones.
     """
     weights = range(1, len(pts[0]) + 1)
-    last = len(pts) - 1
     exposed = set()
     for values in (*zip(*pts), [sum(map(mul, weights, p)) for p in pts]):
-        backward = values[::-1]
         for extreme in (min(values), max(values)):
-            exposed.update((pts[values.index(extreme)], pts[last - backward.index(extreme)]))
+            ties = [p for p, v in zip(pts, values) if v == extreme]
+            exposed.update((ties[0], ties[-1]))
     return exposed
 
 
@@ -672,12 +672,38 @@ def atomic_scan(
         _check_ring(M, A)
     plan = _plan(A)
     # with a row of ones the groups are the fibers that row's cover holds,
-    # and it then holds every fiber the scan reads: a split part has b1_r <= b_r.
-    # On one row every such degree is at most max(row) * bound, so one cover
-    # holds them all; on more rows it could hold far more points than the scan reads
+    # and it then holds every fiber the scan reads: a split part has b1_r <= b_r
+    # of the groups only the degrees are read, so their points can go
+    degrees = list(_degree_groups(plan, bound))
     if plan.ones is None and len(plan.rows) == 1:
-        _graded(plan, None, max(plan.rows[0]) * bound)
-    return [b for b in _degree_groups(plan, bound) if any(b) and _verdict(plan, M, b)]
+        _one_row_cover(plan, degrees, bound)
+    return [b for b in degrees if any(b) and _verdict(plan, M, b)]
+
+
+def _one_row_cover(plan: _Plan, degrees, bound: int) -> None:
+    """Cover y = (1,) up to max(row) * bound when it holds at most twice what the scan reads.
+
+    On one row every degree a scan reads, its own and each split part
+    b1 <= b, is at most top = max(row) * bound, so that one cover holds
+    every fiber the scan reads.  counts[t], counted over the row's entries
+    in O(n top) steps, is the size of the fiber over t, so the cover holds
+    sum(counts) points.  The scan reads the fiber over each of its degrees
+    and keeps it in the memo: the counts over the degrees.  A row with
+    spread entries such as (1, 1, 120) at bound 10 has a cover 32 times
+    that, and gets none.  Counting costs no more than the degrees' groups
+    did when top is at most their C(n + bound, n) points; it is skipped
+    otherwise, and when the cover already reaches top.
+    """
+    row = plan.rows[0]
+    top = max(row) * bound
+    if top <= plan.covers.get(None, (-1,))[0] or top > math.comb(len(row) + bound, bound):
+        return
+    counts = [1] + [0] * top
+    for w in row:
+        for t in range(w, top + 1):
+            counts[t] += counts[t - w]
+    if sum(counts) <= 2 * sum(counts[b] for (b,) in degrees):
+        _graded(plan, None, top)
 
 
 def atomicity_ideal(A: FiberMatrix, b) -> MonomialIdeal:
