@@ -9,11 +9,11 @@ ideals and subalgebra generators from them, and lifts monomial ideals
 through a monoid parameterization.
 
 Each matrix has one plan (_Plan), built once by _plan: the matrix's
-rows and columns, what the fiber search needs, and every memo this
-module keeps, so _plan.cache_clear() resets them all.  The public
-functions check their arguments and look the plan up; every private
-function below them takes the plan in place of the matrix.  The memos
-are plan entries: fibers, graded covers, hull vertices, M-avoiding
+rows and columns, the fiber search's tables, built on first use, and
+every memo this module keeps, so _plan.cache_clear() resets them all.
+The public functions check their arguments and look the plan up; every
+private function below them takes the plan in place of the matrix.  The
+memos are plan entries: fibers, graded covers, hull vertices, M-avoiding
 points and verdicts (see _Plan).
 
 A graded cover fills the fiber memo a whole grade at a time (_graded).
@@ -23,27 +23,30 @@ the column sums.  The cover at weight W enumerates every u with
 (yA).u <= W once, bucketed by Au (_bucketed).  Every u over b has weight
 y.b, so when y.b <= W the bucket of b is its whole fiber and a degree
 with no bucket is outside NA.  _degree_groups is the one reader of the u
-with |u| <= bound, for atomic_scan, monoid_lift and the vertex ideals;
-hilbert.reachable_degrees reads the y = (1, ..., 1) cover, and so does a
-scan on one row with no row of ones, which covers it up to every degree
-the scan reads when that holds at most twice the points of the scan's
-own fibers (_one_row_cover).  Every other fiber is found by a search
-that assigns one column at a time (_enumerate_fiber).
+with |u| <= bound, for atomic_scan, monoid_lift and the vertex ideals,
+save a scan on one row with no row of ones: it reads its degrees off a
+least-count table (_one_row_degrees).  hilbert.reachable_degrees reads
+the y = (1, ..., 1) cover, and so does that one-row scan, which covers
+it up to every degree the scan reads when that holds at most twice the
+points of the scan's own fibers (_one_row_cover).  Every other fiber is
+found by a search that assigns one column at a time (_enumerate_fiber).
 
 Atomicity is decided in _verdict, the one kernel every check and scan
-runs.  Two exact certificates read off the points settle most degrees,
+runs, save that a scan on a matrix with a row of ones, in vertex mode or
+with M = 0, settles each degree with one point on the cover it reads.
+Two exact certificates read off the points settle most degrees,
 a vertex verdict is screened by the lattice one with M = 0 and then
 walked over the exposed vertices (_exposed, which _hull shares), and
-what is left walks the split pairs in the sub-box of one point, pruned
-by the sub-box of a second (_atomic).  _check_in_na is the one test that
-a degree lies in NA.
+what is left walks the split pairs in the sub-box of one end of the
+points, pruned by the sub-box of the other end (_atomic).  _check_in_na
+is the one test that a degree lies in NA.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import repeat
 from collections import defaultdict
 from operator import add, mul, sub
@@ -52,6 +55,7 @@ from .exactlp import _integer_points, in_convex_hull
 from .monomial import (
     Exponent,
     MonomialIdeal,
+    _check_int,
     _has_divisor,
     _minimal,
     check_count,
@@ -158,7 +162,10 @@ class _Plan:
 
     rows and cols are the matrix's, colset holds the columns for
     membership tests, ones is the index of a row of ones or None, and
-    zero is the zero ideal.  The rest are memos.
+    zero is the zero ideal.  search holds the tables _enumerate_fiber
+    reads, built on its first read: a scan on a matrix with a row of ones
+    reads every fiber from the cover and never searches.  The rest are
+    memos.
     - fibers maps each degree asked for or covered to its lex-sorted
       points, () when outside NA.
     - covers maps a grade (the index of a row of ones, or None for
@@ -174,10 +181,6 @@ class _Plan:
     rows: tuple[tuple[int, ...], ...]
     cols: tuple[Degree, ...]
     colset: frozenset[Degree]
-    pos_rows: tuple[tuple[int, ...], ...]
-    # rows that no column beyond i can still serve; their residual must be 0
-    dead_after: tuple[tuple[int, ...], ...]
-    gcds: tuple[int, ...]
     ones: int | None
     zero: MonomialIdeal
     fibers: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
@@ -186,22 +189,27 @@ class _Plan:
     avoiding: defaultdict[tuple, dict] = field(default_factory=partial(defaultdict, dict))
     atomic: defaultdict[tuple | None, dict] = field(default_factory=partial(defaultdict, dict))
 
+    @cached_property
+    def search(self) -> tuple:
+        """Per column the rows it is positive on; per column i the rows no
+        column beyond i serves, whose residual must be 0; each row's gcd."""
+        rows, n = range(len(self.rows)), len(self.cols)
+        return (
+            tuple(tuple(r for r in rows if c[r] > 0) for c in self.cols),
+            tuple(tuple(r for r in rows if not any(self.rows[r][i + 1 :])) for i in range(n)),
+            tuple(math.gcd(*row) for row in self.rows),
+        )
+
 
 @cache
 def _plan(A: FiberMatrix) -> _Plan:
-    d, n = A.nrows, A.ncols
-    cols = tuple(A.column(i) for i in range(n))
+    cols = tuple(A.column(i) for i in range(A.ncols))
     return _Plan(
         rows=A.rows,
         cols=cols,
         colset=frozenset(cols),
-        pos_rows=tuple(tuple(r for r in range(d) if c[r] > 0) for c in cols),
-        dead_after=tuple(
-            tuple(r for r in range(d) if not any(A.rows[r][i + 1 :])) for i in range(n)
-        ),
-        gcds=tuple(math.gcd(*row) for row in A.rows),
         ones=next((r for r, row in enumerate(A.rows) if set(row) == {1}), None),
-        zero=MonomialIdeal.zero(n),
+        zero=MonomialIdeal.zero(A.ncols),
     )
 
 
@@ -307,9 +315,10 @@ def _enumerate_fiber(plan: _Plan, b: Degree) -> list[Exponent]:
     checked on every row, in the same loop that steps the column before
     it.
     """
-    if any(br % g if g else br for br, g in zip(b, plan.gcds)):
+    pos_rows, dead_after, gcds = plan.search
+    if any(br % g if g else br for br, g in zip(b, gcds)):
         return []
-    cols, pos_rows, dead_after = plan.cols, plan.pos_rows, plan.dead_after
+    cols = plan.cols
     n, last = len(cols), cols[-1]
     pivot = pos_rows[-1][0]
     if n == 1:
@@ -492,21 +501,27 @@ def _atomic(plan: _Plan, b: Degree, whole) -> bool:
 
     A pair splits whole when each of its points has a divisor over b1:
     the rest lies over b2, and avoids M when the point does.  A pair that
-    splits whole splits its point p:
-    p = u1 + u2 with A u1 = b1, so u1 <= p.  So b1 runs over A u1 for
-    0 <= u1 <= p, p the point with the fewest sub-box points, prod(p_i + 1),
-    and each pair is in NA, as b - b1 = A(p - u1).  b1 = 0 only when
-    u1 = 0, and b1 = b only when u1 = p, because no column is zero; b1 = b
-    fails b1 <= b - b1 in lex order.  Each nontrivial unordered pair from
-    the sub-box is tried at most once, in any order, since the verdict
-    does not depend on the order.  This is the plain walk: _verdict
-    calls it only on what its certificates and screen leave open.
+    splits whole splits each of its points, so any point p of whole will
+    do: p = u1 + u2 with A u1 = b1, so u1 <= p.  So b1 runs over A u1 for
+    0 <= u1 <= p, and each pair is in NA, as b - b1 = A(p - u1).  b1 = 0
+    only when u1 = 0, and b1 = b only when u1 = p, because no column is
+    zero; b1 = b fails b1 <= b - b1 in lex order.  Each nontrivial
+    unordered pair from the sub-box is tried at most once, in any order,
+    since the verdict does not depend on the order.  This is the plain
+    walk: _verdict calls it only on what its certificates and screen
+    leave open.
 
-    The pair splits a second point q as well, the lex-last point of whole
-    (the lex-first one if the lex-last is p), so b1 is also A u1 for some
+    The pair splits a second point q as well, so b1 is also A u1 for some
     u1 <= q.  Once the first pair fails, the walk skips every b1 outside
     q's sub-box: those pairs leave q unsplit, so the verdict is the plain
     walk's.  A walk that ends at its first pair builds no second sub-box.
+    p and q are the two ends of whole, lex-first and lex-last, read with
+    no pass over whole; p is the one with fewer sub-box points,
+    prod(p_i + 1), the lex-first on a tie.  When whole is a fiber or its
+    hull vertices, the ends are vertices of the fiber's hull, as the
+    lex-extreme points of a set are, so no two u1 in their sub-boxes lie
+    over one degree: were u1 != u1' two, p would be the midpoint of the
+    points p - u1 + u1' and p + u1 - u1' over b.
 
     The b1 are formed as one sumset of integer keys (_sub_box).  In radix
     R = max(b) + 1 a degree c has key(c) = sum over r of c_r R^(d-1-r).
@@ -518,7 +533,9 @@ def _atomic(plan: _Plan, b: Degree, whole) -> bool:
     key(b) says b1 != 0 and b1 <= b2 in lex order.  The same holds for q,
     a point over b too.  Each tried key is decoded to its degree once.
     """
-    p = min(whole, key=lambda u: math.prod(e + 1 for e in u))
+    p, q = whole[0], whole[-1]
+    if math.prod(e + 1 for e in q) < math.prod(e + 1 for e in p):
+        p, q = q, p
     radix = max(b) + 1
     keys, top = [0] * len(p), 0
     for row, e in zip(plan.rows, b):
@@ -531,7 +548,7 @@ def _atomic(plan: _Plan, b: Degree, whole) -> bool:
         if _first_unsplit(whole, _fiber_points(plan, _degree(key, radix, len(b)))) is None:
             return False
         if within_q is None:
-            within_q = _sub_box(keys, whole[0] if whole[-1] == p else whole[-1])
+            within_q = _sub_box(keys, q)
     return True
 
 
@@ -659,6 +676,7 @@ def atomic_scan(
     uses additive splitting of the (M,A) fiber points, with M defaulting
     to the zero ideal, and skips degrees whose points all lie in M.
     """
+    _check_int(bound, "bound")
     if bound < 1:
         raise ValueError("bound must be at least 1")
     if mode not in ("vertex", "lattice"):
@@ -671,13 +689,53 @@ def atomic_scan(
     else:
         _check_ring(M, A)
     plan = _plan(A)
+    if plan.ones is None:
+        # with no row of ones the groups are no whole fibers: only their
+        # degrees are read, so their points can go
+        if len(plan.rows) > 1:
+            degrees = list(_degree_groups(plan, bound))
+        else:
+            degrees = _one_row_degrees(plan.rows[0], bound)
+            _one_row_cover(plan, degrees, bound)
+        return [b for b in degrees if any(b) and _verdict(plan, M, b)]
     # with a row of ones the groups are the fibers that row's cover holds,
     # and it then holds every fiber the scan reads: a split part has b1_r <= b_r
-    # of the groups only the degrees are read, so their points can go
-    degrees = list(_degree_groups(plan, bound))
-    if plan.ones is None and len(plan.rows) == 1:
-        _one_row_cover(plan, degrees, bound)
-    return [b for b in degrees if any(b) and _verdict(plan, M, b)]
+    groups = _degree_groups(plan, bound)
+    if M is not None and M.gens:
+        return [b for b in groups if any(b) and _verdict(plan, M, b)]
+    # A nonzero degree with one point is atomic iff that point is a unit
+    # vector, iff b is a column (_verdict's certificates), in either mode.
+    # As _verdict would, the scan keeps that verdict under M = 0 and, in
+    # vertex mode, under None.  The rest go to _verdict, after one memo
+    # lookup each; the zero degree stays out of the memo.
+    verdicts, lattice = plan.atomic[None if M is None else ()], plan.atomic[()]
+    atoms = []
+    for b, points in groups.items():
+        verdict = verdicts.get(b)
+        if verdict is None:
+            if len(points) > 1:
+                verdict = _verdict(plan, M, b)
+            elif any(b):
+                verdict = verdicts[b] = lattice[b] = b in plan.colset
+        if verdict:
+            atoms.append(b)
+    return atoms
+
+
+def _one_row_degrees(row, bound: int) -> list[Degree]:
+    """The degrees row.u with |u| <= bound, in order, off a least-count table.
+
+    least[t] is the least |u| with row.u = t.  It is filled a level at a
+    time: level k, the t with least[t] = k, holds the sums t + w of a t in
+    level k - 1 and an entry w that no lower level holds.  The degrees are
+    the t with least[t] <= bound.  Each is expanded once, in n steps, where
+    grouping the u with |u| <= bound takes a step per u.
+    """
+    seen, level = {0}, {0}
+    for _ in range(bound):
+        level = {t + w for t in level for w in row} - seen
+        seen |= level
+    return [(t,) for t in sorted(seen)]
 
 
 def _one_row_cover(plan: _Plan, degrees, bound: int) -> None:
@@ -690,9 +748,9 @@ def _one_row_cover(plan: _Plan, degrees, bound: int) -> None:
     sum(counts) points.  The scan reads the fiber over each of its degrees
     and keeps it in the memo: the counts over the degrees.  A row with
     spread entries such as (1, 1, 120) at bound 10 has a cover 32 times
-    that, and gets none.  Counting costs no more than the degrees' groups
-    did when top is at most their C(n + bound, n) points; it is skipped
-    otherwise, and when the cover already reaches top.
+    that, and gets none.  Counting costs no more than grouping the
+    C(n + bound, n) u with |u| <= bound when top is at most that many; it
+    is skipped otherwise, and when the cover already reaches top.
     """
     row = plan.rows[0]
     top = max(row) * bound
@@ -714,6 +772,7 @@ def atomicity_ideal(A: FiberMatrix, b) -> MonomialIdeal:
 
 def _vertex_split(plan: _Plan, bound: int) -> tuple[list[Exponent], list[Exponent]]:
     """The u with |u| <= bound that are hull vertices of their own fiber, and the rest."""
+    _check_int(bound, "bound")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     vertices, others = [], []
@@ -773,6 +832,7 @@ def monoid_lift(G: FiberMatrix, ideal_degrees, bound: int) -> MonomialIdeal:
     member is kept when a_i = 0 for every i with value - column i a member
     value.
     """
+    _check_int(bound, "bound")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     degrees = [_check_degree(G, b) for b in ideal_degrees]

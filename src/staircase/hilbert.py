@@ -11,7 +11,14 @@ prod(1 - t_i).
 from __future__ import annotations
 
 from .fibers import FiberMatrix, _graded, _plan, ma_fiber
-from .monomial import Exponent, MonomialIdeal, _has_divisor, check_exponent, lcm_exponent
+from .monomial import (
+    Exponent,
+    MonomialIdeal,
+    _check_int,
+    _has_divisor,
+    check_exponent,
+    lcm_exponent,
+)
 
 Grading = FiberMatrix
 
@@ -69,6 +76,7 @@ def reachable_degrees(D: Grading, bound: int) -> list[tuple[int, ...]]:
     degree's weight is its coordinate sum; hilbert_function then reads
     their fibers from the same memo.
     """
+    _check_int(bound, "bound")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     return list(_graded(_plan(D), None, bound))

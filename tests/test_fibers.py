@@ -29,6 +29,7 @@ from staircase import (
     monoid_lift,
     reachable_degrees,
     sagbi_generators,
+    same_hilbert_up_to,
     vertex_ideal_gens_truncated,
     vertex_ideal_standard,
 )
@@ -528,9 +529,11 @@ def test_atomic_walk_tries_each_sub_box_pair_once(monkeypatch):
         assert {(b1, b2) for b1, b2, _ in pairs} <= splits[rows, b], (rows, b)
         assert all(any(b1) and any(b2) and b1 <= b2 for b1, b2, _ in pairs), (rows, b)
         # the pairs come from the sub-box of p; after the first, from that
-        # of q too, the lex-last point of whole or, when that is p, the first
-        p = min(whole, key=lambda u: math.prod(e + 1 for e in u))
-        q = whole[0] if whole[-1] == p else whole[-1]
+        # of q too: p and q are the lex-first and lex-last points of whole,
+        # p the one with fewer sub-box points, the lex-first on a tie
+        p, q = whole[0], whole[-1]
+        if math.prod(e + 1 for e in q) < math.prod(e + 1 for e in p):
+            p, q = q, p
         in_q = _sub_box_degrees(rows, q)
         candidates = {
             (b1, b2)
@@ -899,6 +902,122 @@ def test_multi_row_scans_without_a_row_of_ones_keep_no_cover():
             _clear_fiber_caches()
             atomic_scan(A, 3, mode=mode, M=ideal)
             assert None not in fibers._plan(A).covers, (A, mode)
+
+
+def test_one_row_degree_table_matches_the_groups():
+    # a one-row scan reads its degrees off the least-count levels, not off
+    # the groups of the u with |u| <= bound; rows with spread entries put
+    # max(row) * bound above C(n + bound, n), where no cover is counted
+    rng = corpus.make_rng("one-row-degrees")
+    rows = [(1, 1, 120), (1, 100), (2, 3, 5, 7), (3, 1, 4), (1, 1, 5), (1, 1, 1), (6,)]
+    rows += [tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 4))) for _ in range(6)]
+    rows += [tuple(rng.randint(1, 60) for _ in range(rng.randint(2, 3))) for _ in range(6)]
+    guard = collections.Counter()
+    for row in rows:
+        A = FiberMatrix((row,))
+        for bound in range(1, 9):
+            _clear_fiber_caches()
+            expected = list(fibers._degree_groups(fibers._plan(A), bound))
+            assert fibers._one_row_degrees(row, bound) == expected, (row, bound)
+            guard[max(row) * bound <= math.comb(len(row) + bound, bound)] += 1
+    assert guard[True] and guard[False]
+
+
+def _verdicts_on_fresh_plans(A, universe):
+    """_verdict on each degree, vertex and lattice with M = 0, each on a fresh plan."""
+    fresh = {None: {}, (): {}}
+    for key, M in ((None, None), ((), MonomialIdeal.zero(A.ncols))):
+        for b in universe:
+            _clear_fiber_caches()
+            fresh[key][b] = fibers._verdict(fibers._plan(A), M, b)
+    return fresh
+
+
+def test_scans_settle_one_point_degrees_on_the_cover(monkeypatch):
+    # on a matrix with a row of ones the groups are whole fibers: a scan
+    # settles a nonzero degree with one point by whether it is a column and
+    # hands only degrees with two or more points to _verdict; its memo is
+    # that of _verdict run on each degree, in either mode and either order
+    rng = corpus.make_rng("one-point-degrees")
+    cases = [(A, rng.randint(2, 4)) for A in _ones_matrices(rng, 8)]
+    # the certificate corpus with a row of ones put on top
+    cases += [(FiberMatrix(((1,) * A.ncols,) + A.rows), b) for A, b, _ in _certificate_corpus()]
+    real_verdict, calls, depth = fibers._verdict, [], []
+
+    def traced_verdict(plan, M, b):
+        if not depth:
+            calls.append(b)
+        depth.append(b)
+        try:
+            return real_verdict(plan, M, b)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(fibers, "_verdict", traced_verdict)
+    settled = 0
+    for A, bound in cases:
+        universe = _scan_universe(A, bound)
+        fresh = _verdicts_on_fresh_plans(A, universe)
+        sizes = {b: len(oracles.box_fiber_points(A.rows, b)) for b in universe}
+        settled += min(sizes.values()) == 1
+        modes = [("vertex", None), ("lattice", None)]
+        for order in (modes, modes[::-1]):
+            _clear_fiber_caches()
+            for k, (mode, ideal) in enumerate(order):
+                calls.clear()
+                scan = atomic_scan(A, bound, mode=mode, M=ideal)
+                key = None if mode == "vertex" else ()
+                assert scan == [b for b in universe if fresh[key][b]], (A, mode)
+                assert all(sizes[b] > 1 for b in calls), (A, mode)
+                if k == 0:
+                    assert sorted(calls) == [b for b in universe if sizes[b] > 1], (A, mode)
+                memo = fibers._plan(A).atomic
+                assert memo[key] == fresh[key], (A, mode)
+                # a vertex scan fills the lattice memo with M = 0 as well
+                if mode == "vertex":
+                    assert memo[()] == fresh[()], A
+    assert settled
+
+
+def test_scans_on_a_row_of_ones_build_no_search_tables():
+    # every fiber such a scan reads comes from the cover, so the fiber
+    # search's tables are built only when a degree beyond it is asked for
+    rng = corpus.make_rng("lazy-search")
+    for A in _ones_matrices(rng, 6):
+        r = _plan_ones(A)
+        _clear_fiber_caches()
+        for mode in ("vertex", "lattice"):
+            atomic_scan(A, 3, mode=mode)
+        plan = fibers._plan(A)
+        assert "search" not in vars(plan), A
+        b = A.apply((4,) + (0,) * (A.ncols - 1))
+        assert b[r] > 3
+        assert fiber_points(A, b) == sorted(oracles.box_fiber_points(A.rows, b))
+        assert "search" in vars(plan), A
+        fibers._plan.cache_clear()
+        assert "search" not in vars(fibers._plan(A))
+
+
+def test_public_bounds_must_be_integers():
+    # a float, a bool or a string is no bound, and is named as such before
+    # any range check
+    A = FiberMatrix(((1, 1, 1), (0, 1, 2)))
+    I = MonomialIdeal(3, ((1, 0, 0),))
+    calls = [
+        partial(atomic_scan, A, mode="vertex"),
+        partial(atomic_scan, A, mode="lattice"),
+        partial(vertex_ideal_standard, A),
+        partial(vertex_ideal_gens_truncated, A),
+        partial(sagbi_generators, A, (1, 1, 1)),
+        partial(monoid_lift, A, [(1, 1)]),
+        partial(reachable_degrees, A),
+        partial(same_hilbert_up_to, I, I, A),
+    ]
+    for call in calls:
+        call(bound=2)
+        for bad in (2.5, True, "3"):
+            with pytest.raises(ValueError, match="bound must be an integer"):
+                call(bound=bad)
 
 
 def test_split_part_sumset_matches_the_oracle_walk():
