@@ -13,8 +13,8 @@ rows and columns, the fiber search's tables, built on first use, and
 every memo this module keeps, so _plan.cache_clear() resets them all.
 The public functions check their arguments and look the plan up; every
 private function below them takes the plan in place of the matrix.  The
-memos are plan entries: fibers, graded covers, hull vertices, M-avoiding
-points and verdicts (see _Plan).
+memos are plan entries: fibers, graded covers and their key views, hull
+vertices, M-avoiding points and verdicts (see _Plan).
 
 A graded cover fills the fiber memo a whole grade at a time (_graded).
 Pick y >= 0 with every entry of yA at least 1: the unit vector of a row
@@ -29,17 +29,19 @@ least-count table (_one_row_degrees).  hilbert.reachable_degrees reads
 the y = (1, ..., 1) cover, and so does that one-row scan, which covers
 it up to every degree the scan reads when that holds at most twice the
 points of the scan's own fibers (_one_row_cover).  Every other fiber is
-found by a search that assigns one column at a time (_enumerate_fiber).
+found by a search that assigns one column at a time and solves the last
+two together (_enumerate_fiber).
 
 Atomicity is decided in _verdict, the one kernel every check and scan
-runs, save that a scan on a matrix with a row of ones, in vertex mode or
-with M = 0, settles each degree with one point on the cover it reads.
-Two exact certificates read off the points settle most degrees,
-a vertex verdict is screened by the lattice one with M = 0 and then
-walked over the exposed vertices (_exposed, which _hull shares), and
-what is left walks the split pairs in the sub-box of one end of the
-points, pruned by the sub-box of the other end (_atomic).  _check_in_na
-is the one test that a degree lies in NA.
+runs, save that a scan on a matrix with a row of ones settles each
+degree with one point on the cover it reads.  Two exact certificates
+read off the points settle most degrees, a vertex verdict is screened
+by the lattice one with M = 0 and then walked over the exposed vertices
+(_exposed, which _hull shares), and what is left walks the split pairs
+in the sub-box of one end of the points, pruned by the sub-box of the
+other end (_atomic).  A walk over a degree a cover holds reads its
+split parts off that cover by integer key (_key_view).  _check_in_na is
+the one test that a degree lies in NA.
 """
 
 from __future__ import annotations
@@ -162,15 +164,18 @@ class _Plan:
 
     rows and cols are the matrix's, colset holds the columns for
     membership tests, ones is the index of a row of ones or None, and
-    zero is the zero ideal.  search holds the tables _enumerate_fiber
-    reads, built on its first read: a scan on a matrix with a row of ones
-    reads every fiber from the cover and never searches.  The rest are
-    memos.
+    zero is the zero ideal.  search holds the tables and the two-column
+    solver _enumerate_fiber reads, built on its first read: a scan on a
+    matrix with a row of ones reads every fiber from the cover and never
+    searches.  The rest are memos.
     - fibers maps each degree asked for or covered to its lex-sorted
       points, () when outside NA.
     - covers maps a grade (the index of a row of ones, or None for
       y = (1, ..., 1)) to (top, buckets): the weight its cover is complete
       up to, and the nonempty fibers of weight <= top in lex order.
+    - views maps a grade to the key view of its cover, built with it:
+      (powers, column keys, key -> fiber), the integer keys of _bucketed,
+      in radix R = (max entry) top + 1, over the cover's own tuples.
     - vertices maps a degree in NA to its hull vertices.
     - avoiding[M.gens][b], M nonzero, holds the points over b outside M.
     - atomic[key][b] says whether b is atomic, key M.gens in lattice mode
@@ -185,6 +190,7 @@ class _Plan:
     zero: MonomialIdeal
     fibers: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
     covers: dict[int | None, tuple[int, dict]] = field(default_factory=dict)
+    views: dict[int | None, tuple[list, list, dict]] = field(default_factory=dict)
     vertices: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
     avoiding: defaultdict[tuple, dict] = field(default_factory=partial(defaultdict, dict))
     atomic: defaultdict[tuple | None, dict] = field(default_factory=partial(defaultdict, dict))
@@ -192,13 +198,56 @@ class _Plan:
     @cached_property
     def search(self) -> tuple:
         """Per column the rows it is positive on; per column i the rows no
-        column beyond i serves, whose residual must be 0; each row's gcd."""
-        rows, n = range(len(self.rows)), len(self.cols)
+        column beyond i serves, whose residual must be 0; each row's gcd;
+        the solver of the last two columns, None for one column."""
+        rows, cols = range(len(self.rows)), self.cols
         return (
-            tuple(tuple(r for r in rows if c[r] > 0) for c in self.cols),
-            tuple(tuple(r for r in rows if not any(self.rows[r][i + 1 :])) for i in range(n)),
+            tuple(tuple(r for r in rows if c[r] > 0) for c in cols),
+            tuple(tuple(r for r in rows if not any(self.rows[r][i + 1 :])) for i in range(len(cols))),
             tuple(math.gcd(*row) for row in self.rows),
+            _two_column_solver(*cols[-2:]) if len(cols) > 1 else None,
         )
+
+
+def _two_column_solver(c: Degree, l: Degree):
+    """The function from r to every (v, w) in N^2 with v c + w l = r, v ascending.
+
+    If some 2 x 2 minor c_s l_t - c_t l_s is nonzero, v and w are fixed by
+    Cramer's rule on rows s and t, and kept when they are nonnegative
+    integers that fit every row.  Else c = alpha q and l = beta q for the
+    primitive q = c / gcd(c), alpha = gcd(c), beta = gcd(l), and r must be
+    t q.  Then v alpha + w beta = t, and with g = gcd(alpha, beta) the
+    solutions are the v = (t / g)(alpha / g)^-1 mod beta / g, one residue
+    class, with 0 <= v alpha <= t, each fixing w = (t - v alpha) / beta.
+    """
+    d = len(c)
+    for s in range(d):
+        for t in range(s + 1, d):
+            if det := c[s] * l[t] - c[t] * l[s]:
+
+                def cramer(r):
+                    v, rem_v = divmod(r[s] * l[t] - r[t] * l[s], det)
+                    w, rem_w = divmod(c[s] * r[t] - c[t] * r[s], det)
+                    if rem_v or rem_w or v < 0 or w < 0:
+                        return ()
+                    return ((v, w),) if all(v * x + w * y == z for x, y, z in zip(c, l, r)) else ()
+
+                return cramer
+    alpha, beta = math.gcd(*c), math.gcd(*l)
+    q = tuple(x // alpha for x in c)
+    pivot = next(r for r, x in enumerate(q) if x)
+    g = math.gcd(alpha, beta)
+    step = beta // g
+    inverse = pow(alpha // g, -1, step)
+
+    def proportional(r):
+        t, rem = divmod(r[pivot], q[pivot])
+        if rem or t % g or r != tuple(map(mul, q, repeat(t))):
+            return ()
+        first = t // g * inverse % step
+        return [(v, (t - v * alpha) // beta) for v in range(first, t // alpha + 1, step)]
+
+    return proportional
 
 
 @cache
@@ -218,8 +267,8 @@ def _weight(b: Degree, grade: int | None) -> int:
     return sum(b) if grade is None else b[grade]
 
 
-def _bucketed(cols, weights, top: int) -> dict[Degree, tuple[Exponent, ...]]:
-    """Every u with weights.u <= top, bucketed by Au, degrees in lex order.
+def _bucketed(cols, weights, top: int) -> tuple[tuple[list, list, dict], dict[Degree, tuple[Exponent, ...]]]:
+    """Every u with weights.u <= top, bucketed by Au, degrees in lex order, and its key view.
 
     The columns are extended one at a time, each prefix by every value
     its remaining weight allows; prefixes stay in lex order, so the points
@@ -232,10 +281,14 @@ def _bucketed(cols, weights, top: int) -> dict[Degree, tuple[Exponent, ...]]:
     (max entry) |u| < R, one base-R digit.  So key order is lex order, and
     the buckets are emitted in sorted key order.  The sorted keys are
     decoded in bulk, one list of digits per row, zipped into degrees.
+    Returns the key view (powers, column keys, key -> points), powers the
+    place values R^(d-1-r), so key(c) is one dot product, and the points
+    by degree: both dicts hold the same tuples, in the same order.
     """
     d = len(cols[0])
     radix = max(map(max, cols)) * top + 1
-    keys = [sum(e * radix**r for r, e in enumerate(reversed(c))) for c in cols]
+    powers = [radix**r for r in range(d - 1, -1, -1)]
+    keys = [sum(map(mul, powers, c)) for c in cols]
     level = [((), 0, 0)]
     for k, w in zip(keys[:-1], weights[:-1]):
         nxt = []
@@ -252,9 +305,9 @@ def _bucketed(cols, weights, top: int) -> dict[Degree, tuple[Exponent, ...]]:
             buckets[key].append(u + (v,))
             key += k
     order = sorted(buckets)
-    powers = [radix**r for r in range(d - 1, -1, -1)]
+    points = list(map(tuple, map(buckets.__getitem__, order)))
     digits = [[key // power % radix for key in order] for power in powers]
-    return {b: tuple(buckets[key]) for b, key in zip(zip(*digits), order)}
+    return (powers, keys, dict(zip(order, points))), dict(zip(zip(*digits), points))
 
 
 def _degree(key: int, radix: int, d: int) -> Degree:
@@ -272,16 +325,26 @@ def _graded(plan: _Plan, grade: int | None, top: int) -> dict[Degree, tuple[Expo
     fibers in the memo.  At the cover's top the answer is the cover's own
     buckets, which callers only read; below it, those of weight <= top.
     Growing a cover enumerates every u of weight <= top again, so the
-    fibers it already held are bucketed anew, to equal tuples.
+    fibers it already held are bucketed anew, to equal tuples.  The
+    cover's key view is kept with it.
     """
     held, buckets = plan.covers.get(grade, (-1, None))
     if top > held:
         weights = tuple(map(sum, plan.cols)) if grade is None else plan.rows[grade]
-        held, buckets = plan.covers[grade] = top, _bucketed(plan.cols, weights, top)
+        plan.views[grade], buckets = _bucketed(plan.cols, weights, top)
+        held, plan.covers[grade] = top, (top, buckets)
         plan.fibers.update(buckets)
     if top == held:
         return buckets
     return {b: pts for b, pts in buckets.items() if _weight(b, grade) <= top}
+
+
+def _key_view(plan: _Plan, b: Degree) -> tuple[list, list, dict] | None:
+    """The key view of the first cover that holds b; None if none does."""
+    for grade, (top, _) in plan.covers.items():
+        if _weight(b, grade) <= top:
+            return plan.views[grade]
+    return None
 
 
 def _degree_groups(plan: _Plan, bound: int) -> dict[Degree, tuple[Exponent, ...]]:
@@ -293,7 +356,7 @@ def _degree_groups(plan: _Plan, bound: int) -> dict[Degree, tuple[Exponent, ...]
     """
     if plan.ones is not None:
         return _graded(plan, plan.ones, bound)
-    return _bucketed(plan.cols, (1,) * len(plan.cols), bound)
+    return _bucketed(plan.cols, (1,) * len(plan.cols), bound)[1]
 
 
 def _enumerate_fiber(plan: _Plan, b: Degree) -> list[Exponent]:
@@ -303,25 +366,26 @@ def _enumerate_fiber(plan: _Plan, b: Degree) -> list[Exponent]:
     with several rows and no row of ones, single queries such as a deep
     degree on a one-row matrix, and degrees above every covered weight.
     At the root, b_r must be a multiple of the gcd of row r; a zero row
-    has gcd 0 and admits only b_r = 0.  As in _bucketed, the columns are extended one at
-    a time, each prefix u by every value its residual b - Au allows, so
-    prefixes stay in lex order and so do the points; there is no
-    recursion, however many columns.  A prefix is dropped when it leaves
-    a residual on a row no later column serves.  A prefix with residual 0
-    admits only zeros after it, so it is padded once and carried along,
-    marked by the residual None.  The last exponent is not branched on:
-    the residual fixes it, so it is solved by one divmod on the first row
-    where the last column is positive and, with more than one row,
-    checked on every row, in the same loop that steps the column before
-    it.
+    has gcd 0 and admits only b_r = 0.  As in _bucketed, the columns are
+    extended one at a time, each prefix u by every value its residual
+    b - Au allows, so prefixes stay in lex order and so do the points;
+    there is no recursion, however many columns.  A prefix is dropped when
+    it leaves a residual on a row no later column serves.  A prefix with
+    residual 0 admits only zeros after it, so it is padded once and
+    carried along, marked by the residual None.  The last two exponents
+    are not branched on: v c + w l = r for the last two columns c, l and
+    the residual r is solved exactly, by Cramer's rule or, when c and l
+    are proportional, over one residue class (_two_column_solver), and
+    its solutions come with v ascending, so in lex order.  One column is
+    solved by one divmod, checked on every row.
     """
-    pos_rows, dead_after, gcds = plan.search
+    pos_rows, dead_after, gcds, solve = plan.search
     if any(br % g if g else br for br, g in zip(b, gcds)):
         return []
     cols = plan.cols
-    n, last = len(cols), cols[-1]
-    pivot = pos_rows[-1][0]
+    n = len(cols)
     if n == 1:
+        last, pivot = cols[0], pos_rows[0][0]
         w, rem = divmod(b[pivot], last[pivot])
         return [] if rem or b != tuple(map(mul, last, repeat(w))) else [(w,)]
     level = [((), b)]
@@ -341,20 +405,12 @@ def _enumerate_fiber(plan: _Plan, b: Degree) -> list[Exponent]:
                 if v < top:
                     rest = tuple(map(sub, rest, col))
         level = nxt
-    col, rows = cols[-2], pos_rows[-2]
-    single = len(b) == 1
     out: list[Exponent] = []
     for u, rest in level:
         if rest is None:
             out.append(u)
-            continue
-        top = min(rest[r] // col[r] for r in rows)
-        for v in range(top + 1):
-            w, rem = divmod(rest[pivot], last[pivot])
-            if not rem and (single or rest == tuple(map(mul, last, repeat(w)))):
-                out.append(u + (v, w))
-            if v < top:
-                rest = tuple(map(sub, rest, col))
+        else:
+            out.extend(u + vw for vw in solve(rest))
     return out
 
 
@@ -524,28 +580,41 @@ def _atomic(plan: _Plan, b: Degree, whole) -> bool:
     points p - u1 + u1' and p + u1 - u1' over b.
 
     The b1 are formed as one sumset of integer keys (_sub_box).  In radix
-    R = max(b) + 1 a degree c has key(c) = sum over r of c_r R^(d-1-r).
-    Every b1 = A u1 with u1 <= p has b - b1 = A(p - u1) >= 0, so each b1_r
-    and each b2_r is at most b_r < R, one base-R digit.  So distinct b1
-    have distinct keys, key order is lex order, and key(b - b1) =
-    key(b) - key(b1).  The set of sums of t_i key(column i), 0 <= t_i <=
-    p_i, is then the set of distinct b1, and 0 < key(b1), 2 key(b1) <=
-    key(b) says b1 != 0 and b1 <= b2 in lex order.  The same holds for q,
-    a point over b too.  Each tried key is decoded to its degree once.
+    R a degree c has key(c) = sum over r of c_r R^(d-1-r).  Every b1 = A u1
+    with u1 <= p has b - b1 = A(p - u1) >= 0, so each b1_r and each b2_r
+    is at most b_r, one base-R digit when b_r < R.  So distinct b1 have
+    distinct keys, key order is lex order, and key(b - b1) = key(b) -
+    key(b1).  The set of sums of t_i key(column i), 0 <= t_i <= p_i, is
+    then the set of distinct b1, and 0 < key(b1), 2 key(b1) <= key(b) says
+    b1 != 0 and b1 <= b2 in lex order.  The same holds for q, a point over
+    b too.  When a cover holds b, the walk reads its key view (_key_view):
+    b_r <= (max entry) top < R there, since each u over b has |u| at most
+    its weight, and every b1, of no greater weight, is held too, so the
+    points over b1 are the view's entry at key(b1).  Else R = max(b) + 1
+    and each tried key is decoded to its degree and read by _fiber_points.
     """
     p, q = whole[0], whole[-1]
     if math.prod(e + 1 for e in q) < math.prod(e + 1 for e in p):
         p, q = q, p
-    radix = max(b) + 1
-    keys, top = [0] * len(p), 0
-    for row, e in zip(plan.rows, b):
-        keys = [key * radix + a for key, a in zip(keys, row)]
-        top = top * radix + e
+    view = _key_view(plan, b)
+    if view is None:
+        radix = max(b) + 1
+        keys, top = [0] * len(p), 0
+        for row, e in zip(plan.rows, b):
+            keys = [key * radix + a for key, a in zip(keys, row)]
+            top = top * radix + e
+
+        def read(key):
+            return _fiber_points(plan, _degree(key, radix, len(b)))
+
+    else:
+        powers, keys, keyed = view
+        top, read = sum(map(mul, powers, b)), keyed.__getitem__
     within_q = None
     for key in _sub_box(keys, p):
         if not 0 < 2 * key <= top or (within_q is not None and key not in within_q):
             continue
-        if _first_unsplit(whole, _fiber_points(plan, _degree(key, radix, len(b)))) is None:
+        if _first_unsplit(whole, read(key)) is None:
             return False
         if within_q is None:
             within_q = _sub_box(keys, q)
@@ -701,14 +770,14 @@ def atomic_scan(
     # with a row of ones the groups are the fibers that row's cover holds,
     # and it then holds every fiber the scan reads: a split part has b1_r <= b_r
     groups = _degree_groups(plan, bound)
-    if M is not None and M.gens:
-        return [b for b in groups if any(b) and _verdict(plan, M, b)]
-    # A nonzero degree with one point is atomic iff that point is a unit
-    # vector, iff b is a column (_verdict's certificates), in either mode.
-    # As _verdict would, the scan keeps that verdict under M = 0 and, in
-    # vertex mode, under None.  The rest go to _verdict, after one memo
-    # lookup each; the zero degree stays out of the memo.
-    verdicts, lattice = plan.atomic[None if M is None else ()], plan.atomic[()]
+    # A nonzero degree with one point p is atomic iff p is a unit vector
+    # that avoids M, iff b is a column and no generator of M divides p
+    # (_verdict's certificates; in vertex mode M is taken as 0).  As
+    # _verdict would, the scan keeps that verdict under M's generators
+    # and, in vertex mode, under None too.  The rest go to _verdict, after
+    # one memo lookup each; the zero degree stays out of the memo.
+    gens = () if M is None else M.gens
+    verdicts, lattice = plan.atomic[None if M is None else gens], plan.atomic[gens]
     atoms = []
     for b, points in groups.items():
         verdict = verdicts.get(b)
@@ -716,7 +785,8 @@ def atomic_scan(
             if len(points) > 1:
                 verdict = _verdict(plan, M, b)
             elif any(b):
-                verdict = verdicts[b] = lattice[b] = b in plan.colset
+                verdict = b in plan.colset and not _has_divisor(gens, points[0])
+                verdicts[b] = lattice[b] = verdict
         if verdict:
             atoms.append(b)
     return atoms

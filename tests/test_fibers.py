@@ -258,8 +258,16 @@ def test_integer_keyed_cover_against_box_and_walk_oracles():
         expected = {}
         for u in oracles.monomials_up_to(A.ncols, top):
             expected.setdefault(A.apply(u), []).append(u)
-        buckets = fibers._bucketed(cols, (1,) * A.ncols, top)
+        (powers, keys, keyed), buckets = fibers._bucketed(cols, (1,) * A.ncols, top)
         assert buckets.keys() == expected.keys(), A
+        # the key view: place values of a radix above every entry of a
+        # degree, and each key holds the very tuple its degree does
+        radix = max(map(max, A.rows)) * top + 1
+        assert powers == [radix**r for r in reversed(range(A.nrows))], A
+        assert all(max(b) < radix for b in buckets), A
+        assert keys == [sum(map(operator.mul, powers, c)) for c in cols], A
+        assert list(keyed) == [sum(map(operator.mul, powers, b)) for b in buckets], A
+        assert all(map(operator.is_, keyed.values(), buckets.values())), A
         assert list(buckets) == sorted(buckets), A
         for b, points in buckets.items():
             assert list(points) == sorted(expected[b]), (A, b)
@@ -410,6 +418,49 @@ def test_fiber_points_solved_last_exponent_against_box_oracle():
             assert fiber_points(A, target) == sorted(oracles.box_fiber_points(A.rows, target))
 
 
+def _last_two_columns_matrices(rng, count):
+    """Seeded matrices whose last two columns are independent, proportional
+    or equal, some with a zero row, and the kind of each."""
+    out = []
+    for k in range(count):
+        kind = ("independent", "proportional", "equal")[k % 3]
+        # one row leaves no 2 x 2 minor: its last two columns are proportional
+        d, n = rng.randint(1 if kind != "independent" else 2, 3), rng.randint(2, 4)
+        rows = [list(r) for r in corpus.random_matrix(rng, d, n, 3).rows]
+        if kind != "independent":
+            q = [rng.randint(0, 2) for _ in range(d)]
+            q[rng.randrange(d)] = rng.randint(1, 2)
+            alpha, beta = (1, 1) if kind == "equal" else (rng.randint(1, 4), rng.randint(1, 4))
+            for r in range(d):
+                rows[r][-2:] = [alpha * q[r], beta * q[r]]
+        if k % 4 == 3:
+            rows.insert(rng.randint(0, d), [0] * n)
+        A = FiberMatrix(tuple(map(tuple, rows)))
+        c, l = A.column(n - 2), A.column(n - 1)
+        minors = {c[s] * l[t] - c[t] * l[s] for s in range(A.nrows) for t in range(A.nrows)}
+        out.append((A, "equal" if c == l else "independent" if minors != {0} else "proportional"))
+    return out
+
+
+def test_fiber_search_solves_the_last_two_columns_against_box_oracle():
+    # the last two columns are solved together: by Cramer's rule when they
+    # are independent, else over one residue class; degrees one step off
+    # are often outside NA, and a degree nonzero on a zero row always is
+    rng = corpus.make_rng("two-column-solve")
+    kinds, empty = collections.Counter(), 0
+    for A, kind in _last_two_columns_matrices(rng, 90):
+        kinds[kind] += 1
+        plan = fibers._plan(A)
+        for _ in range(3):
+            b = A.apply(corpus.random_exponent(rng, A.ncols, 3))
+            for target in (b, tuple(x + 1 for x in b), (b[0] + 1,) + b[1:]):
+                expected = oracles.box_fiber_points(A.rows, target)
+                assert fibers._enumerate_fiber(plan, target) == expected, (A, target)
+                empty += not expected
+    assert all(kinds[kind] >= 20 for kind in ("independent", "proportional", "equal")), kinds
+    assert empty
+
+
 def test_atomicity_deep_degree_without_recursion():
     # the fiber over 3000 is 2x + 3y = 500; (12) + (2988) splits both of
     # its vertices, (250, 0) and (1, 166), and every point
@@ -457,9 +508,9 @@ def test_atomic_walk_tries_each_sub_box_pair_once(monkeypatch):
     runs, current, reading = [], [], []
 
     def traced_atomic(plan, b, whole):
-        current.append((b, [], []))
+        current.append((b, [], [], plan.rows))
         verdict = real_atomic(plan, b, whole)
-        _, asked, pairs = current.pop()
+        _, asked, pairs, _ = current.pop()
         runs.append((plan.rows, b, whole, verdict, asked, pairs))
         return verdict
 
@@ -478,8 +529,15 @@ def test_atomic_walk_tries_each_sub_box_pair_once(monkeypatch):
     def traced_unsplit(points, f1):
         unsplit = real_unsplit(points, f1)
         if current:
-            b, asked, pairs = current[-1]
-            pairs.append((asked[-1], tuple(map(operator.sub, b, asked[-1])), unsplit is None))
+            b, asked, pairs, rows = current[-1]
+            # the pair's b1 is A u1 for any u1 over it.  A walk over a
+            # covered degree reads the points over b1 off the cover's key
+            # view, which no patch sees: that read is the one made for the
+            # pair when no traced read was
+            b1 = tuple(sum(map(operator.mul, row, f1[0])) for row in rows)
+            if len(asked) == len(pairs):
+                asked.append(b1)
+            pairs.append((b1, tuple(map(operator.sub, b, b1)), unsplit is None))
         return unsplit
 
     monkeypatch.setattr(fibers, "_atomic", traced_atomic)
@@ -792,13 +850,22 @@ def _oracle_scans(A, bound, M):
     return scans
 
 
-def test_verdicts_match_the_oracle_walk_over_definition_vertices():
+def test_verdicts_match_the_oracle_walk_over_definition_vertices(monkeypatch):
     # vertex verdicts, certified on the exposed vertices or walked over the
     # hull, and lattice verdicts with M = 0 and M != 0, whose split parts
     # come from one integer-key sumset, each against the oracle's walk, on
-    # cold caches and after the other scans
+    # cold caches and after the other scans.  On a row of ones a walk reads
+    # its split parts off the key view of the cover it reads, whose values
+    # are the cover's own tuples: every mode must walk keyed at least once
+    rng = corpus.make_rng("keyed-walk")
     cases = _certificate_corpus()
     cases.append((FiberMatrix(((2, 3, 5, 7),)), 5, minimalize(4, [(0, 2, 0, 0), (1, 0, 0, 1)])))
+    ones = [(A, rng.randint(2, 6 if A.ncols < 5 else 4)) for A in _ones_matrices(rng, 16)]
+    ones.append((FiberMatrix(((1, 1, 1, 1), (0, 1, 3, 4))), 6))
+    cases += [(A, bound, corpus.random_ideal(rng, A.ncols, 2, 2)) for A, bound in ones]
+    views, walked = [], collections.Counter()
+    real_view = fibers._key_view
+    monkeypatch.setattr(fibers, "_key_view", lambda *args: views.append(real_view(*args)) or views[-1])
     for A, bound, M in cases:
         expected = _oracle_scans(A, bound, M)
         scans = {
@@ -808,9 +875,18 @@ def test_verdicts_match_the_oracle_walk_over_definition_vertices():
         }
         for mode, scan in scans.items():
             _clear_fiber_caches()
+            views.clear()
             assert scan() == expected[mode], (A, mode)
+            walked[mode] += any(view is not None for view in views)
+            plan = fibers._plan(A)
+            assert plan.views.keys() == plan.covers.keys(), (A, mode)
+            for grade, (_, cover) in plan.covers.items():
+                view = plan.views[grade][2]
+                assert len(view) == len(cover), (A, mode)
+                assert all(map(operator.is_, view.values(), cover.values())), (A, mode)
         for mode, scan in scans.items():
             assert scan() == expected[mode], (A, mode)
+    assert len(walked) == 3, walked
 
 
 def _one_row_cover_by_box(A, bound) -> bool:
@@ -923,21 +999,22 @@ def test_one_row_degree_table_matches_the_groups():
     assert guard[True] and guard[False]
 
 
-def _verdicts_on_fresh_plans(A, universe):
-    """_verdict on each degree, vertex and lattice with M = 0, each on a fresh plan."""
-    fresh = {None: {}, (): {}}
-    for key, M in ((None, None), ((), MonomialIdeal.zero(A.ncols))):
+def _verdicts_on_fresh_plans(A, universe, M):
+    """_verdict on each degree, vertex and lattice with M = 0 and with M, each on a fresh plan."""
+    fresh = {None: {}, (): {}, M.gens: {}}
+    for key, ideal in ((None, None), ((), MonomialIdeal.zero(A.ncols)), (M.gens, M)):
         for b in universe:
             _clear_fiber_caches()
-            fresh[key][b] = fibers._verdict(fibers._plan(A), M, b)
+            fresh[key][b] = fibers._verdict(fibers._plan(A), ideal, b)
     return fresh
 
 
 def test_scans_settle_one_point_degrees_on_the_cover(monkeypatch):
     # on a matrix with a row of ones the groups are whole fibers: a scan
-    # settles a nonzero degree with one point by whether it is a column and
-    # hands only degrees with two or more points to _verdict; its memo is
-    # that of _verdict run on each degree, in either mode and either order
+    # settles a nonzero degree with one point by whether it is a column
+    # and, with M != 0, whether the point avoids M, and hands only degrees
+    # with two or more points to _verdict; its memo is that of _verdict
+    # run on each degree, in either mode, with or without M, in any order
     rng = corpus.make_rng("one-point-degrees")
     cases = [(A, rng.randint(2, 4)) for A in _ones_matrices(rng, 8)]
     # the certificate corpus with a row of ones put on top
@@ -954,19 +1031,23 @@ def test_scans_settle_one_point_degrees_on_the_cover(monkeypatch):
             depth.pop()
 
     monkeypatch.setattr(fibers, "_verdict", traced_verdict)
-    settled = 0
+    settled = in_M = 0
     for A, bound in cases:
         universe = _scan_universe(A, bound)
-        fresh = _verdicts_on_fresh_plans(A, universe)
+        M = corpus.random_ideal(rng, A.ncols, 2, 2)
+        fresh = _verdicts_on_fresh_plans(A, universe, M)
         sizes = {b: len(oracles.box_fiber_points(A.rows, b)) for b in universe}
         settled += min(sizes.values()) == 1
-        modes = [("vertex", None), ("lattice", None)]
+        # a column whose one point, its unit vector, lies in M is settled not atomic
+        units = [tuple(int(j == i) for j in range(A.ncols)) for i in range(A.ncols)]
+        in_M += any(sizes.get(A.apply(e)) == 1 and oracles.member(M.gens, e) for e in units)
+        modes = [("vertex", None), ("lattice", None), ("lattice", M)]
         for order in (modes, modes[::-1]):
             _clear_fiber_caches()
             for k, (mode, ideal) in enumerate(order):
                 calls.clear()
                 scan = atomic_scan(A, bound, mode=mode, M=ideal)
-                key = None if mode == "vertex" else ()
+                key = None if mode == "vertex" else () if ideal is None else M.gens
                 assert scan == [b for b in universe if fresh[key][b]], (A, mode)
                 assert all(sizes[b] > 1 for b in calls), (A, mode)
                 if k == 0:
@@ -976,7 +1057,7 @@ def test_scans_settle_one_point_degrees_on_the_cover(monkeypatch):
                 # a vertex scan fills the lattice memo with M = 0 as well
                 if mode == "vertex":
                     assert memo[()] == fresh[()], A
-    assert settled
+    assert settled and in_M
 
 
 def test_scans_on_a_row_of_ones_build_no_search_tables():
