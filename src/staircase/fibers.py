@@ -13,8 +13,8 @@ rows and columns, the fiber search's tables, built on first use, and
 every memo this module keeps, so _plan.cache_clear() resets them all.
 The public functions check their arguments and look the plan up; every
 private function below them takes the plan in place of the matrix.  The
-memos are plan entries: fibers, graded covers and their key views, hull
-vertices, M-avoiding points and verdicts (see _Plan).
+memos are plan entries: fibers, graded covers with their key views and
+split keys, hull vertices, M-avoiding points and verdicts (see _Plan).
 
 A graded cover fills the fiber memo a whole grade at a time (_graded).
 Pick y >= 0 with every entry of yA at least 1: the unit vector of a row
@@ -34,14 +34,18 @@ two together (_enumerate_fiber).
 
 Atomicity is decided in _verdict, the one kernel every check and scan
 runs, save that a scan on a matrix with a row of ones settles each
-degree with one point on the cover it reads.  Two exact certificates
-read off the points settle most degrees, a vertex verdict is screened
-by the lattice one with M = 0 and then walked over the exposed vertices
-(_exposed, which _hull shares), and what is left walks the split pairs
-in the sub-box of one end of the points, pruned by the sub-box of the
-other end (_atomic).  A walk over a degree a cover holds reads its
-split parts off that cover by integer key (_key_view).  _check_in_na is
-the one test that a degree lies in NA.
+degree with one point on the cover it reads.  A scan's cover carries
+each point's sub-box as an integer bitset and keeps the keys of the
+degrees one pair splits every point of (_bucketed): for a degree it
+holds, that is one set lookup, which settles the lattice verdict with
+M = 0 and rules out atomicity in every mode.  Two exact certificates
+read off the points settle most other degrees, a vertex verdict is
+screened by the lattice one with M = 0 and then walked over the exposed
+vertices (_exposed, which _hull shares), and what is left walks the
+split pairs in the sub-box of one end of the points, pruned by the
+sub-box of the other end (_atomic).  A walk over a degree a cover holds
+reads its split parts off that cover by integer key (_key_view).
+_check_in_na is the one test that a degree lies in NA.
 """
 
 from __future__ import annotations
@@ -176,6 +180,10 @@ class _Plan:
     - views maps a grade to the key view of its cover, built with it:
       (powers, column keys, key -> fiber), the integer keys of _bucketed,
       in radix R = (max entry) top + 1, over the cover's own tuples.
+    - splits maps a grade to its cover's split keys, the keys of the
+      degrees one pair splits every point of (_bucketed), built with it.
+      A cover has none when no scan asked for it, or when R^d, for d rows,
+      is above _MEET_BITS or above _MEET_BITS_PER_POINT bits a point.
     - vertices maps a degree in NA to its hull vertices.
     - avoiding[M.gens][b], M nonzero, holds the points over b outside M.
     - atomic[key][b] says whether b is atomic, key M.gens in lattice mode
@@ -191,6 +199,7 @@ class _Plan:
     fibers: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
     covers: dict[int | None, tuple[int, dict]] = field(default_factory=dict)
     views: dict[int | None, tuple[list, list, dict]] = field(default_factory=dict)
+    splits: dict[int | None, set[int]] = field(default_factory=dict)
     vertices: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
     avoiding: defaultdict[tuple, dict] = field(default_factory=partial(defaultdict, dict))
     atomic: defaultdict[tuple | None, dict] = field(default_factory=partial(defaultdict, dict))
@@ -267,7 +276,15 @@ def _weight(b: Degree, grade: int | None) -> int:
     return sum(b) if grade is None else b[grade]
 
 
-def _bucketed(cols, weights, top: int) -> tuple[tuple[list, list, dict], dict[Degree, tuple[Exponent, ...]]]:
+#: the most bits a sub-box bitset of _bucketed may have, R^d for d rows,
+#: and the most of them a cover may have per point
+_MEET_BITS = 1 << 11
+_MEET_BITS_PER_POINT = 16
+
+
+def _bucketed(
+    cols, weights, top: int, split: bool = False
+) -> tuple[tuple[list, list, dict], dict[Degree, tuple[Exponent, ...]], set[int] | None]:
     """Every u with weights.u <= top, bucketed by Au, degrees in lex order, and its key view.
 
     The columns are extended one at a time, each prefix by every value
@@ -281,33 +298,80 @@ def _bucketed(cols, weights, top: int) -> tuple[tuple[list, list, dict], dict[De
     (max entry) |u| < R, one base-R digit.  So key order is lex order, and
     the buckets are emitted in sorted key order.  The sorted keys are
     decoded in bulk, one list of digits per row, zipped into degrees.
+
+    With split, which only a scan's cover asks, as its buckets are whole
+    fibers, and when the bitsets pay (see below), each prefix and point u
+    also carries its sub-box as a bitset: bit key(A u1) for 0 <= u1 <= u.
+    It starts at 1, the sub-box {0} of u = 0, and each copy of a column
+    with key k does sub |= sub << k, since a u1 <= u + e_j has u1_j = 0,
+    so u1 <= u, or u1 - e_j <= u.  Each digit of A u1 is at most that of
+    A u, below R, so the keys are exact and below R^d.  Each point's
+    bitset is ANDed into its degree's meet: the b1 in every point's
+    sub-box, always 0 and b.  A nonzero b whose meet holds a third b1 is
+    split: each point p over b is u1 + (p - u1) with A u1 = b1, so the pair
+    (b1, b - b1), both in NA and neither 0 nor b, splits every point.  Only
+    the keys of split degrees are kept; the meets, up to R^d bits each,
+    are not.  The bitsets are carried only when they pay: above the bound
+    they would cost more memory than the walks they save time, and on a
+    cover of fewer than R^d / _MEET_BITS_PER_POINT points most fibers have
+    one point, which the scan settles with no walk.  The points are
+    counted as the C(n + top, n) u with |u| <= top, which hold them all,
+    and are them on a row of ones.  Else the split keys are None.
+
     Returns the key view (powers, column keys, key -> points), powers the
-    place values R^(d-1-r), so key(c) is one dot product, and the points
-    by degree: both dicts hold the same tuples, in the same order.
+    place values R^(d-1-r), so key(c) is one dot product, the points by
+    degree, and the split keys or None: both dicts hold the same tuples, in
+    the same order.
     """
     d = len(cols[0])
     radix = max(map(max, cols)) * top + 1
     powers = [radix**r for r in range(d - 1, -1, -1)]
     keys = [sum(map(mul, powers, c)) for c in cols]
-    level = [((), 0, 0)]
-    for k, w in zip(keys[:-1], weights[:-1]):
-        nxt = []
+    size = radix**d
+    dense = split and size <= _MEET_BITS and size <= _MEET_BITS_PER_POINT * math.comb(len(cols) + top, top)
+    # meets[key] is -1 until a point over key comes
+    meets = [-1] * size if dense else None
+    buckets: defaultdict[int, list[Exponent]] = defaultdict(list)
+    last = keys[-1], weights[-1]
+    # two walks, so that a cover with no bitsets pays nothing for them
+    if meets is None:
+        level = [((), 0, 0)]
+        for k, w in zip(keys[:-1], weights[:-1]):
+            nxt = []
+            for u, key, wt in level:
+                for v in range((top - wt) // w + 1):
+                    nxt.append((u + (v,), key, wt))
+                    key += k
+                    wt += w
+            level = nxt
+        k, w = last
         for u, key, wt in level:
             for v in range((top - wt) // w + 1):
-                nxt.append((u + (v,), key, wt))
+                buckets[key].append(u + (v,))
                 key += k
-                wt += w
-        level = nxt
-    k, w = keys[-1], weights[-1]
-    buckets: defaultdict[int, list[Exponent]] = defaultdict(list)
-    for u, key, wt in level:
-        for v in range((top - wt) // w + 1):
-            buckets[key].append(u + (v,))
-            key += k
+    else:
+        level = [((), 0, 0, 1)]
+        for k, w in zip(keys[:-1], weights[:-1]):
+            nxt = []
+            for u, key, wt, sub in level:
+                for v in range((top - wt) // w + 1):
+                    nxt.append((u + (v,), key, wt, sub))
+                    key += k
+                    wt += w
+                    sub |= sub << k
+            level = nxt
+        k, w = last
+        for u, key, wt, sub in level:
+            for v in range((top - wt) // w + 1):
+                buckets[key].append(u + (v,))
+                meets[key] &= sub
+                sub |= sub << k
+                key += k
+    split_keys = None if meets is None else {key for key in buckets if meets[key].bit_count() > 2}
     order = sorted(buckets)
     points = list(map(tuple, map(buckets.__getitem__, order)))
     digits = [[key // power % radix for key in order] for power in powers]
-    return (powers, keys, dict(zip(order, points))), dict(zip(zip(*digits), points))
+    return (powers, keys, dict(zip(order, points))), dict(zip(zip(*digits), points)), split_keys
 
 
 def _degree(key: int, radix: int, d: int) -> Degree:
@@ -318,7 +382,9 @@ def _degree(key: int, radix: int, d: int) -> Degree:
     return tuple(b)
 
 
-def _graded(plan: _Plan, grade: int | None, top: int) -> dict[Degree, tuple[Exponent, ...]]:
+def _graded(
+    plan: _Plan, grade: int | None, top: int, split: bool = False
+) -> dict[Degree, tuple[Exponent, ...]]:
     """Every nonempty fiber of weight <= top for the y given by grade, in lex order.
 
     Covers y up to weight top first, if it is not yet, and stores the
@@ -326,12 +392,18 @@ def _graded(plan: _Plan, grade: int | None, top: int) -> dict[Degree, tuple[Expo
     buckets, which callers only read; below it, those of weight <= top.
     Growing a cover enumerates every u of weight <= top again, so the
     fibers it already held are bucketed anew, to equal tuples.  The
-    cover's key view is kept with it.
+    cover's key view is kept with it, and so are its split keys when split
+    asks for them, as a scan does, or the cover it grows had them.
     """
     held, buckets = plan.covers.get(grade, (-1, None))
     if top > held:
         weights = tuple(map(sum, plan.cols)) if grade is None else plan.rows[grade]
-        plan.views[grade], buckets = _bucketed(plan.cols, weights, top)
+        split = split or grade in plan.splits
+        plan.views[grade], buckets, split_keys = _bucketed(plan.cols, weights, top, split)
+        if split_keys is None:
+            plan.splits.pop(grade, None)
+        else:
+            plan.splits[grade] = split_keys
         held, plan.covers[grade] = top, (top, buckets)
         plan.fibers.update(buckets)
     if top == held:
@@ -347,15 +419,24 @@ def _key_view(plan: _Plan, b: Degree) -> tuple[list, list, dict] | None:
     return None
 
 
-def _degree_groups(plan: _Plan, bound: int) -> dict[Degree, tuple[Exponent, ...]]:
+def _split_on_cover(plan: _Plan, b: Degree) -> bool | None:
+    """Does one pair split every point over a nonzero b?  None if no cover's split keys say."""
+    for grade, split in plan.splits.items():
+        if _weight(b, grade) <= plan.covers[grade][0]:
+            return sum(map(mul, plan.views[grade][0], b)) in split if any(b) else None
+    return None
+
+
+def _degree_groups(plan: _Plan, bound: int, split: bool = False) -> dict[Degree, tuple[Exponent, ...]]:
     """The u with |u| <= bound, grouped by Au, each group lex sorted, degrees in lex order.
 
     With a row of ones, |u| is u's weight in the cover for that row, so
-    the groups are the fibers it covers up to weight bound; else they come
-    from the same enumeration with unit weights, kept for this call only.
+    the groups are the fibers it covers up to weight bound, with split keys
+    if split asks; else they come from the same enumeration with unit
+    weights, kept for this call only, and no group is a whole fiber.
     """
     if plan.ones is not None:
-        return _graded(plan, plan.ones, bound)
+        return _graded(plan, plan.ones, bound, split)
     return _bucketed(plan.cols, (1,) * len(plan.cols), bound)[1]
 
 
@@ -684,8 +765,15 @@ def _verdict(plan: _Plan, M: MonomialIdeal | None, b: Degree) -> bool:
 
     The caller checked its arguments and gives b in NA.  The verdict is
     kept under M's generators, None in vertex mode.  The points are those
-    over b outside M, all of them in vertex mode.  Two exact certificates
-    are read off them before any walk.
+    over b outside M, all of them in vertex mode.  In lattice mode the
+    first certificate is the meet of the cover that holds a nonzero b, if
+    that cover has split keys (_split_on_cover).  A split key means some
+    pair splits every point over b, so every point outside M: b is not
+    atomic.  No split key with M = 0 means no pair splits every point: b
+    is atomic.  With M != 0 and no split key, the points outside M decide.
+    The zero degree is left to the rest, as its meet {0} holds no split
+    and yet 0 is no atom.  Two more exact certificates are read off the
+    points before any walk.
     - A unit vector e_i among the points makes b atomic.  Then b is column
       i, and a pair that splits e_i has b1 = A u1 with u1 <= e_i, so b1 is
       0 or b.  In vertex mode e_i is a vertex: a point p != e_i over b
@@ -720,6 +808,8 @@ def _verdict(plan: _Plan, M: MonomialIdeal | None, b: Degree) -> bool:
                     or _atomic(plan, b, sorted(_exposed(points)))
                     or _atomic(plan, b, _fiber_vertices(plan, b))
                 )
+        elif plan.splits and (split := _split_on_cover(plan, b)) is not None and (split or not M.gens):
+            verdict = not split
         else:
             points = _ma_fiber(plan, M, b)
             if b in plan.colset and any(sum(p) == 1 for p in points):
@@ -769,7 +859,7 @@ def atomic_scan(
         return [b for b in degrees if any(b) and _verdict(plan, M, b)]
     # with a row of ones the groups are the fibers that row's cover holds,
     # and it then holds every fiber the scan reads: a split part has b1_r <= b_r
-    groups = _degree_groups(plan, bound)
+    groups = _degree_groups(plan, bound, split=True)
     # A nonzero degree with one point p is atomic iff p is a unit vector
     # that avoids M, iff b is a column and no generator of M divides p
     # (_verdict's certificates; in vertex mode M is taken as 0).  As
@@ -831,7 +921,7 @@ def _one_row_cover(plan: _Plan, degrees, bound: int) -> None:
         for t in range(w, top + 1):
             counts[t] += counts[t - w]
     if sum(counts) <= 2 * sum(counts[b] for (b,) in degrees):
-        _graded(plan, None, top)
+        _graded(plan, None, top, split=True)
 
 
 def atomicity_ideal(A: FiberMatrix, b) -> MonomialIdeal:

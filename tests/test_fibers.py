@@ -258,7 +258,9 @@ def test_integer_keyed_cover_against_box_and_walk_oracles():
         expected = {}
         for u in oracles.monomials_up_to(A.ncols, top):
             expected.setdefault(A.apply(u), []).append(u)
-        (powers, keys, keyed), buckets = fibers._bucketed(cols, (1,) * A.ncols, top)
+        (powers, keys, keyed), buckets, split = fibers._bucketed(cols, (1,) * A.ncols, top)
+        # unit-weight groups are no whole fibers, so they carry no split keys
+        assert split is None, A
         assert buckets.keys() == expected.keys(), A
         # the key view: place values of a radix above every entry of a
         # degree, and each key holds the very tuple its degree does
@@ -287,6 +289,42 @@ def test_integer_keyed_cover_against_box_and_walk_oracles():
         assert sorted(cover) == oracles.reachable_degrees_by_walk(A.rows, weight), A
         for b, points in cover.items():
             assert list(points) == oracles.box_fiber_points(A.rows, b), (A, b)
+        # covers no scan asked for carry no split keys
+        assert plan.splits == {}, A
+    # a scan's covers carry split keys: a covered degree's key is split iff
+    # one nontrivial pair leaves no point over it unsplit, by the oracle's
+    # sums.  A cover of more than _MEET_BITS key bits, or of more than
+    # _MEET_BITS_PER_POINT a point, carries none; small entries put covers
+    # on each side of both bounds
+    carried, above, sparse = 0, 0, 0
+    for A in _ones_matrices(rng, 16):
+        for grade, top in ((fibers._plan(A).ones, rng.randint(2, 3)), (None, A.nrows + rng.randint(3, 6))):
+            _clear_fiber_caches()
+            plan = fibers._plan(A)
+            fibers._graded(plan, grade, 1, split=True)
+            # a grown cover keeps the split keys a fresh one has
+            fibers._graded(plan, grade, top)
+            weights = A.rows[grade] if grade is not None else tuple(map(sum, plan.cols))
+            _, _, fresh = fibers._bucketed(plan.cols, weights, top, split=True)
+            powers, _, keyed = plan.views[grade]
+            split = plan.splits.get(grade)
+            assert split == fresh, (A, grade, top)
+            # C(n + top, n) u have |u| <= top: the cover's points, or more
+            bits = (max(map(max, A.rows)) * top + 1) ** A.nrows
+            count = math.comb(A.ncols + top, top)
+            if bits > fibers._MEET_BITS or bits > fibers._MEET_BITS_PER_POINT * count:
+                assert split is None, (A, grade, top)
+                above += bits > fibers._MEET_BITS
+                sparse += bits <= fibers._MEET_BITS
+                continue
+            assert split is not None and split <= keyed.keys(), (A, grade, top)
+            for b, points in plan.covers[grade][1].items():
+                pairs = oracles.split_pairs_from_points(A.rows, b, points)
+                unsplit = (oracles.first_unsplit_by_sums(A.rows, points, b1, b2) for b1, b2 in pairs)
+                expected = any(p is None for p in unsplit)
+                assert (sum(map(operator.mul, powers, b)) in split) == expected, (A, grade, b)
+            carried += 1
+    assert carried and above and sparse
 
 
 def test_atomic_scan_cover_matches_search_in_either_order():
@@ -570,6 +608,11 @@ def test_atomic_walk_tries_each_sub_box_pair_once(monkeypatch):
     assert fibers._atomic(fibers._plan(A), (16,), whole) is True
     assert oracles.atomic_by_sub_box_walk(A.rows, (16,), whole) is True
     assert len(runs[-1][-1]) == 1 and runs[-1][-1][0][0] in {(4,), (8,)}
+    # a lattice scan on a row of ones settles each degree by its cover's
+    # split keys, with no walk; with no row of ones the groups are no
+    # whole fibers and carry none, so these walks run, and some split late
+    _clear_fiber_caches()
+    atomic_scan(FiberMatrix(((1, 0, 2, 1), (0, 1, 1, 2))), 4, mode="lattice")
 
     splits = {}
     atomic_with_pairs = late_splits = pruned = 0
@@ -1256,6 +1299,18 @@ def test_is_atomic_examples():
     assert is_ma_atomic(minimalize(2, [(1, 0)]), SEGMENT, (0,)) is False
     with pytest.raises(ValueError):
         is_atomic(FiberMatrix(((2, 3),)), (1,))
+    # the same after a scan has built a cover with split keys: the zero
+    # degree's meet is {0}, which holds no split, yet 0 is no atom
+    for A in (SEGMENT, FiberMatrix(((1, 1, 1), (0, 1, 2)))):
+        zero = (0,) * A.nrows
+        for mode in ("vertex", "lattice"):
+            _clear_fiber_caches()
+            assert zero not in atomic_scan(A, 3, mode=mode)
+            plan = fibers._plan(A)
+            assert plan.ones in plan.splits, A
+            assert is_atomic(A, zero) is False
+            assert is_ma_atomic(MonomialIdeal.zero(A.ncols), A, zero) is False
+            assert is_ma_atomic(minimalize(A.ncols, [(1,) + (0,) * (A.ncols - 1)]), A, zero) is False
 
 
 def test_ma_fiber_examples():
