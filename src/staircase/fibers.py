@@ -13,38 +13,36 @@ rows and columns, the fiber search's tables, built on first use, and
 every memo this module keeps, so _plan.cache_clear() resets them all.
 The public functions check their arguments and look the plan up; every
 private function below them takes the plan in place of the matrix.  The
-memos are plan entries: fibers, graded covers with their key views and
-split keys, hull vertices, M-avoiding points and verdicts (see _Plan).
+memos are plan entries: fibers, graded covers, scan degrees, hull
+vertices, M-avoiding points and verdicts (see _Plan).
 
-A graded cover fills the fiber memo a whole grade at a time (_graded).
-Pick y >= 0 with every entry of yA at least 1: the unit vector of a row
-of ones (a point's weight is then |u|), or y = (1, ..., 1), whose yA are
-the column sums.  The cover at weight W enumerates every u with
-(yA).u <= W once, bucketed by Au (_bucketed).  Every u over b has weight
-y.b, so when y.b <= W the bucket of b is its whole fiber and a degree
-with no bucket is outside NA.  _degree_groups is the one reader of the u
-with |u| <= bound, for atomic_scan, monoid_lift and the vertex ideals,
-save a scan on one row with no row of ones: it reads its degrees off a
-least-count table (_one_row_degrees).  hilbert.reachable_degrees reads
-the y = (1, ..., 1) cover, and so does that one-row scan, which covers
-it up to every degree the scan reads when that holds at most twice the
-points of the scan's own fibers (_one_row_cover).  Every other fiber is
-found by a search that assigns one column at a time and solves the last
-two together (_enumerate_fiber).
+A graded cover (_Cover) fills the fiber memo a whole grade at a time
+(_graded).  Pick y >= 0 with every entry of yA at least 1: the unit
+vector of a row of ones (a point's weight is then |u|), or
+y = (1, ..., 1), whose yA are the column sums.  The cover at weight W
+enumerates every u with (yA).u <= W once, bucketed by Au (_bucketed).
+Every u over b has weight y.b, so when y.b <= W the bucket of b is its
+whole fiber and a degree with no bucket is outside NA (_cover_of).  A
+scan on a row of ones reads that row's cover; any other scan reads its
+degrees off least-count levels of integer degree keys (_scan_degrees),
+and on one row also covers y = (1, ..., 1) when that holds at most twice
+the points of its own fibers (_one_row_cover), the cover
+hilbert.reachable_degrees reads.  Every other fiber is found by a search
+that assigns one column at a time and solves the last two together
+(_enumerate_fiber).
 
 Atomicity is decided in _verdict, the one kernel every check and scan
-runs, save that a scan on a matrix with a row of ones settles each
-degree with one point on the cover it reads.  A scan's cover carries
-each point's sub-box as an integer bitset and keeps the keys of the
-degrees one pair splits every point of (_bucketed): for a degree it
-holds, that is one set lookup, which settles the lattice verdict with
-M = 0 and rules out atomicity in every mode.  Two exact certificates
-read off the points settle most other degrees, a vertex verdict is
-screened by the lattice one with M = 0 and then walked over the exposed
-vertices (_exposed, which _hull shares), and what is left walks the
-split pairs in the sub-box of one end of the points, pruned by the
-sub-box of the other end (_atomic).  A walk over a degree a cover holds
-reads its split parts off that cover by integer key (_key_view).
+runs, save that a scan settles each degree with one point itself.  A
+scan's cover carries each point's sub-box as an integer bitset and keeps
+the keys of the degrees one pair splits every point of (_bucketed): for
+a degree it holds, that is one set lookup, which settles the lattice
+verdict with M = 0 and rules out atomicity in every mode.  Two exact
+certificates read off the points settle most other degrees, a vertex
+verdict is screened by the lattice one with M = 0 and then walked over
+the exposed vertices (_exposed, which _hull shares), and what is left
+walks the split pairs in the sub-box of one end of the points, pruned by
+the sub-box of the other end (_atomic), reading the split parts off the
+cover that holds b, when one does, by integer key.
 _check_in_na is the one test that a degree lies in NA.
 """
 
@@ -175,15 +173,8 @@ class _Plan:
     - fibers maps each degree asked for or covered to its lex-sorted
       points, () when outside NA.
     - covers maps a grade (the index of a row of ones, or None for
-      y = (1, ..., 1)) to (top, buckets): the weight its cover is complete
-      up to, and the nonempty fibers of weight <= top in lex order.
-    - views maps a grade to the key view of its cover, built with it:
-      (powers, column keys, key -> fiber), the integer keys of _bucketed,
-      in radix R = (max entry) top + 1, over the cover's own tuples.
-    - splits maps a grade to its cover's split keys, the keys of the
-      degrees one pair splits every point of (_bucketed), built with it.
-      A cover has none when no scan asked for it, or when R^d, for d rows,
-      is above _MEET_BITS or above _MEET_BITS_PER_POINT bits a point.
+      y = (1, ..., 1)) to its cover (_Cover).
+    - scans maps a bound to the degrees a scan with no row of ones reads.
     - vertices maps a degree in NA to its hull vertices.
     - avoiding[M.gens][b], M nonzero, holds the points over b outside M.
     - atomic[key][b] says whether b is atomic, key M.gens in lattice mode
@@ -197,9 +188,8 @@ class _Plan:
     ones: int | None
     zero: MonomialIdeal
     fibers: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
-    covers: dict[int | None, tuple[int, dict]] = field(default_factory=dict)
-    views: dict[int | None, tuple[list, list, dict]] = field(default_factory=dict)
-    splits: dict[int | None, set[int]] = field(default_factory=dict)
+    covers: dict[int | None, _Cover] = field(default_factory=dict)
+    scans: dict[int, list[Degree]] = field(default_factory=dict)
     vertices: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
     avoiding: defaultdict[tuple, dict] = field(default_factory=partial(defaultdict, dict))
     atomic: defaultdict[tuple | None, dict] = field(default_factory=partial(defaultdict, dict))
@@ -282,55 +272,78 @@ _MEET_BITS = 1 << 11
 _MEET_BITS_PER_POINT = 16
 
 
-def _bucketed(
-    cols, weights, top: int, split: bool = False
-) -> tuple[tuple[list, list, dict], dict[Degree, tuple[Exponent, ...]], set[int] | None]:
-    """Every u with weights.u <= top, bucketed by Au, degrees in lex order, and its key view.
+@dataclass(slots=True)
+class _Cover:
+    """Every nonempty fiber of weight <= top for one y, by degree and by key.
+
+    fibers maps each degree to its lex-sorted points in lex order, keyed
+    each degree's key to the same tuple, with the place values powers and
+    the columns' keys (_place_values).  split says whether a scan asked for
+    it; splits holds the keys of the degrees one pair splits every point
+    of, or None (_bucketed).
+    """
+
+    top: int
+    split: bool
+    fibers: dict[Degree, tuple[Exponent, ...]]
+    powers: list[int]
+    keys: list[int]
+    keyed: dict[int, tuple[Exponent, ...]]
+    splits: set[int] | None
+
+
+def _place_values(cols, radix: int) -> tuple[list[int], list[int]]:
+    """The place values radix^(d-1-r) of a degree's d digits, and each column's key.
+
+    A degree's key is its dot product with the place values.  When every
+    digit is below radix, key order is lex order and key(Au) = sum u_i key(column i).
+    """
+    powers = [radix**r for r in range(len(cols[0]) - 1, -1, -1)]
+    return powers, [sum(map(mul, powers, c)) for c in cols]
+
+
+def _decoded(keys, powers, radix: int) -> list[Degree]:
+    """The degrees of keys, in order: one list of digits per place value, zipped."""
+    return list(zip(*[[key // power % radix for key in keys] for power in powers]))
+
+
+def _bucketed(cols, weights, top: int, split: bool = False) -> _Cover:
+    """The cover of every u with weights.u <= top, bucketed by Au.
 
     The columns are extended one at a time, each prefix by every value
     its remaining weight allows; prefixes stay in lex order, so the points
-    do too, and each bucket is one lex-sorted tuple.  A degree b is carried
-    as the integer key sum over r of b_r R^(d-1-r), so adding a column is
-    one integer addition, and each point goes into its bucket as the last
-    column is assigned.  The radix R = (max entry) top + 1 keeps the keys
-    of distinct degrees distinct: weights are all >= 1, so every u has
-    |u| <= weights.u <= top, and each b_r = sum_i A_ri u_i is at most
-    (max entry) |u| < R, one base-R digit.  So key order is lex order, and
-    the buckets are emitted in sorted key order.  The sorted keys are
-    decoded in bulk, one list of digits per row, zipped into degrees.
+    do too, and each bucket is one lex-sorted tuple.  A degree is carried
+    as its integer key (_place_values), so adding a column is one integer
+    addition, and each point goes into its bucket as the last column is
+    assigned.  The radix R = (max entry) top + 1 keeps the keys exact:
+    weights are all >= 1, so every u has |u| <= weights.u <= top, and each
+    b_r = sum_i A_ri u_i is at most (max entry) |u| < R, one digit.  The
+    buckets are emitted in sorted key order, lex order, and the sorted
+    keys are decoded in bulk (_decoded).
 
-    With split, which only a scan's cover asks, as its buckets are whole
-    fibers, and when the bitsets pay (see below), each prefix and point u
-    also carries its sub-box as a bitset: bit key(A u1) for 0 <= u1 <= u.
-    It starts at 1, the sub-box {0} of u = 0, and each copy of a column
-    with key k does sub |= sub << k, since a u1 <= u + e_j has u1_j = 0,
-    so u1 <= u, or u1 - e_j <= u.  Each digit of A u1 is at most that of
-    A u, below R, so the keys are exact and below R^d.  Each point's
-    bitset is ANDed into its degree's meet: the b1 in every point's
-    sub-box, always 0 and b.  A nonzero b whose meet holds a third b1 is
-    split: each point p over b is u1 + (p - u1) with A u1 = b1, so the pair
-    (b1, b - b1), both in NA and neither 0 nor b, splits every point.  Only
-    the keys of split degrees are kept; the meets, up to R^d bits each,
-    are not.  The bitsets are carried only when they pay: above the bound
+    With split, which only a scan asks, as its buckets are whole fibers,
+    and when the bitsets pay (see below), each prefix and point u also
+    carries its sub-box as a bitset: bit key(A u1) for 0 <= u1 <= u.  It
+    starts at 1, the sub-box {0} of u = 0, and each copy of a column with
+    key k does sub |= sub << k, since a u1 <= u + e_j has u1_j = 0, so
+    u1 <= u, or u1 - e_j <= u.  Each digit of A u1 is at most that of A u,
+    below R, so the keys are exact and below R^d.  Each point's bitset is
+    ANDed into its degree's meet: the b1 in every point's sub-box, always
+    0 and b.  A nonzero b whose meet holds a third b1 is split: each point
+    p over b is u1 + (p - u1) with A u1 = b1, so the pair (b1, b - b1),
+    both in NA and neither 0 nor b, splits every point.  Only the keys of
+    split degrees are kept; the meets, up to R^d bits each, are not.  The
+    bitsets are carried only when they pay (_bitsets_pay): above the bound
     they would cost more memory than the walks they save time, and on a
     cover of fewer than R^d / _MEET_BITS_PER_POINT points most fibers have
-    one point, which the scan settles with no walk.  The points are
-    counted as the C(n + top, n) u with |u| <= top, which hold them all,
-    and are them on a row of ones.  Else the split keys are None.
-
-    Returns the key view (powers, column keys, key -> points), powers the
-    place values R^(d-1-r), so key(c) is one dot product, the points by
-    degree, and the split keys or None: both dicts hold the same tuples, in
-    the same order.
+    one point, which the scan settles with no walk.  The points are counted
+    as the C(n + top, n) u with |u| <= top, which hold them all, and are
+    them on a row of ones.  Else the split keys are None.
     """
-    d = len(cols[0])
     radix = max(map(max, cols)) * top + 1
-    powers = [radix**r for r in range(d - 1, -1, -1)]
-    keys = [sum(map(mul, powers, c)) for c in cols]
-    size = radix**d
-    dense = split and size <= _MEET_BITS and size <= _MEET_BITS_PER_POINT * math.comb(len(cols) + top, top)
+    powers, keys = _place_values(cols, radix)
     # meets[key] is -1 until a point over key comes
-    meets = [-1] * size if dense else None
+    meets = [-1] * radix ** len(powers) if split and _bitsets_pay(cols, top) else None
     buckets: defaultdict[int, list[Exponent]] = defaultdict(list)
     last = keys[-1], weights[-1]
     # two walks, so that a cover with no bitsets pays nothing for them
@@ -367,19 +380,17 @@ def _bucketed(
                 meets[key] &= sub
                 sub |= sub << k
                 key += k
-    split_keys = None if meets is None else {key for key in buckets if meets[key].bit_count() > 2}
     order = sorted(buckets)
     points = list(map(tuple, map(buckets.__getitem__, order)))
-    digits = [[key // power % radix for key in order] for power in powers]
-    return (powers, keys, dict(zip(order, points))), dict(zip(zip(*digits), points)), split_keys
+    splits = None if meets is None else {key for key in order if meets[key].bit_count() > 2}
+    degrees = _decoded(order, powers, radix)
+    return _Cover(top, split, dict(zip(degrees, points)), powers, keys, dict(zip(order, points)), splits)
 
 
-def _degree(key: int, radix: int, d: int) -> Degree:
-    """The degree of length d whose base-radix digits, most significant first, form key."""
-    b = [0] * d
-    for r in range(d - 1, -1, -1):
-        key, b[r] = divmod(key, radix)
-    return tuple(b)
+def _bitsets_pay(cols, top: int) -> bool:
+    """Do the sub-box bitsets of a cover up to top pay, R^d bits each (_bucketed)?"""
+    size = (max(map(max, cols)) * top + 1) ** len(cols[0])
+    return size <= _MEET_BITS and size <= _MEET_BITS_PER_POINT * math.comb(len(cols) + top, top)
 
 
 def _graded(
@@ -388,56 +399,46 @@ def _graded(
     """Every nonempty fiber of weight <= top for the y given by grade, in lex order.
 
     Covers y up to weight top first, if it is not yet, and stores the
-    fibers in the memo.  At the cover's top the answer is the cover's own
-    buckets, which callers only read; below it, those of weight <= top.
-    Growing a cover enumerates every u of weight <= top again, so the
-    fibers it already held are bucketed anew, to equal tuples.  The
-    cover's key view is kept with it, and so are its split keys when split
-    asks for them, as a scan does, or the cover it grows had them.
+    fibers in the memo.  A scan asks with split, which a cover keeps as it
+    grows; a cover no scan asked for is built once more with split, at its
+    own top if higher, when its bitsets pay there.  At the cover's top the
+    answer is the cover's own fibers, which callers only read; below it,
+    those of weight <= top.  A cover built again enumerates every u again,
+    so the fibers it already held are bucketed anew, to equal tuples.
     """
-    held, buckets = plan.covers.get(grade, (-1, None))
-    if top > held:
+    cover = plan.covers.get(grade)
+    held, asked = (-1, False) if cover is None else (cover.top, cover.split)
+    if top > held or (split and not asked and _bitsets_pay(plan.cols, max(top, held))):
         weights = tuple(map(sum, plan.cols)) if grade is None else plan.rows[grade]
-        split = split or grade in plan.splits
-        plan.views[grade], buckets, split_keys = _bucketed(plan.cols, weights, top, split)
-        if split_keys is None:
-            plan.splits.pop(grade, None)
-        else:
-            plan.splits[grade] = split_keys
-        held, plan.covers[grade] = top, (top, buckets)
-        plan.fibers.update(buckets)
-    if top == held:
-        return buckets
-    return {b: pts for b, pts in buckets.items() if _weight(b, grade) <= top}
+        cover = plan.covers[grade] = _bucketed(plan.cols, weights, max(top, held), split or asked)
+        plan.fibers.update(cover.fibers)
+    if top == cover.top:
+        return cover.fibers
+    return {b: pts for b, pts in cover.fibers.items() if _weight(b, grade) <= top}
 
 
-def _key_view(plan: _Plan, b: Degree) -> tuple[list, list, dict] | None:
-    """The key view of the first cover that holds b; None if none does."""
-    for grade, (top, _) in plan.covers.items():
-        if _weight(b, grade) <= top:
-            return plan.views[grade]
-    return None
+def _cover_of(plan: _Plan, b: Degree) -> _Cover | None:
+    """The cover that holds b, one with split keys first; None if none does."""
+    held = None
+    for grade, cover in plan.covers.items():
+        if _weight(b, grade) <= cover.top:
+            if cover.splits is not None:
+                return cover
+            held = held or cover
+    return held
 
 
-def _split_on_cover(plan: _Plan, b: Degree) -> bool | None:
-    """Does one pair split every point over a nonzero b?  None if no cover's split keys say."""
-    for grade, split in plan.splits.items():
-        if _weight(b, grade) <= plan.covers[grade][0]:
-            return sum(map(mul, plan.views[grade][0], b)) in split if any(b) else None
-    return None
-
-
-def _degree_groups(plan: _Plan, bound: int, split: bool = False) -> dict[Degree, tuple[Exponent, ...]]:
+def _degree_groups(plan: _Plan, bound: int) -> dict[Degree, tuple[Exponent, ...]]:
     """The u with |u| <= bound, grouped by Au, each group lex sorted, degrees in lex order.
 
     With a row of ones, |u| is u's weight in the cover for that row, so
-    the groups are the fibers it covers up to weight bound, with split keys
-    if split asks; else they come from the same enumeration with unit
-    weights, kept for this call only, and no group is a whole fiber.
+    the groups are the fibers it covers up to weight bound; else they come
+    from the same enumeration with unit weights, kept for this call only,
+    and no group is a whole fiber.
     """
     if plan.ones is not None:
-        return _graded(plan, plan.ones, bound, split)
-    return _bucketed(plan.cols, (1,) * len(plan.cols), bound)[1]
+        return _graded(plan, plan.ones, bound)
+    return _bucketed(plan.cols, (1,) * len(plan.cols), bound).fibers
 
 
 def _enumerate_fiber(plan: _Plan, b: Degree) -> list[Exponent]:
@@ -499,13 +500,12 @@ def _fiber_points(plan: _Plan, b: Degree) -> tuple[Exponent, ...]:
     """All u with Au = b, lex sorted; empty iff b is outside NA.
 
     Read from the plan's fiber memo.  A degree missing from it is outside
-    NA when its weight is within a cover's top, and is otherwise found by
+    NA when a cover holds it (_cover_of), and is otherwise found by
     _enumerate_fiber and stored.
     """
     points = plan.fibers.get(b)
     if points is None:
-        covered = any(_weight(b, grade) <= top for grade, (top, _) in plan.covers.items())
-        points = plan.fibers[b] = () if covered else tuple(_enumerate_fiber(plan, b))
+        points = plan.fibers[b] = () if _cover_of(plan, b) else tuple(_enumerate_fiber(plan, b))
     return points
 
 
@@ -633,7 +633,7 @@ def minkowski_decomposes(A: FiberMatrix, b, b1, b2) -> bool:
     return _first_unsplit(_fiber_vertices(plan, b), _fiber_points(plan, b1)) is None
 
 
-def _atomic(plan: _Plan, b: Degree, whole) -> bool:
+def _atomic(plan: _Plan, b: Degree, whole, cover: _Cover | None) -> bool:
     """Does no nontrivial pair b1 + b2 = b in NA split whole?
 
     A pair splits whole when each of its points has a divisor over b1:
@@ -660,37 +660,32 @@ def _atomic(plan: _Plan, b: Degree, whole) -> bool:
     over one degree: were u1 != u1' two, p would be the midpoint of the
     points p - u1 + u1' and p + u1 - u1' over b.
 
-    The b1 are formed as one sumset of integer keys (_sub_box).  In radix
-    R a degree c has key(c) = sum over r of c_r R^(d-1-r).  Every b1 = A u1
-    with u1 <= p has b - b1 = A(p - u1) >= 0, so each b1_r and each b2_r
-    is at most b_r, one base-R digit when b_r < R.  So distinct b1 have
-    distinct keys, key order is lex order, and key(b - b1) = key(b) -
-    key(b1).  The set of sums of t_i key(column i), 0 <= t_i <= p_i, is
-    then the set of distinct b1, and 0 < key(b1), 2 key(b1) <= key(b) says
-    b1 != 0 and b1 <= b2 in lex order.  The same holds for q, a point over
-    b too.  When a cover holds b, the walk reads its key view (_key_view):
-    b_r <= (max entry) top < R there, since each u over b has |u| at most
-    its weight, and every b1, of no greater weight, is held too, so the
-    points over b1 are the view's entry at key(b1).  Else R = max(b) + 1
-    and each tried key is decoded to its degree and read by _fiber_points.
+    The b1 are formed as one sumset of integer keys (_sub_box), in a
+    radix R above every b_r.  Every b1 = A u1 with u1 <= p has
+    b - b1 = A(p - u1) >= 0, so each b1_r and each b2_r is at most b_r,
+    one digit, and key(b - b1) = key(b) - key(b1) (_place_values).  The
+    set of sums of t_i key(column i), 0 <= t_i <= p_i, is then the set of
+    distinct b1, and 0 < key(b1), 2 key(b1) <= key(b) says b1 != 0 and
+    b1 <= b2 in lex order.  The same holds for q, a point over b too.  The
+    caller gives the cover that holds b (_cover_of), or None: a cover's
+    radix is above b_r, since each u over b has |u| at most its weight,
+    and every b1, of no greater weight, is held too, so the points over b1
+    are the cover's entry at key(b1).  With no cover R = max(b) + 1, and
+    each tried key is decoded to its degree and read by _fiber_points.
     """
     p, q = whole[0], whole[-1]
     if math.prod(e + 1 for e in q) < math.prod(e + 1 for e in p):
         p, q = q, p
-    view = _key_view(plan, b)
-    if view is None:
+    if cover is None:
         radix = max(b) + 1
-        keys, top = [0] * len(p), 0
-        for row, e in zip(plan.rows, b):
-            keys = [key * radix + a for key, a in zip(keys, row)]
-            top = top * radix + e
+        powers, keys = _place_values(plan.cols, radix)
 
         def read(key):
-            return _fiber_points(plan, _degree(key, radix, len(b)))
+            return _fiber_points(plan, _decoded((key,), powers, radix)[0])
 
     else:
-        powers, keys, keyed = view
-        top, read = sum(map(mul, powers, b)), keyed.__getitem__
+        powers, keys, read = cover.powers, cover.keys, cover.keyed.__getitem__
+    top = sum(map(mul, powers, b))
     within_q = None
     for key in _sub_box(keys, p):
         if not 0 < 2 * key <= top or (within_q is not None and key not in within_q):
@@ -718,7 +713,8 @@ def is_atomic(A: FiberMatrix, b) -> bool:
     0 + 0 = 0 decomposes it.  Nontrivial means b1, b2 outside {0, b}.
     Each pair is tested as minkowski_decomposes tests it.
     """
-    return _verdict(_plan(A), None, _check_in_na(A, b))
+    b, plan = _check_in_na(A, b), _plan(A)
+    return _verdict(plan, None, b, _cover_of(plan, b))
 
 
 def _ma_fiber(plan: _Plan, M: MonomialIdeal, b: Degree) -> tuple[Exponent, ...]:
@@ -757,23 +753,23 @@ def is_ma_atomic(M: MonomialIdeal, A: FiberMatrix, b) -> bool:
     b, plan = _check_degree(A, b), _plan(A)
     if not _ma_fiber(plan, M, b):
         raise ValueError(f"empty (M,A) fiber over {b}")
-    return _verdict(plan, M, b)
+    return _verdict(plan, M, b, _cover_of(plan, b))
 
 
-def _verdict(plan: _Plan, M: MonomialIdeal | None, b: Degree) -> bool:
+def _verdict(plan: _Plan, M: MonomialIdeal | None, b: Degree, cover: _Cover | None) -> bool:
     """The verdict on (M, b), M None for vertex mode, kept in the plan.
 
-    The caller checked its arguments and gives b in NA.  The verdict is
-    kept under M's generators, None in vertex mode.  The points are those
-    over b outside M, all of them in vertex mode.  In lattice mode the
-    first certificate is the meet of the cover that holds a nonzero b, if
-    that cover has split keys (_split_on_cover).  A split key means some
-    pair splits every point over b, so every point outside M: b is not
-    atomic.  No split key with M = 0 means no pair splits every point: b
-    is atomic.  With M != 0 and no split key, the points outside M decide.
-    The zero degree is left to the rest, as its meet {0} holds no split
-    and yet 0 is no atom.  Two more exact certificates are read off the
-    points before any walk.
+    The caller checked its arguments and gives b in NA and the cover that
+    holds b (_cover_of), or None, which the walks read (_atomic).  The
+    verdict is kept under M's generators, None in vertex mode.  The points
+    are those over b outside M, all of them in vertex mode.  In lattice
+    mode the first certificate is the meet of that cover, if it has split
+    keys and b is nonzero.  A split key means some pair splits every point
+    over b, so every point outside M: b is not atomic.  No split key with
+    M = 0 means no pair splits every point: b is atomic.  With M != 0 and
+    no split key, the points outside M decide.  The zero degree is left to
+    the rest, as its meet {0} holds no split and yet 0 is no atom.  Two
+    more exact certificates are read off the points before any walk.
     - A unit vector e_i among the points makes b atomic.  Then b is column
       i, and a pair that splits e_i has b1 = A u1 with u1 <= e_i, so b1 is
       0 or b.  In vertex mode e_i is a vertex: a point p != e_i over b
@@ -800,15 +796,17 @@ def _verdict(plan: _Plan, M: MonomialIdeal | None, b: Degree) -> bool:
     verdict = verdicts.get(b)
     if verdict is None:
         if M is None:
-            verdict = _verdict(plan, plan.zero, b)
+            verdict = _verdict(plan, plan.zero, b, cover)
             if verdict and b not in plan.colset:
                 points = _fiber_points(plan, b)
                 verdict = (
                     len(points) <= 2
-                    or _atomic(plan, b, sorted(_exposed(points)))
-                    or _atomic(plan, b, _fiber_vertices(plan, b))
+                    or _atomic(plan, b, sorted(_exposed(points)), cover)
+                    or _atomic(plan, b, _fiber_vertices(plan, b), cover)
                 )
-        elif plan.splits and (split := _split_on_cover(plan, b)) is not None and (split or not M.gens):
+        elif cover is not None and cover.splits is not None and any(b) and (
+            (split := sum(map(mul, cover.powers, b)) in cover.splits) or not M.gens
+        ):
             verdict = not split
         else:
             points = _ma_fiber(plan, M, b)
@@ -818,7 +816,7 @@ def _verdict(plan: _Plan, M: MonomialIdeal | None, b: Degree) -> bool:
                 # no point outside M leaves nothing to decompose
                 verdict = False
             else:
-                verdict = _atomic(plan, b, points)
+                verdict = _atomic(plan, b, points, cover)
         verdicts[b] = verdict
     return verdict
 
@@ -849,31 +847,26 @@ def atomic_scan(
         _check_ring(M, A)
     plan = _plan(A)
     if plan.ones is None:
-        # with no row of ones the groups are no whole fibers: only their
-        # degrees are read, so their points can go
-        if len(plan.rows) > 1:
-            degrees = list(_degree_groups(plan, bound))
-        else:
-            degrees = _one_row_degrees(plan.rows[0], bound)
+        degrees = _scan_degrees(plan, bound)
+        if len(plan.rows) == 1:
             _one_row_cover(plan, degrees, bound)
-        return [b for b in degrees if any(b) and _verdict(plan, M, b)]
-    # with a row of ones the groups are the fibers that row's cover holds,
-    # and it then holds every fiber the scan reads: a split part has b1_r <= b_r
-    groups = _degree_groups(plan, bound, split=True)
-    # A nonzero degree with one point p is atomic iff p is a unit vector
-    # that avoids M, iff b is a column and no generator of M divides p
-    # (_verdict's certificates; in vertex mode M is taken as 0).  As
-    # _verdict would, the scan keeps that verdict under M's generators
-    # and, in vertex mode, under None too.  The rest go to _verdict, after
-    # one memo lookup each; the zero degree stays out of the memo.
+        groups, cover = zip(degrees, map(_fiber_points, repeat(plan), degrees)), None
+    else:
+        # the row of ones' cover holds every fiber the scan reads, as a split
+        # part has b1_r <= b_r, and no other cover of the matrix has split keys
+        groups, cover = _graded(plan, plan.ones, bound, split=True).items(), plan.covers[plan.ones]
+    # Each group is a whole fiber, so a nonzero degree with one point p is
+    # atomic iff p is a unit vector that avoids M (_verdict's certificates;
+    # M is 0 in vertex mode), iff b is a column and no generator of M divides
+    # p.  The rest go to _verdict with the cover that holds them.
     gens = () if M is None else M.gens
     verdicts, lattice = plan.atomic[None if M is None else gens], plan.atomic[gens]
     atoms = []
-    for b, points in groups.items():
+    for b, points in groups:
         verdict = verdicts.get(b)
         if verdict is None:
             if len(points) > 1:
-                verdict = _verdict(plan, M, b)
+                verdict = _verdict(plan, M, b, cover or _cover_of(plan, b))
             elif any(b):
                 verdict = b in plan.colset and not _has_divisor(gens, points[0])
                 verdicts[b] = lattice[b] = verdict
@@ -882,20 +875,25 @@ def atomic_scan(
     return atoms
 
 
-def _one_row_degrees(row, bound: int) -> list[Degree]:
-    """The degrees row.u with |u| <= bound, in order, off a least-count table.
+def _scan_degrees(plan: _Plan, bound: int) -> list[Degree]:
+    """The degrees Au with |u| <= bound, in lex order, off a least-count table.
 
-    least[t] is the least |u| with row.u = t.  It is filled a level at a
-    time: level k, the t with least[t] = k, holds the sums t + w of a t in
-    level k - 1 and an entry w that no lower level holds.  The degrees are
-    the t with least[t] <= bound.  Each is expanded once, in n steps, where
-    grouping the u with |u| <= bound takes a step per u.
+    least[t] is the least |u| with key(Au) = t, in radix (max entry) bound
+    + 1, filled a level at a time: level k, the t with least[t] = k, holds
+    the sums t + k_i of a t in level k - 1 and a column key k_i that no
+    lower level holds.  The degrees are the t with least[t] <= bound, kept
+    in the plan.  Each is expanded once, in n steps, where grouping the u
+    with |u| <= bound takes a step per u.
     """
-    seen, level = {0}, {0}
-    for _ in range(bound):
-        level = {t + w for t in level for w in row} - seen
-        seen |= level
-    return [(t,) for t in sorted(seen)]
+    if bound not in plan.scans:
+        radix = max(map(max, plan.rows)) * bound + 1
+        powers, keys = _place_values(plan.cols, radix)
+        seen, level = {0}, {0}
+        for _ in range(bound):
+            level = {t + k for k in keys for t in level} - seen
+            seen |= level
+        plan.scans[bound] = _decoded(sorted(seen), powers, radix)
+    return plan.scans[bound]
 
 
 def _one_row_cover(plan: _Plan, degrees, bound: int) -> None:
@@ -910,11 +908,11 @@ def _one_row_cover(plan: _Plan, degrees, bound: int) -> None:
     spread entries such as (1, 1, 120) at bound 10 has a cover 32 times
     that, and gets none.  Counting costs no more than grouping the
     C(n + bound, n) u with |u| <= bound when top is at most that many; it
-    is skipped otherwise, and when the cover already reaches top.
+    is skipped otherwise, and when a cover already holds top.
     """
     row = plan.rows[0]
     top = max(row) * bound
-    if top <= plan.covers.get(None, (-1,))[0] or top > math.comb(len(row) + bound, bound):
+    if _cover_of(plan, (top,)) or top > math.comb(len(row) + bound, bound):
         return
     counts = [1] + [0] * top
     for w in row:

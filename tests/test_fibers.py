@@ -201,11 +201,19 @@ def test_cover_fibers_against_search_and_box_oracle():
     assert from_cover and beyond
 
 
-def test_scans_and_reachable_degrees_share_the_cover():
+def test_scans_and_reachable_degrees_share_the_cover(monkeypatch):
     # a scan covers the row of ones, reachable_degrees y = (1, ..., 1); both
     # covers fill the one fiber memo and persist, in either order, and a
-    # repeat call adds no memo entries and returns the cover's own dict
+    # repeat call adds no memo entries and returns the cover's own dict.
+    # After reachable_degrees, whose cover holds the scan's degrees first,
+    # a lattice scan with M = 0 still reads the split keys of its own
+    # cover: no degree whose key is split is walked, and the cover lookup
+    # finds the cover with split keys
+    walked = []
+    real_atomic = fibers._atomic
+    monkeypatch.setattr(fibers, "_atomic", lambda *args: walked.append(args[1]) or real_atomic(*args))
     rng = corpus.make_rng("scan-reachable")
+    split_seen = 0
     for A in _ones_matrices(rng, 6):
         r = _plan_ones(A)
         scan = atomic_scan(A, 3, mode="lattice")
@@ -218,16 +226,25 @@ def test_scans_and_reachable_degrees_share_the_cover():
                     if first_scan:
                         assert atomic_scan(A, 3, mode="lattice") == scan
                     assert reachable_degrees(A, bound) == walk
+                    walked.clear()
                     assert atomic_scan(A, 3, mode="lattice") == scan
                     plan = fibers._plan(A)
-                    assert {g: top for g, (top, _) in plan.covers.items()} == {r: 3, None: bound}
+                    assert {g: cover.top for g, cover in plan.covers.items()} == {r: 3, None: bound}
                     for grade, top in ((r, 3), (None, bound)):
-                        assert fibers._graded(plan, grade, top) is plan.covers[grade][1]
+                        assert fibers._graded(plan, grade, top) is plan.covers[grade].fibers
+                    cover = plan.covers[r]
+                    if cover.splits is not None:
+                        keyed = zip(cover.fibers, cover.keyed)
+                        split = {b for b, key in keyed if key in cover.splits}
+                        assert split.isdisjoint(walked), (A, bound, first_scan)
+                        assert all(fibers._cover_of(plan, b) is cover for b in cover.fibers), A
+                        split_seen += bool(split) and not first_scan
                     rounds.append(dict(plan.fibers))
                 # the second round reused both covers and every fiber
                 first, second = rounds
                 assert second == first
                 assert all(second[b] is pts for b, pts in first.items())
+    assert split_seen
 
 
 def test_integer_keyed_cover_against_box_and_walk_oracles():
@@ -258,9 +275,10 @@ def test_integer_keyed_cover_against_box_and_walk_oracles():
         expected = {}
         for u in oracles.monomials_up_to(A.ncols, top):
             expected.setdefault(A.apply(u), []).append(u)
-        (powers, keys, keyed), buckets, split = fibers._bucketed(cols, (1,) * A.ncols, top)
+        cover = fibers._bucketed(cols, (1,) * A.ncols, top)
+        powers, keys, keyed, buckets = cover.powers, cover.keys, cover.keyed, cover.fibers
         # unit-weight groups are no whole fibers, so they carry no split keys
-        assert split is None, A
+        assert cover.splits is None and not cover.split and cover.top == top, A
         assert buckets.keys() == expected.keys(), A
         # the key view: place values of a radix above every entry of a
         # degree, and each key holds the very tuple its degree does
@@ -290,7 +308,7 @@ def test_integer_keyed_cover_against_box_and_walk_oracles():
         for b, points in cover.items():
             assert list(points) == oracles.box_fiber_points(A.rows, b), (A, b)
         # covers no scan asked for carry no split keys
-        assert plan.splits == {}, A
+        assert all(c.splits is None and not c.split for c in plan.covers.values()), A
     # a scan's covers carry split keys: a covered degree's key is split iff
     # one nontrivial pair leaves no point over it unsplit, by the oracle's
     # sums.  A cover of more than _MEET_BITS key bits, or of more than
@@ -305,10 +323,10 @@ def test_integer_keyed_cover_against_box_and_walk_oracles():
             # a grown cover keeps the split keys a fresh one has
             fibers._graded(plan, grade, top)
             weights = A.rows[grade] if grade is not None else tuple(map(sum, plan.cols))
-            _, _, fresh = fibers._bucketed(plan.cols, weights, top, split=True)
-            powers, _, keyed = plan.views[grade]
-            split = plan.splits.get(grade)
-            assert split == fresh, (A, grade, top)
+            fresh = fibers._bucketed(plan.cols, weights, top, split=True).splits
+            cover = plan.covers[grade]
+            powers, keyed, split = cover.powers, cover.keyed, cover.splits
+            assert split == fresh and cover.split, (A, grade, top)
             # C(n + top, n) u have |u| <= top: the cover's points, or more
             bits = (max(map(max, A.rows)) * top + 1) ** A.nrows
             count = math.comb(A.ncols + top, top)
@@ -318,7 +336,7 @@ def test_integer_keyed_cover_against_box_and_walk_oracles():
                 sparse += bits <= fibers._MEET_BITS
                 continue
             assert split is not None and split <= keyed.keys(), (A, grade, top)
-            for b, points in plan.covers[grade][1].items():
+            for b, points in cover.fibers.items():
                 pairs = oracles.split_pairs_from_points(A.rows, b, points)
                 unsplit = (oracles.first_unsplit_by_sums(A.rows, points, b1, b2) for b1, b2 in pairs)
                 expected = any(p is None for p in unsplit)
@@ -545,9 +563,9 @@ def test_atomic_walk_tries_each_sub_box_pair_once(monkeypatch):
     real_atomic, real_unsplit = fibers._atomic, fibers._first_unsplit
     runs, current, reading = [], [], []
 
-    def traced_atomic(plan, b, whole):
+    def traced_atomic(plan, b, whole, cover):
         current.append((b, [], [], plan.rows))
-        verdict = real_atomic(plan, b, whole)
+        verdict = real_atomic(plan, b, whole, cover)
         _, asked, pairs, _ = current.pop()
         runs.append((plan.rows, b, whole, verdict, asked, pairs))
         return verdict
@@ -604,8 +622,8 @@ def test_atomic_walk_tries_each_sub_box_pair_once(monkeypatch):
     # 8 of the lex-last, so whichever is tried first, the other is pruned
     A = FiberMatrix(((4, 5, 6),))
     _clear_fiber_caches()
-    whole = fiber_points(A, (16,))
-    assert fibers._atomic(fibers._plan(A), (16,), whole) is True
+    whole, plan = fiber_points(A, (16,)), fibers._plan(A)
+    assert fibers._atomic(plan, (16,), whole, fibers._cover_of(plan, (16,))) is True
     assert oracles.atomic_by_sub_box_walk(A.rows, (16,), whole) is True
     assert len(runs[-1][-1]) == 1 and runs[-1][-1][0][0] in {(4,), (8,)}
     # a lattice scan on a row of ones settles each degree by its cover's
@@ -825,7 +843,8 @@ def test_serial_scan_loop_matches_the_adapter_per_degree():
         for _, _, key in modes:
             for b in universe:
                 _clear_fiber_caches()
-                fresh[key, b] = fibers._verdict(fibers._plan(A), key, b)
+                # a fresh plan holds no cover
+                fresh[key, b] = fibers._verdict(fibers._plan(A), key, b, None)
         for order in (modes, modes[::-1]):
             _clear_fiber_caches()
             for mode, ideal, key in order:
@@ -898,7 +917,7 @@ def test_verdicts_match_the_oracle_walk_over_definition_vertices(monkeypatch):
     # hull, and lattice verdicts with M = 0 and M != 0, whose split parts
     # come from one integer-key sumset, each against the oracle's walk, on
     # cold caches and after the other scans.  On a row of ones a walk reads
-    # its split parts off the key view of the cover it reads, whose values
+    # its split parts off the keys of the cover it is given, whose values
     # are the cover's own tuples: every mode must walk keyed at least once
     rng = corpus.make_rng("keyed-walk")
     cases = _certificate_corpus()
@@ -906,9 +925,9 @@ def test_verdicts_match_the_oracle_walk_over_definition_vertices(monkeypatch):
     ones = [(A, rng.randint(2, 6 if A.ncols < 5 else 4)) for A in _ones_matrices(rng, 16)]
     ones.append((FiberMatrix(((1, 1, 1, 1), (0, 1, 3, 4))), 6))
     cases += [(A, bound, corpus.random_ideal(rng, A.ncols, 2, 2)) for A, bound in ones]
-    views, walked = [], collections.Counter()
-    real_view = fibers._key_view
-    monkeypatch.setattr(fibers, "_key_view", lambda *args: views.append(real_view(*args)) or views[-1])
+    given, walked = [], collections.Counter()
+    real_atomic = fibers._atomic
+    monkeypatch.setattr(fibers, "_atomic", lambda *args: given.append(args[-1]) or real_atomic(*args))
     for A, bound, M in cases:
         expected = _oracle_scans(A, bound, M)
         scans = {
@@ -918,18 +937,17 @@ def test_verdicts_match_the_oracle_walk_over_definition_vertices(monkeypatch):
         }
         for mode, scan in scans.items():
             _clear_fiber_caches()
-            views.clear()
+            given.clear()
             assert scan() == expected[mode], (A, mode)
-            walked[mode] += any(view is not None for view in views)
+            walked[mode] += any(cover is not None for cover in given)
             plan = fibers._plan(A)
-            assert plan.views.keys() == plan.covers.keys(), (A, mode)
-            for grade, (_, cover) in plan.covers.items():
-                view = plan.views[grade][2]
-                assert len(view) == len(cover), (A, mode)
-                assert all(map(operator.is_, view.values(), cover.values())), (A, mode)
+            for cover in plan.covers.values():
+                assert isinstance(cover, fibers._Cover), (A, mode)
+                assert len(cover.keyed) == len(cover.fibers), (A, mode)
+                assert all(map(operator.is_, cover.keyed.values(), cover.fibers.values())), (A, mode)
         for mode, scan in scans.items():
             assert scan() == expected[mode], (A, mode)
-    assert len(walked) == 3, walked
+    assert len(walked) == 3 and all(walked.values()), walked
 
 
 def _one_row_cover_by_box(A, bound) -> bool:
@@ -987,7 +1005,7 @@ def test_one_row_scans_read_one_cover_and_match_the_oracle_walk(monkeypatch):
             covers = {None: max(A.rows[0]) * bound} if cover else {}
             if plan.ones is not None:
                 covers = {0: bound}
-            assert {g: t for g, (t, _) in plan.covers.items()} == covers, (A, bound)
+            assert {g: cover.top for g, cover in plan.covers.items()} == covers, (A, bound)
             if covers:
                 assert searches == [], (A, bound, mode)
     assert 0 < covered < len(cases)
@@ -998,13 +1016,18 @@ def test_one_row_scans_on_spread_rows_keep_no_cover(monkeypatch):
     # 2.8 M points, some 32 times the 86,801 over the scan's 66 degrees
     # (and 381 MB peak RSS against 24 MB), so the scan takes none; its top
     # also exceeds the 286 points of its groups, so it is not even counted.
-    # The verdicts are stubbed, as the cover is chosen before the verdict loop
-    monkeypatch.setattr(fibers, "_verdict", lambda plan, M, b: False)
-    for A, bound in ((FiberMatrix(((1, 1, 120),)), 10), (FiberMatrix(((1, 100),)), 20)):
+    # The verdicts are stubbed, as the cover is chosen before the verdict
+    # loop; the scan settles a degree with one point itself, so exactly the
+    # columns with one point over them come back
+    monkeypatch.setattr(fibers, "_verdict", lambda plan, M, b, cover: False)
+    cases = ((FiberMatrix(((1, 1, 120),)), 10, []), (FiberMatrix(((1, 100),)), 20, [(1,)]))
+    for A, bound, singles in cases:
         assert not _one_row_cover_by_box(A, bound)
+        columns = {A.column(i) for i in range(A.ncols)}
+        assert singles == sorted(c for c in columns if len(oracles.box_fiber_points(A.rows, c)) == 1)
         for mode in ("vertex", "lattice"):
             _clear_fiber_caches()
-            assert atomic_scan(A, bound, mode=mode) == []
+            assert atomic_scan(A, bound, mode=mode) == singles, (A, mode)
             assert fibers._plan(A).covers == {}, (A, mode)
 
 
@@ -1024,22 +1047,30 @@ def test_multi_row_scans_without_a_row_of_ones_keep_no_cover():
 
 
 def test_one_row_degree_table_matches_the_groups():
-    # a one-row scan reads its degrees off the least-count levels, not off
-    # the groups of the u with |u| <= bound; rows with spread entries put
-    # max(row) * bound above C(n + bound, n), where no cover is counted
+    # a scan with no row of ones reads its degrees off the least-count
+    # levels, not off the groups of the u with |u| <= bound, on one row or
+    # several; rows with spread entries put max(row) * bound above
+    # C(n + bound, n), where no cover is counted
     rng = corpus.make_rng("one-row-degrees")
     rows = [(1, 1, 120), (1, 100), (2, 3, 5, 7), (3, 1, 4), (1, 1, 5), (1, 1, 1), (6,)]
     rows += [tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 4))) for _ in range(6)]
     rows += [tuple(rng.randint(1, 60) for _ in range(rng.randint(2, 3))) for _ in range(6)]
+    matrices = [FiberMatrix((row,)) for row in rows]
+    matrices += [A for A in _no_ones_matrices(rng, 6) if A.nrows > 1]
     guard = collections.Counter()
-    for row in rows:
-        A = FiberMatrix((row,))
-        for bound in range(1, 9):
+    for A in matrices:
+        for bound in range(1, 9 if A.ncols < 6 else 6):
             _clear_fiber_caches()
-            expected = list(fibers._degree_groups(fibers._plan(A), bound))
-            assert fibers._one_row_degrees(row, bound) == expected, (row, bound)
-            guard[max(row) * bound <= math.comb(len(row) + bound, bound)] += 1
-    assert guard[True] and guard[False]
+            plan = fibers._plan(A)
+            expected = list(fibers._degree_groups(plan, bound))
+            assert fibers._scan_degrees(plan, bound) == expected, (A, bound)
+            # the plan keeps them for the next scan at that bound
+            assert fibers._scan_degrees(plan, bound) is plan.scans[bound], (A, bound)
+            if A.nrows == 1:
+                guard[max(A.rows[0]) * bound <= math.comb(A.ncols + bound, bound)] += 1
+            else:
+                guard["rows"] += 1
+    assert guard[True] and guard[False] and guard["rows"]
 
 
 def _verdicts_on_fresh_plans(A, universe, M):
@@ -1048,39 +1079,44 @@ def _verdicts_on_fresh_plans(A, universe, M):
     for key, ideal in ((None, None), ((), MonomialIdeal.zero(A.ncols)), (M.gens, M)):
         for b in universe:
             _clear_fiber_caches()
-            fresh[key][b] = fibers._verdict(fibers._plan(A), ideal, b)
+            # a fresh plan holds no cover
+            fresh[key][b] = fibers._verdict(fibers._plan(A), ideal, b, None)
     return fresh
 
 
 def test_scans_settle_one_point_degrees_on_the_cover(monkeypatch):
-    # on a matrix with a row of ones the groups are whole fibers: a scan
-    # settles a nonzero degree with one point by whether it is a column
-    # and, with M != 0, whether the point avoids M, and hands only degrees
-    # with two or more points to _verdict; its memo is that of _verdict
-    # run on each degree, in either mode, with or without M, in any order
+    # every group a scan reads is a whole fiber, off the cover of a row of
+    # ones or read per degree on any other matrix: a scan settles a
+    # nonzero degree with one point by whether it is a column and, with
+    # M != 0, whether the point avoids M, and hands only degrees with two
+    # or more points to _verdict; its memo is that of _verdict run on each
+    # degree, in either mode, with or without M, in any order
     rng = corpus.make_rng("one-point-degrees")
     cases = [(A, rng.randint(2, 4)) for A in _ones_matrices(rng, 8)]
     # the certificate corpus with a row of ones put on top
     cases += [(FiberMatrix(((1,) * A.ncols,) + A.rows), b) for A, b, _ in _certificate_corpus()]
+    # and matrices with no row of ones, on one row or several
+    cases += [(A, 2 if A.ncols > 4 else 3) for A in _no_ones_matrices(rng, 6)]
     real_verdict, calls, depth = fibers._verdict, [], []
 
-    def traced_verdict(plan, M, b):
+    def traced_verdict(plan, M, b, cover):
         if not depth:
             calls.append(b)
         depth.append(b)
         try:
-            return real_verdict(plan, M, b)
+            return real_verdict(plan, M, b, cover)
         finally:
             depth.pop()
 
     monkeypatch.setattr(fibers, "_verdict", traced_verdict)
-    settled = in_M = 0
+    settled = in_M = without_ones = 0
     for A, bound in cases:
         universe = _scan_universe(A, bound)
         M = corpus.random_ideal(rng, A.ncols, 2, 2)
         fresh = _verdicts_on_fresh_plans(A, universe, M)
         sizes = {b: len(oracles.box_fiber_points(A.rows, b)) for b in universe}
         settled += min(sizes.values()) == 1
+        without_ones += min(sizes.values()) == 1 and fibers._plan(A).ones is None
         # a column whose one point, its unit vector, lies in M is settled not atomic
         units = [tuple(int(j == i) for j in range(A.ncols)) for i in range(A.ncols)]
         in_M += any(sizes.get(A.apply(e)) == 1 and oracles.member(M.gens, e) for e in units)
@@ -1100,7 +1136,43 @@ def test_scans_settle_one_point_degrees_on_the_cover(monkeypatch):
                 # a vertex scan fills the lattice memo with M = 0 as well
                 if mode == "vertex":
                     assert memo[()] == fresh[()], A
-    assert settled and in_M
+    assert settled and in_M and without_ones
+
+
+def test_scans_after_a_lift_build_their_cover_again_with_split_keys():
+    # monoid_lift covers the row of ones with no sub-box bitsets; a scan
+    # that finds that cover at its bound or above builds it once more with
+    # them, at the higher of the two tops, so its split keys settle the
+    # degrees they hold; the verdicts are those of a scan on a fresh plan,
+    # and a second scan builds nothing
+    A = FiberMatrix(((1, 1, 1, 1, 1), (0, 1, 3, 4, 6)))
+    M = minimalize(5, [(0, 2, 0, 0, 0), (1, 0, 0, 1, 0)])
+    for bound, lift in ((7, 7), (6, 7), (7, 5)):
+        for mode, ideal in (("vertex", None), ("lattice", None), ("lattice", M)):
+            _clear_fiber_caches()
+            fresh = atomic_scan(A, bound, mode=mode, M=ideal)
+            fresh_memo = {key: dict(memo) for key, memo in fibers._plan(A).atomic.items()}
+            _clear_fiber_caches()
+            monoid_lift(A, [(2, 5)], lift)
+            plan = fibers._plan(A)
+            assert plan.covers[0].splits is None and not plan.covers[0].split
+            assert atomic_scan(A, bound, mode=mode, M=ideal) == fresh, (bound, lift, mode)
+            cover = plan.covers[0]
+            assert cover.split and cover.splits and cover.top == max(bound, lift), (bound, lift)
+            assert plan.atomic == fresh_memo, (bound, lift, mode)
+            assert atomic_scan(A, bound, mode=mode, M=ideal) == fresh
+            assert plan.covers[0] is cover
+    # a cover held at a top where the bitsets would not pay, here 85^2 key
+    # bits at top 14, is read as it is, with no split keys
+    _clear_fiber_caches()
+    fresh = atomic_scan(A, 3, mode="lattice")
+    _clear_fiber_caches()
+    vertex_ideal_standard(A, 14)
+    plan = fibers._plan(A)
+    held = plan.covers[0]
+    assert (held.top, held.splits) == (14, None) and 85**2 > fibers._MEET_BITS
+    assert atomic_scan(A, 3, mode="lattice") == fresh
+    assert plan.covers[0] is held
 
 
 def test_scans_on_a_row_of_ones_build_no_search_tables():
@@ -1161,7 +1233,8 @@ def test_split_part_sumset_matches_the_oracle_walk():
             continue
         points = fiber_points(A, b)
         for whole in (points, hull_vertices(points)):
-            verdict = fibers._atomic(fibers._plan(A), b, whole)
+            plan = fibers._plan(A)
+            verdict = fibers._atomic(plan, b, whole, fibers._cover_of(plan, b))
             assert verdict is oracles.atomic_by_sub_box_walk(A.rows, b, whole), (A, b)
 
 
@@ -1307,7 +1380,7 @@ def test_is_atomic_examples():
             _clear_fiber_caches()
             assert zero not in atomic_scan(A, 3, mode=mode)
             plan = fibers._plan(A)
-            assert plan.ones in plan.splits, A
+            assert plan.covers[plan.ones].splits is not None, A
             assert is_atomic(A, zero) is False
             assert is_ma_atomic(MonomialIdeal.zero(A.ncols), A, zero) is False
             assert is_ma_atomic(minimalize(A.ncols, [(1,) + (0,) * (A.ncols - 1)]), A, zero) is False
