@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 
@@ -75,12 +76,19 @@ def _load_json(path: str):
         raise InputError(f"{path}: JSON nested too deeply") from exc
 
 
+@contextmanager
+def _blame(prefix: str):
+    """Re-raise a library ValueError as an InputError that names prefix."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InputError(f"{prefix}: {exc}") from exc
+
+
 def _load(path: str, cls):
     """Read one JSON file and build cls from it; bad content is an InputError."""
-    try:
+    with _blame(path):
         return cls.from_json(_load_json(path))
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 def _load_sized(path: str, cls, flag: str, size: int, owner: str):
@@ -155,24 +163,20 @@ def _cmd_ideal(args):
 
 def _cmd_decompose(args):
     I = _load(args.ideal, MonomialIdeal)
-    try:
+    with _blame(args.ideal):
         if args.irreducible:
             return [C.to_json() for C in irreducible_decomposition(I)], None
         if args.primes:
             return [p.to_json() for p in associated_primes(I)], None
         return [pc.to_json() for pc in primary_decomposition(I)], None
-    except ValueError as exc:
-        raise InputError(f"{args.ideal}: {exc}") from exc
 
 
 def _cmd_hilbert(args):
     if args.grading is not None and args.table_bound is None:
         raise InputError("--grading only applies with --table-bound")
     I = _load(args.ideal, MonomialIdeal)
-    try:
+    with _blame(args.ideal):
         numer = hilbert_numerator(I)
-    except ValueError as exc:
-        raise InputError(f"{args.ideal}: {exc}") from exc
     payload = {"numerator": [[list(e), c] for e, c in sorted(numer.items())]}
     if args.table_bound is not None:
         if args.grading is None:
@@ -207,16 +211,11 @@ def _cmd_chain(args):
     F = _load(args.family, IdealFamily)
     if args.refine is not None:
         pivot = _load(args.refine, MonomialIdeal)
-        try:
-            blocks = refine_by_standard_trace(F, pivot)
-        except ValueError as exc:
-            raise InputError(f"--refine: {args.refine}: {exc}") from exc
-        return {"blocks": blocks}, None
+        with _blame(f"--refine: {args.refine}"):
+            return {"blocks": refine_by_standard_trace(F, pivot)}, None
     if args.group_primes:
-        try:
+        with _blame(args.family):
             return {"blocks": group_by_associated_primes(F)}, None
-        except ValueError as exc:
-            raise InputError(f"{args.family}: {exc}") from exc
     chain = extract_descending_chain(F)
     return {"chain": chain, "length": len(chain)}, None
 
@@ -293,10 +292,8 @@ def _cmd_young(args):
         O = _load(args.to_ideal, FiniteOrderIdeal)
         return young_complement(O).to_json(), None
     I = _load(args.to_order_ideal, MonomialIdeal)
-    try:
+    with _blame(args.to_order_ideal):
         return young_cocomplement(I).to_json(), None
-    except ValueError as exc:
-        raise InputError(f"{args.to_order_ideal}: {exc}") from exc
 
 
 _DEMO_ROWS = (

@@ -39,9 +39,7 @@ class MonomialPrime:
     tau: frozenset[int]
 
     def __post_init__(self):
-        _check_int(self.nvars, "nvars")
-        if self.nvars < 1:
-            raise ValueError("need at least one variable")
+        _check_int(self.nvars, "nvars", 1)
         if not isinstance(self.tau, frozenset):
             object.__setattr__(self, "tau", frozenset(self.tau))
         for i in self.tau:

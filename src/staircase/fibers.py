@@ -141,18 +141,19 @@ def _check_degree(A: FiberMatrix, b) -> Degree:
     return check_exponent(b)
 
 
-def _check_in_na(A: FiberMatrix, b) -> Degree:
-    b = _check_degree(A, b)
-    if not _fiber_points(_plan(A), b):
-        raise ValueError(f"empty fiber over {b}")
-    return b
+def _check_in_na(A: FiberMatrix, b, *pair) -> tuple:
+    """A's plan, looked up once, and the checked degrees b, *pair, in order.
 
-
-def _check_pair(A: FiberMatrix, b, b1, b2) -> tuple[Degree, Degree, Degree]:
-    b, b1, b2 = _check_degree(A, b), _check_degree(A, b1), _check_degree(A, b2)
-    if tuple(map(add, b1, b2)) != b:
-        raise ValueError(f"degree mismatch: {b1} + {b2} != {b}")
-    return b, _check_in_na(A, b1), _check_in_na(A, b2)
+    Every length is checked first.  A pair b1, b2 must then sum to b, and
+    b1, then b2, must lie in NA, so b does too; with no pair, b must.
+    """
+    plan, b, pair = _plan(A), _check_degree(A, b), [_check_degree(A, d) for d in pair]
+    if pair and tuple(map(add, *pair)) != b:
+        raise ValueError("degree mismatch: {} + {} != {}".format(*pair, b))
+    for d in pair or (b,):
+        if not _fiber_points(plan, d):
+            raise ValueError(f"empty fiber over {d}")
+    return plan, b, *pair
 
 
 def _check_ring(M: MonomialIdeal, A: FiberMatrix) -> None:
@@ -524,7 +525,7 @@ def fiber_points(A: FiberMatrix, b) -> list[Exponent]:
 
 def fiber(A: FiberMatrix, b) -> Fiber:
     """The fiber over b together with its hull vertices; b must lie in NA."""
-    b, plan = _check_in_na(A, b), _plan(A)
+    plan, b = _check_in_na(A, b)
     return Fiber(b, _fiber_points(plan, b), _fiber_vertices(plan, b))
 
 
@@ -628,8 +629,7 @@ def minkowski_decomposes(A: FiberMatrix, b, b1, b2) -> bool:
     points of P_b.  So the test reads the lattice points over b1 alone,
     with no hull: u1 <= v over b1 leaves u2 = v - u1 >= 0 over b2.
     """
-    b, b1, b2 = _check_pair(A, b, b1, b2)
-    plan = _plan(A)
+    plan, b, b1, _ = _check_in_na(A, b, b1, b2)
     return _first_unsplit(_fiber_vertices(plan, b), _fiber_points(plan, b1)) is None
 
 
@@ -681,7 +681,7 @@ def _atomic(plan: _Plan, b: Degree, whole, cover: _Cover | None) -> bool:
         powers, keys = _place_values(plan.cols, radix)
 
         def read(key):
-            return _fiber_points(plan, _decoded((key,), powers, radix)[0])
+            return _fiber_points(plan, tuple(key // power % radix for power in powers))
 
     else:
         powers, keys, read = cover.powers, cover.keys, cover.keyed.__getitem__
@@ -713,7 +713,7 @@ def is_atomic(A: FiberMatrix, b) -> bool:
     0 + 0 = 0 decomposes it.  Nontrivial means b1, b2 outside {0, b}.
     Each pair is tested as minkowski_decomposes tests it.
     """
-    b, plan = _check_in_na(A, b), _plan(A)
+    plan, b = _check_in_na(A, b)
     return _verdict(plan, None, b, _cover_of(plan, b))
 
 
@@ -741,8 +741,7 @@ def ma_decomposes(M: MonomialIdeal, A: FiberMatrix, b, b1, b2):
     then u2 = p - u1 lies over b2, and u1, u2 avoid M as p does.
     """
     _check_ring(M, A)
-    b, b1, b2 = _check_pair(A, b, b1, b2)
-    plan = _plan(A)
+    plan, b, b1, _ = _check_in_na(A, b, b1, b2)
     witness = _first_unsplit(_ma_fiber(plan, M, b), _fiber_points(plan, b1))
     return (witness is None), witness
 
@@ -833,9 +832,7 @@ def atomic_scan(
     uses additive splitting of the (M,A) fiber points, with M defaulting
     to the zero ideal, and skips degrees whose points all lie in M.
     """
-    _check_int(bound, "bound")
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
+    _check_int(bound, "bound", 1)
     if mode not in ("vertex", "lattice"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "vertex":
@@ -924,17 +921,14 @@ def _one_row_cover(plan: _Plan, degrees, bound: int) -> None:
 
 def atomicity_ideal(A: FiberMatrix, b) -> MonomialIdeal:
     """Monomial ideal generated by the hull vertices of the fiber over b."""
-    b = _check_in_na(A, b)
-    return _minimal(A.ncols, _fiber_vertices(_plan(A), b))
+    plan, b = _check_in_na(A, b)
+    return _minimal(A.ncols, _fiber_vertices(plan, b))
 
 
 def _vertex_split(plan: _Plan, bound: int) -> tuple[list[Exponent], list[Exponent]]:
     """The u with |u| <= bound that are hull vertices of their own fiber, and the rest."""
-    _check_int(bound, "bound")
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
     vertices, others = [], []
-    for b, points in _degree_groups(plan, bound).items():
+    for b, points in _degree_groups(plan, _check_int(bound, "bound", 0)).items():
         hull = _fiber_vertices(plan, b)
         for u in points:
             (vertices if u in hull else others).append(u)
@@ -990,9 +984,7 @@ def monoid_lift(G: FiberMatrix, ideal_degrees, bound: int) -> MonomialIdeal:
     member is kept when a_i = 0 for every i with value - column i a member
     value.
     """
-    _check_int(bound, "bound")
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
+    _check_int(bound, "bound", 0)
     degrees = [_check_degree(G, b) for b in ideal_degrees]
     values, gens, plan = set(), [], _plan(G)
     # with a row of ones, a gap's weight is at most |a| <= bound, so the

@@ -76,10 +76,7 @@ def reachable_degrees(D: Grading, bound: int) -> list[tuple[int, ...]]:
     degree's weight is its coordinate sum; hilbert_function then reads
     their fibers from the same memo.
     """
-    _check_int(bound, "bound")
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    return list(_graded(_plan(D), None, bound))
+    return list(_graded(_plan(D), None, _check_int(bound, "bound", 0)))
 
 
 def same_hilbert_up_to(I: MonomialIdeal, J: MonomialIdeal, D: Grading, bound: int) -> bool:

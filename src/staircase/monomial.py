@@ -44,10 +44,19 @@ def check_count(value, field: str) -> int:
     return value
 
 
-def _check_int(value, name: str) -> None:
-    # a count or an index: an int, never a bool, which JSON would print as true
+def _check_int(value, name: str, least: int | None = None) -> int:
+    """The library's one bound check: value, if it is an int no less than least.
+
+    A count, an index or a bound is an int, never a bool, which JSON would
+    print as true.  Otherwise, or when value < least, the ValueError names
+    the argument: "{name} must be an integer, got ...", "{name} must be
+    nonnegative" for least 0, "{name} must be at least {least}" else.
+    """
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be nonnegative" if least == 0 else f"{name} must be at least {least}")
+    return value
 
 
 def check_vectors(value, field: str) -> list:
@@ -113,9 +122,7 @@ class MonomialIdeal:
     gens: tuple[Exponent, ...]
 
     def __post_init__(self):
-        _check_int(self.nvars, "nvars")
-        if self.nvars < 0:
-            raise ValueError("nvars must be nonnegative")
+        _check_int(self.nvars, "nvars", 0)
         for g in self.gens:
             check_exponent(g, self.nvars)
         if self.gens != tuple(sorted(set(self.gens))):
@@ -220,11 +227,9 @@ class MonomialIdeal:
 
     def standard_monomials_up_to(self, bound: int) -> list[Exponent]:
         """All u with total degree <= bound and x^u outside the ideal, sorted lex."""
-        if bound < 0:
-            raise ValueError("bound must be nonnegative")
         return [
             u
-            for u in exponents_up_to_degree(self.nvars, bound)
+            for u in exponents_up_to_degree(self.nvars, _check_int(bound, "bound", 0))
             if not _has_divisor(self.gens, u)
         ]
 
@@ -252,9 +257,7 @@ class MonomialIdeal:
 
 def minimalize(nvars: int, gens) -> MonomialIdeal:
     """Canonicalize a generating set to its antichain of minimal generators."""
-    _check_int(nvars, "nvars")
-    if nvars < 0:
-        raise ValueError("nvars must be nonnegative")
+    _check_int(nvars, "nvars", 0)
     return _minimal(nvars, [check_exponent(g, nvars) for g in gens])
 
 
@@ -276,11 +279,8 @@ def exponents_up_to_degree(nvars: int, bound: int):
     up; at the bound the last nonzero entry goes to 0 and the one before
     it steps up, and when that is the first entry the walk is done.
     """
-    _check_int(nvars, "nvars")
-    _check_int(bound, "bound")
-    if nvars < 0:
-        raise ValueError("nvars must be nonnegative")
-    if bound < 0:
+    _check_int(nvars, "nvars", 0)
+    if _check_int(bound, "bound") < 0:
         return
     if nvars == 0:
         yield ()

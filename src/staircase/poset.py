@@ -78,16 +78,12 @@ def x_doi_contains(D1: XDualOrderIdeal, D2: XDualOrderIdeal) -> bool:
 
 def s_family(l: int) -> XDualOrderIdeal:
     """The dual order ideal generated by the slice {(k, l) : k < l}."""
-    if l < 1:
-        raise ValueError("slice index must be at least 1")
-    return XDualOrderIdeal(tuple((k, l) for k in range(l)))
+    return XDualOrderIdeal(tuple((k, l) for k in range(_check_int(l, "slice index", 1))))
 
 
 def verify_s_antichain(L: int) -> bool:
     """Are the slice ideals pairwise incomparable through index L?"""
-    if L < 2:
-        raise ValueError("need at least two slices to compare")
-    ideals = [s_family(l) for l in range(1, L + 1)]
+    ideals = [s_family(l) for l in range(1, _check_int(L, "L", 2) + 1)]
     for a in range(len(ideals)):
         for b in range(a + 1, len(ideals)):
             if x_doi_contains(ideals[a], ideals[b]) or x_doi_contains(ideals[b], ideals[a]):
@@ -97,7 +93,7 @@ def verify_s_antichain(L: int) -> bool:
 
 def elements_with_j_below(j_max: int) -> list[XElem]:
     """All ground-set elements (i, j) with j <= j_max, sorted."""
-    return [(i, j) for j in range(1, j_max + 1) for i in range(j)]
+    return [(i, j) for j in range(1, _check_int(j_max, "j_max") + 1) for i in range(j)]
 
 
 def descending_chain_max(p) -> int:
@@ -123,9 +119,7 @@ class FiniteOrderIdeal:
     points: tuple[Exponent, ...]
 
     def __post_init__(self):
-        _check_int(self.nvars, "nvars")
-        if self.nvars < 1:
-            raise ValueError("need at least one variable")
+        _check_int(self.nvars, "nvars", 1)
         pts = tuple(sorted({check_exponent(p, self.nvars) for p in self.points}))
         object.__setattr__(self, "points", pts)
         have = set(pts)

@@ -1208,10 +1208,12 @@ def test_public_bounds_must_be_integers():
         partial(monoid_lift, A, [(1, 1)]),
         partial(reachable_degrees, A),
         partial(same_hilbert_up_to, I, I, A),
+        I.standard_monomials_up_to,
     ]
     for call in calls:
         call(bound=2)
-        for bad in (2.5, True, "3"):
+        # "3" and None once reached standard_monomials_up_to's range test as a TypeError
+        for bad in (2.5, True, "3", None):
             with pytest.raises(ValueError, match="bound must be an integer"):
                 call(bound=bad)
 
@@ -1333,6 +1335,27 @@ def test_minkowski_validation():
     G = FiberMatrix(((2, 3),))
     with pytest.raises(ValueError):
         minkowski_decomposes(G, (3,), (1,), (2,))  # fiber over (1) empty
+
+
+def test_each_public_fiber_call_looks_its_plan_up_once(monkeypatch):
+    # each lookup hashes the matrix; these calls once made 2, 2, 2, 3 and 3
+    A, b1, b2 = demo_matrix(), (1, 3, 5, 2), (5, 10, 10, 6)
+    b = tuple(map(operator.add, b1, b2))
+    M = MonomialIdeal(6, ((0, 0, 0, 0, 0, 3),))
+    real_plan, looked_up = fibers._plan, []
+    monkeypatch.setattr(fibers, "_plan", lambda A: looked_up.append(A) or real_plan(A))
+    for call, degrees in (
+        (fiber, (b1,)),
+        (is_atomic, (b,)),
+        (atomicity_ideal, (b,)),
+        (minkowski_decomposes, (b, b1, b2)),
+        (partial(ma_decomposes, M), (b, b1, b2)),
+    ):
+        looked_up.clear()
+        expected = call(A, *degrees)
+        assert looked_up == [A], call
+        # a degree given as an iterator is read once, into the checked tuple
+        assert call(A, *map(iter, degrees)) == expected, call
 
 
 def test_pair_checks_share_one_message_for_a_part_outside_na():

@@ -363,10 +363,17 @@ def test_a_count_or_index_is_an_int_never_a_bool():
         ):
             with pytest.raises(ValueError, match="nvars must be an integer"):
                 build()
-    # 1.5 once walked up to degree 2
-    for bound in (True, 1.5, "2"):
+    # 1.5 once walked up to degree 2; standard_monomials_up_to once raised a
+    # TypeError on "2" and None
+    I = MonomialIdeal(2, ((1, 1),))
+    for bound in (True, 1.5, "2", None):
         with pytest.raises(ValueError, match="bound must be an integer"):
             list(exponents_up_to_degree(2, bound))
+        with pytest.raises(ValueError, match="bound must be an integer"):
+            I.standard_monomials_up_to(bound)
+    for build in (lambda: FiniteOrderIdeal(0, ()), lambda: MonomialPrime(0, frozenset())):
+        with pytest.raises(ValueError, match="^nvars must be at least 1$"):
+            build()
     for tau in ({True}, {0.0}, {"a", 1}):
         with pytest.raises(ValueError, match="tau entry must be an integer"):
             MonomialPrime(2, tau)

@@ -85,15 +85,26 @@ def test_s_family_examples():
     assert s_family(1).mins == ((0, 1),)
     assert s_family(2).mins == ((0, 2), (1, 2))
     assert s_family(4).mins == ((0, 4), (1, 4), (2, 4), (3, 4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^slice index must be at least 1$"):
         s_family(0)
+    # 1.5, "3" and None once raised a TypeError, in s_family and in
+    # elements_with_j_below, and elements_with_j_below(True) gave [(0, 1)]
+    for bad in (1.5, "3", None, True):
+        with pytest.raises(ValueError, match="slice index must be an integer"):
+            s_family(bad)
+        with pytest.raises(ValueError, match="j_max must be an integer"):
+            elements_with_j_below(bad)
 
 
 def test_verify_s_antichain():
     assert verify_s_antichain(2)
     assert verify_s_antichain(10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^L must be at least 2$"):
         verify_s_antichain(1)
+    # 2.5, "3" and None once raised a TypeError
+    for bad in (2.5, "3", None, True):
+        with pytest.raises(ValueError, match="L must be an integer"):
+            verify_s_antichain(bad)
 
 
 def test_corrupted_family_fails():
