@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 
@@ -76,13 +75,20 @@ def _load_json(path: str):
         raise InputError(f"{path}: JSON nested too deeply") from exc
 
 
-@contextmanager
-def _blame(prefix: str):
+class _blame:
     """Re-raise a library ValueError as an InputError that names prefix."""
-    try:
-        yield
-    except ValueError as exc:
-        raise InputError(f"{prefix}: {exc}") from exc
+
+    __slots__ = ("prefix",)
+
+    def __init__(self, prefix: str):
+        self.prefix = prefix
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, ValueError):
+            raise InputError(f"{self.prefix}: {exc}") from exc
 
 
 def _load(path: str, cls):

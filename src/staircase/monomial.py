@@ -103,15 +103,17 @@ class MonomialIdeal:
     minimalize() and from_json() after they check their input vectors,
     and sum(), intersect() and quotient(); for the pure-power ideals m^a
     in irreducible_decomposition() and MonomialPrime.as_ideal(); for the
-    flipped antichains and the primary components Alexander duality
-    builds in primary_decomposition(); and for the minimal points of a
-    complement in poset.young_complement(); and for the minimal members
-    fibers.monoid_lift() picks by upward closure.  _minimal() itself,
+    flipped antichains Alexander duality builds in primary_decomposition()
+    and its components, each a lone m^a or a flip; for the minimal points
+    of a complement in poset.young_complement(); and for the minimal
+    members fibers.monoid_lift() picks by upward closure.  _minimal() itself,
     with no check of its input, also serves the library's own exponent
     tuples: fiber points in fibers.vertex_ideal_gens_truncated(), and hull
     vertices in fibers.atomicity_ideal().
     PrimaryComponent._trusted() mirrors it for primary_decomposition()
-    alone.  Never pass outside input to either.
+    alone, and MonomialPrime._trusted() for the primes that
+    associated_primes() and primary_decomposition() read off component
+    supports.  Never pass outside input to any of them.
 
     member() checks its exponent and asks _has_divisor(self.gens, u);
     library code that holds a valid tuple of the right length asks

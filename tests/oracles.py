@@ -17,7 +17,8 @@ enumeration of exponents, chains by subset enumeration or by recursion
 instead of a bottom-up pass, irreducible components by splitting mixed
 generators instead of adding generators one at a time, or by adding them
 one at a time and pruning each new component against all others instead
-of testing its corner, and the generators of a complement by walking its
+of testing its corner, or by testing the corner with lists of witness
+generators instead of bitmasks, and the generators of a complement by walking its
 bounding box instead of stepping up from the order ideal.
 """
 
@@ -120,6 +121,41 @@ def irreducible_by_pairwise_prune(nvars: int, gens) -> list[tuple[int, ...]]:
             and not any(c != b and contains(b, c) for c in new)
         ]
     return sorted(comps)
+
+
+def irreducible_by_witness_lists(nvars: int, gens) -> list[tuple[int, ...]]:
+    """Exponent vectors a of the irredundant irreducible components m^a.
+
+    The library's former corner test, in the library's order: add the
+    generators one at a time, keeping each component a with W_a, a dict
+    from each j with a_j > 0 to the list of generators h added so far with
+    h_j = a_j and h_k < a_k for every other such k.  A component containing
+    x^g stays, and g joins W_a[j] iff j is its one hit coordinate and
+    a_j = g_j.  Each other one gives candidates b = a[i := g_i] with
+    W_b[i] = [g] and W_b[j] = [h in W_a[j] : h_i < g_i], kept iff no list
+    is empty.
+    """
+    comps = [((0,) * nvars, {})]
+    for g in gens:
+        next_comps = []
+        for a, witnesses in comps:
+            hit = [j for j in witnesses if a[j] <= g[j]]
+            if hit:
+                if len(hit) == 1 and a[hit[0]] == g[hit[0]]:
+                    witnesses[hit[0]].append(g)
+                next_comps.append((a, witnesses))
+                continue
+            for i in (k for k, e in enumerate(g) if e > 0):
+                kept = {i: [g]}
+                for j, hs in witnesses.items():
+                    if j != i:
+                        kept[j] = [h for h in hs if h[i] < g[i]]
+                        if not kept[j]:
+                            break
+                else:
+                    next_comps.append((a[:i] + (g[i],) + a[i + 1 :], kept))
+        comps = next_comps
+    return [a for a, _ in comps]
 
 
 def primary_by_grouping(components) -> list[tuple[tuple[int, ...], tuple]]:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from staircase import (
@@ -10,6 +12,7 @@ from staircase import (
     minimalize,
     primary_decomposition,
 )
+from staircase import decomposition
 from staircase.decomposition import _irreducible_vectors
 
 import corpus
@@ -239,6 +242,8 @@ def test_trusted_components_pass_public_check():
             assert MonomialIdeal(C.nvars, C.gens) == C, C
         for pc in primary:
             assert PrimaryComponent(pc.prime, pc.component) == pc, pc
+        for prime in associated_primes(I) + [pc.prime for pc in primary]:
+            assert MonomialPrime(prime.nvars, prime.tau) == prime, prime
         reference = oracles.irreducible_by_splitting(I.nvars, I.gens)
         assert [C.gens for C in irreducible] == reference
         assert [
@@ -248,13 +253,15 @@ def test_trusted_components_pass_public_check():
 
 def test_primary_decomposition_runs_no_public_component_check(monkeypatch):
     def refuse(*args):
-        raise AssertionError("PrimaryComponent.__post_init__ or MonomialIdeal.intersect ran")
+        raise AssertionError("a public check or MonomialIdeal.intersect ran")
 
     monkeypatch.setattr(PrimaryComponent, "__post_init__", refuse)
+    monkeypatch.setattr(MonomialPrime, "__post_init__", refuse)
     # the components come from the decomposition kernel, not from an intersect fold
     monkeypatch.setattr(MonomialIdeal, "intersect", refuse)
     pd = primary_decomposition(ROADMAP_18)
     assert pd and all(isinstance(pc, PrimaryComponent) for pc in pd)
+    assert associated_primes(ROADMAP_18) == [pc.prime for pc in pd]
 
 
 def test_primary_by_duality_matches_intersect_fold_on_8_variables():
@@ -304,3 +311,63 @@ def test_witness_lists_on_antichains_match_pairwise_prune():
         assert sorted(_irreducible_vectors(I)) == oracles.irreducible_by_pairwise_prune(
             I.nvars, I.gens
         ), I
+
+
+def _degree_draws(rng, nvars, degree, size):
+    """Up to size distinct exponents, each the variable counts of degree draws."""
+    draws = (rng.choices(range(nvars), k=degree) for _ in range(5 * size))
+    return list(dict.fromkeys(tuple(c.count(i) for i in range(nvars)) for c in draws))[:size]
+
+
+def test_witness_masks_match_witness_lists():
+    # each mask has one bit per generator, so ideals past 64 generators
+    # take masks wider than a machine word
+    rng = corpus.make_rng("witness-masks")
+    ideals = [ROADMAP_18]
+    for nvars in range(1, 9):
+        ideals += [corpus.random_ideal(rng, nvars, 4, 30) for _ in range(10)]
+    for nvars, degree, size in ((2, 99, 100), (3, 12, 70), (6, 8, 66)):
+        pool = [u for u in exponents_up_to_degree(nvars, degree) if sum(u) == degree]
+        ideals.append(minimalize(nvars, rng.sample(pool, size)))
+    # degree-10 draws in 7 and 8 variables, the shape of the CI's 200-generator ideal
+    ideals += [minimalize(7, _degree_draws(rng, 7, 10, 100))]
+    ideals += [minimalize(8, _degree_draws(rng, 8, 10, 120))]
+    wide = 0
+    for I in ideals:
+        if I.is_unit():
+            continue
+        assert _irreducible_vectors(I) == oracles.irreducible_by_witness_lists(
+            I.nvars, I.gens
+        ), I
+        wide += len(I.gens) > 64
+    assert wide == 5
+
+
+def test_primary_decomposition_dualizes_only_groups_of_two_or_more(monkeypatch):
+    rng = corpus.make_rng("singleton-groups")
+    ideals = [ROADMAP_18]
+    for nvars in range(1, 7):
+        ideals += [corpus.random_ideal(rng, nvars, 4, 12) for _ in range(12)]
+    ideals += [minimalize(8, _degree_draws(rng, 8, 6, 30)) for _ in range(3)]
+    kernel, calls = decomposition._irreducible_vectors, []
+
+    def counted(I):
+        calls.append(I)
+        return kernel(I)
+
+    monkeypatch.setattr(decomposition, "_irreducible_vectors", counted)
+    singles = dualized = 0
+    for I in ideals:
+        if I.is_unit():
+            continue
+        irreducible = [C.gens for C in irreducible_decomposition(I)]
+        sizes = Counter(tuple(sorted(g.index(max(g)) for g in C)) for C in irreducible)
+        calls.clear()
+        primary = primary_decomposition(I)
+        assert len(calls) == 1 + sum(n >= 2 for n in sizes.values()), I
+        assert [
+            (pc.prime.generators, pc.component.gens) for pc in primary
+        ] == oracles.primary_by_grouping(irreducible), I
+        singles += sum(n == 1 for n in sizes.values())
+        dualized += sum(n >= 2 for n in sizes.values())
+    assert singles >= 50 and dualized >= 50
