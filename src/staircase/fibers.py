@@ -31,12 +31,22 @@ hilbert.reachable_degrees reads.  Every other fiber is found by a search
 that assigns one column at a time and solves the last two together
 (_enumerate_fiber).
 
-Atomicity is decided in _verdict, the one kernel every check and scan
-runs, save that a scan settles each degree with one point itself.  A
-scan's cover carries each point's sub-box as an integer bitset and keeps
-the keys of the degrees one pair splits every point of (_bucketed): for
-a degree it holds, that is one set lookup, which settles the lattice
-verdict with M = 0 and rules out atomicity in every mode.  Two exact
+A scan's cover carries each point's sub-box as an integer bitset and
+keeps the keys of the degrees one pair splits every point of (_bucketed):
+for a degree it holds, that is one set lookup, which settles the lattice
+verdict with M = 0 and rules out atomicity in every mode.  A lattice scan
+with M = 0 reads nothing else, so its cover is points-free: its keys and
+split keys, with no point, and its atoms are the keys not split, 0 aside
+(atomic_scan).  Every other reader reads points: vertex scans, scans with
+M != 0, fiber, ma_fiber, the checks, the vertex ideals, monoid lifts and
+hilbert.reachable_degrees.  The first of them to read a points-free
+cover builds it again with its points (_covered, called by _cover_of and
+_graded); until then _fiber_points tells a degree outside NA by the
+cover's keys.
+
+Atomicity is otherwise decided in _verdict, the one kernel every check
+and every scan that reads points runs, save that a scan settles each
+degree with one point itself.  Two exact
 certificates read off the points settle most other degrees, a vertex
 verdict is screened by the lattice one with M = 0 and then walked over
 the exposed vertices (_exposed, which _hull shares), and what is left
@@ -49,7 +59,8 @@ _check_in_na is the one test that a degree lies in NA.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Collection
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
 from itertools import repeat
 from collections import defaultdict
@@ -171,10 +182,11 @@ class _Plan:
     solver _enumerate_fiber reads, built on its first read: a scan on a
     matrix with a row of ones reads every fiber from the cover and never
     searches.  The rest are memos.
-    - fibers maps each degree asked for or covered to its lex-sorted
-      points, () when outside NA.
+    - fibers maps each degree asked for or covered with points to its
+      lex-sorted points, () when outside NA.
     - covers maps a grade (the index of a row of ones, or None for
-      y = (1, ..., 1)) to its cover (_Cover).
+      y = (1, ..., 1)) to its cover (_Cover), points-free when a lattice
+      scan with M = 0 built it and no reader of points has come since.
     - scans maps a bound to the degrees a scan with no row of ones reads.
     - vertices maps a degree in NA to its hull vertices.
     - avoiding[M.gens][b], M nonzero, holds the points over b outside M.
@@ -281,16 +293,26 @@ class _Cover:
     each degree's key to the same tuple, with the place values powers and
     the columns' keys (_place_values).  split says whether a scan asked for
     it; splits holds the keys of the degrees one pair splits every point
-    of, or None (_bucketed).
+    of, or None (_bucketed).  present holds the keys of its degrees,
+    keyed's keys.  A points-free cover, which only a lattice scan with
+    M = 0 builds, holds no points: its fibers and keyed are None, and
+    _covered builds it again with points for the first reader of points
+    (_cover_of, _graded).
     """
 
     top: int
     split: bool
-    fibers: dict[Degree, tuple[Exponent, ...]]
+    fibers: dict[Degree, tuple[Exponent, ...]] | None
     powers: list[int]
     keys: list[int]
-    keyed: dict[int, tuple[Exponent, ...]]
+    keyed: dict[int, tuple[Exponent, ...]] | None
     splits: set[int] | None
+    present: Collection[int]
+
+
+def _radix(cols, top: int) -> int:
+    """(max entry) top + 1: above every digit of a degree of a u with |u| <= top."""
+    return max(map(max, cols)) * top + 1
 
 
 def _place_values(cols, radix: int) -> tuple[list[int], list[int]]:
@@ -308,7 +330,7 @@ def _decoded(keys, powers, radix: int) -> list[Degree]:
     return list(zip(*[[key // power % radix for key in keys] for power in powers]))
 
 
-def _bucketed(cols, weights, top: int, split: bool = False) -> _Cover:
+def _bucketed(cols, weights, top: int, split: bool = False, points: bool = True) -> _Cover:
     """The cover of every u with weights.u <= top, bucketed by Au.
 
     The columns are extended one at a time, each prefix by every value
@@ -340,14 +362,22 @@ def _bucketed(cols, weights, top: int, split: bool = False) -> _Cover:
     one point, which the scan settles with no walk.  The points are counted
     as the C(n + top, n) u with |u| <= top, which hold them all, and are
     them on a row of ones.  Else the split keys are None.
+
+    Without points, asked only by a lattice scan with M = 0, the cover is
+    points-free when the bitsets are carried: each prefix is its key,
+    weight and bitset alone, and a point only ANDs its bitset into the
+    meet of its key, so no tuple, bucket or degree is built.  The present
+    keys are those whose meet a point reached.  With no bitsets the points
+    are built all the same, as a cover with no split keys serves only its
+    points' readers.
     """
-    radix = max(map(max, cols)) * top + 1
+    radix = _radix(cols, top)
     powers, keys = _place_values(cols, radix)
     # meets[key] is -1 until a point over key comes
     meets = [-1] * radix ** len(powers) if split and _bitsets_pay(cols, top) else None
     buckets: defaultdict[int, list[Exponent]] = defaultdict(list)
     last = keys[-1], weights[-1]
-    # two walks, so that a cover with no bitsets pays nothing for them
+    # three walks, so that a cover pays only for what it carries
     if meets is None:
         level = [((), 0, 0)]
         for k, w in zip(keys[:-1], weights[:-1]):
@@ -363,6 +393,26 @@ def _bucketed(cols, weights, top: int, split: bool = False) -> _Cover:
             for v in range((top - wt) // w + 1):
                 buckets[key].append(u + (v,))
                 key += k
+    elif not points:
+        level = [(0, 0, 1)]
+        for k, w in zip(keys[:-1], weights[:-1]):
+            nxt = []
+            for key, wt, sub in level:
+                for _ in range((top - wt) // w + 1):
+                    nxt.append((key, wt, sub))
+                    key += k
+                    wt += w
+                    sub |= sub << k
+            level = nxt
+        k, w = last
+        for key, wt, sub in level:
+            for _ in range((top - wt) // w + 1):
+                meets[key] &= sub
+                sub |= sub << k
+                key += k
+        present = {key for key, meet in enumerate(meets) if meet != -1}
+        splits = {key for key in present if meets[key].bit_count() > 2}
+        return _Cover(top, split, None, powers, keys, None, splits, present)
     else:
         level = [((), 0, 0, 1)]
         for k, w in zip(keys[:-1], weights[:-1]):
@@ -385,13 +435,42 @@ def _bucketed(cols, weights, top: int, split: bool = False) -> _Cover:
     points = list(map(tuple, map(buckets.__getitem__, order)))
     splits = None if meets is None else {key for key in order if meets[key].bit_count() > 2}
     degrees = _decoded(order, powers, radix)
-    return _Cover(top, split, dict(zip(degrees, points)), powers, keys, dict(zip(order, points)), splits)
+    keyed = dict(zip(order, points))
+    return _Cover(top, split, dict(zip(degrees, points)), powers, keys, keyed, splits, keyed.keys())
 
 
 def _bitsets_pay(cols, top: int) -> bool:
     """Do the sub-box bitsets of a cover up to top pay, R^d bits each (_bucketed)?"""
-    size = (max(map(max, cols)) * top + 1) ** len(cols[0])
+    size = _radix(cols, top) ** len(cols[0])
     return size <= _MEET_BITS and size <= _MEET_BITS_PER_POINT * math.comb(len(cols) + top, top)
+
+
+def _covered(plan: _Plan, grade: int | None, top: int, split: bool = False, points: bool = True) -> _Cover:
+    """The cover of the y given by grade, up to top or above, built when it must be.
+
+    A cover is built up to top when it is not held that far, and so are
+    its fibers into the memo.  A scan asks with split, which a cover keeps
+    as it grows; a cover no scan asked for is built once more with split,
+    at its own top if higher, when its bitsets pay there.  A reader of
+    points finds a points-free cover built again with its points, at its
+    own top: the keys are then the same, so its split keys carry over.  A
+    cover built again enumerates every u again, so the fibers the memo
+    already held are bucketed anew, to equal tuples.
+    """
+    cover = plan.covers.get(grade)
+    held, asked = (-1, False) if cover is None else (cover.top, cover.split)
+    grow = top > held or (split and not asked and _bitsets_pay(plan.cols, max(top, held)))
+    if not (grow or (points and cover.fibers is None)):
+        return cover
+    weights = tuple(map(sum, plan.cols)) if grade is None else plan.rows[grade]
+    if grow:
+        cover = _bucketed(plan.cols, weights, max(top, held), split or asked, points)
+    else:
+        cover = replace(_bucketed(plan.cols, weights, held), split=True, splits=cover.splits)
+    plan.covers[grade] = cover
+    if cover.fibers is not None:
+        plan.fibers.update(cover.fibers)
+    return cover
 
 
 def _graded(
@@ -399,34 +478,31 @@ def _graded(
 ) -> dict[Degree, tuple[Exponent, ...]]:
     """Every nonempty fiber of weight <= top for the y given by grade, in lex order.
 
-    Covers y up to weight top first, if it is not yet, and stores the
-    fibers in the memo.  A scan asks with split, which a cover keeps as it
-    grows; a cover no scan asked for is built once more with split, at its
-    own top if higher, when its bitsets pay there.  At the cover's top the
-    answer is the cover's own fibers, which callers only read; below it,
-    those of weight <= top.  A cover built again enumerates every u again,
-    so the fibers it already held are bucketed anew, to equal tuples.
+    Read off the cover that holds them, with its points (_covered).  At
+    the cover's top the answer is the cover's own fibers, which callers
+    only read; below it, those of weight <= top.
     """
-    cover = plan.covers.get(grade)
-    held, asked = (-1, False) if cover is None else (cover.top, cover.split)
-    if top > held or (split and not asked and _bitsets_pay(plan.cols, max(top, held))):
-        weights = tuple(map(sum, plan.cols)) if grade is None else plan.rows[grade]
-        cover = plan.covers[grade] = _bucketed(plan.cols, weights, max(top, held), split or asked)
-        plan.fibers.update(cover.fibers)
+    cover = _covered(plan, grade, top, split)
     if top == cover.top:
         return cover.fibers
     return {b: pts for b, pts in cover.fibers.items() if _weight(b, grade) <= top}
 
 
-def _cover_of(plan: _Plan, b: Degree) -> _Cover | None:
-    """The cover that holds b, one with split keys first; None if none does."""
+def _cover_of(plan: _Plan, b: Degree, points: bool = True) -> _Cover | None:
+    """The cover that holds b, one with split keys first; None if none does.
+
+    With points, a points-free cover is built again with its points first.
+    """
     held = None
     for grade, cover in plan.covers.items():
         if _weight(b, grade) <= cover.top:
             if cover.splits is not None:
-                return cover
+                break
             held = held or cover
-    return held
+    else:
+        # a cover with no split keys holds its points
+        return held
+    return _covered(plan, grade, cover.top) if points and cover.fibers is None else cover
 
 
 def _degree_groups(plan: _Plan, bound: int) -> dict[Degree, tuple[Exponent, ...]]:
@@ -501,12 +577,21 @@ def _fiber_points(plan: _Plan, b: Degree) -> tuple[Exponent, ...]:
     """All u with Au = b, lex sorted; empty iff b is outside NA.
 
     Read from the plan's fiber memo.  A degree missing from it is outside
-    NA when a cover holds it (_cover_of), and is otherwise found by
-    _enumerate_fiber and stored.
+    NA when a cover holds it (_cover_of) and, if that cover is points-free,
+    its key is not present; a present key builds the cover again with its
+    points, which fills the memo.  A degree no cover holds is found by
+    _enumerate_fiber.  What is found is stored.
     """
     points = plan.fibers.get(b)
     if points is None:
-        points = plan.fibers[b] = () if _cover_of(plan, b) else tuple(_enumerate_fiber(plan, b))
+        cover = _cover_of(plan, b, points=False)
+        if cover is None:
+            points = tuple(_enumerate_fiber(plan, b))
+        elif cover.fibers is None and sum(map(mul, cover.powers, b)) in cover.present:
+            return _cover_of(plan, b).fibers[b]
+        else:
+            points = ()
+        plan.fibers[b] = points
     return points
 
 
@@ -831,6 +916,17 @@ def atomic_scan(
     mode "vertex" uses Minkowski decomposability of hulls; mode "lattice"
     uses additive splitting of the (M,A) fiber points, with M defaulting
     to the zero ideal, and skips degrees whose points all lie in M.
+
+    A lattice scan with M = 0 whose cover carries split keys reads no
+    point: a nonzero degree is then atomic exactly when its key is not
+    split.  That holds for a lone point p too, whose meet, its sub-box,
+    has prod(p_i + 1) bits, as no two u1 <= p lie over one degree, so two
+    bits only for a unit vector.  On a row of ones the atoms are the
+    cover's keys less its split keys and 0, decoded, and kept to weight
+    <= bound; on one row, the scan's degrees whose key is not split.  Such
+    a scan builds its cover points-free and leaves no verdict in the memo.
+    Every other scan reads each degree's points and settles it as
+    _verdict does.
     """
     _check_int(bound, "bound", 1)
     if mode not in ("vertex", "lattice"):
@@ -843,20 +939,29 @@ def atomic_scan(
     else:
         _check_ring(M, A)
     plan = _plan(A)
+    gens = () if M is None else M.gens
+    # a lattice scan with M = 0 reads no points once its cover has split keys
+    bare = mode == "lattice" and not gens
     if plan.ones is None:
         degrees = _scan_degrees(plan, bound)
-        if len(plan.rows) == 1:
-            _one_row_cover(plan, degrees, bound)
+        cover = _one_row_cover(plan, degrees, bound, not bare) if len(plan.rows) == 1 else None
+        if bare and cover is not None and cover.splits is not None:
+            # on one row a degree's key is its one digit, and degrees[0] is 0
+            return [b for b in degrees[1:] if b[0] not in cover.splits]
         groups, cover = zip(degrees, map(_fiber_points, repeat(plan), degrees)), None
     else:
         # the row of ones' cover holds every fiber the scan reads, as a split
         # part has b1_r <= b_r, and no other cover of the matrix has split keys
-        groups, cover = _graded(plan, plan.ones, bound, split=True).items(), plan.covers[plan.ones]
+        cover = _covered(plan, plan.ones, bound, True, not bare)
+        if bare and cover.splits is not None:
+            keys = sorted(cover.present - cover.splits - {0})
+            atoms = _decoded(keys, cover.powers, _radix(plan.cols, cover.top))
+            return atoms if cover.top == bound else [b for b in atoms if b[plan.ones] <= bound]
+        groups = _graded(plan, plan.ones, bound, split=True).items()
     # Each group is a whole fiber, so a nonzero degree with one point p is
     # atomic iff p is a unit vector that avoids M (_verdict's certificates;
     # M is 0 in vertex mode), iff b is a column and no generator of M divides
     # p.  The rest go to _verdict with the cover that holds them.
-    gens = () if M is None else M.gens
     verdicts, lattice = plan.atomic[None if M is None else gens], plan.atomic[gens]
     atoms = []
     for b, points in groups:
@@ -883,7 +988,7 @@ def _scan_degrees(plan: _Plan, bound: int) -> list[Degree]:
     with |u| <= bound takes a step per u.
     """
     if bound not in plan.scans:
-        radix = max(map(max, plan.rows)) * bound + 1
+        radix = _radix(plan.cols, bound)
         powers, keys = _place_values(plan.cols, radix)
         seen, level = {0}, {0}
         for _ in range(bound):
@@ -893,8 +998,8 @@ def _scan_degrees(plan: _Plan, bound: int) -> list[Degree]:
     return plan.scans[bound]
 
 
-def _one_row_cover(plan: _Plan, degrees, bound: int) -> None:
-    """Cover y = (1,) up to max(row) * bound when it holds at most twice what the scan reads.
+def _one_row_cover(plan: _Plan, degrees, bound: int, points: bool = True) -> _Cover | None:
+    """The cover of y = (1,) up to max(row) * bound, if held or at most twice what the scan reads.
 
     On one row every degree a scan reads, its own and each split part
     b1 <= b, is at most top = max(row) * bound, so that one cover holds
@@ -905,18 +1010,21 @@ def _one_row_cover(plan: _Plan, degrees, bound: int) -> None:
     spread entries such as (1, 1, 120) at bound 10 has a cover 32 times
     that, and gets none.  Counting costs no more than grouping the
     C(n + bound, n) u with |u| <= bound when top is at most that many; it
-    is skipped otherwise, and when a cover already holds top.
+    is skipped otherwise, and when a cover already holds top, which is
+    returned as it is.  A scan that reads no points builds it without
+    (_covered).
     """
     row = plan.rows[0]
     top = max(row) * bound
-    if _cover_of(plan, (top,)) or top > math.comb(len(row) + bound, bound):
-        return
+    if (held := _cover_of(plan, (top,), points=False)) or top > math.comb(len(row) + bound, bound):
+        return held
     counts = [1] + [0] * top
     for w in row:
         for t in range(w, top + 1):
             counts[t] += counts[t - w]
     if sum(counts) <= 2 * sum(counts[b] for (b,) in degrees):
-        _graded(plan, None, top, split=True)
+        return _covered(plan, None, top, True, points)
+    return None
 
 
 def atomicity_ideal(A: FiberMatrix, b) -> MonomialIdeal:

@@ -18,6 +18,7 @@ from staircase import (
     atomicity_ideal,
     fiber,
     fiber_points,
+    hilbert_function,
     hull_vertices,
     in_hull,
     is_atomic,
@@ -168,6 +169,11 @@ def _plan_ones(A):
 
 def _clear_fiber_caches():
     fibers._plan.cache_clear()
+
+
+def _split_keys_held(A):
+    """Whether a cover of A's plan has split keys, which a lattice scan with M = 0 reads alone."""
+    return any(cover.splits is not None for cover in fibers._plan(A).covers.values())
 
 
 def test_cover_fibers_against_search_and_box_oracle():
@@ -707,15 +713,22 @@ def test_plan_is_the_only_cache():
 
 
 def test_zero_ideal_reads_the_fiber_memo():
+    # a lattice scan with M = 0 reads its cover's split keys alone, so it
+    # leaves no fiber, verdict or M-avoiding memo; the zero ideal's fibers
+    # read then are the fiber memo's own tuples, and fill no M-avoiding memo
     A = FiberMatrix(((1, 1, 1), (0, 1, 2)))
     zero = MonomialIdeal.zero(3)
     _clear_fiber_caches()
-    atomic_scan(A, 3, mode="lattice")
+    scan = atomic_scan(A, 3, mode="lattice")
     plan = fibers._plan(A)
-    assert plan.atomic and not plan.avoiding
-    for b in plan.fibers:
+    assert plan.covers[plan.ones].fibers is None
+    assert not (plan.fibers or plan.atomic or plan.avoiding)
+    groups = fibers._degree_groups(plan, 3)
+    assert groups.keys() <= plan.fibers.keys()
+    for b in groups:
         assert fibers._ma_fiber(plan, zero, b) is fibers._fiber_points(plan, b)
-    assert not plan.avoiding
+        assert is_ma_atomic(zero, A, b) is (b in scan)
+    assert plan.atomic[()] and not plan.avoiding
 
 
 def test_verdict_memo_survives_scans():
@@ -851,7 +864,9 @@ def test_serial_scan_loop_matches_the_adapter_per_degree():
                 scan = atomic_scan(A, bound, mode=mode, M=ideal)
                 assert scan == [b for b in universe if fresh[key, b]], (A, mode, ideal)
                 verdicts = fibers._plan(A).atomic[None if key is None else key.gens]
-                assert all(verdicts[b] is fresh[key, b] for b in universe), (A, mode)
+                if not (key is zero and _split_keys_held(A)):
+                    assert verdicts.keys() >= set(universe), (A, mode)
+                assert all(verdicts[b] is fresh[key, b] for b in universe if b in verdicts), (A, mode)
 
 
 def test_certified_vertex_scan_builds_no_hull(monkeypatch):
@@ -943,6 +958,11 @@ def test_verdicts_match_the_oracle_walk_over_definition_vertices(monkeypatch):
             plan = fibers._plan(A)
             for cover in plan.covers.values():
                 assert isinstance(cover, fibers._Cover), (A, mode)
+                if cover.fibers is None:
+                    # only a lattice scan with M = 0 leaves a points-free cover
+                    assert mode == "lattice" and cover.keyed is None and cover.splits is not None
+                    continue
+                assert cover.present == cover.keyed.keys(), (A, mode)
                 assert len(cover.keyed) == len(cover.fibers), (A, mode)
                 assert all(map(operator.is_, cover.keyed.values(), cover.fibers.values())), (A, mode)
         for mode, scan in scans.items():
@@ -1132,7 +1152,11 @@ def test_scans_settle_one_point_degrees_on_the_cover(monkeypatch):
                 if k == 0:
                     assert sorted(calls) == [b for b in universe if sizes[b] > 1], (A, mode)
                 memo = fibers._plan(A).atomic
-                assert memo[key] == fresh[key], (A, mode)
+                if key == () and _split_keys_held(A):
+                    # the scan read split keys alone and kept no verdict
+                    assert memo[key].items() <= fresh[key].items(), (A, mode)
+                else:
+                    assert memo[key] == fresh[key], (A, mode)
                 # a vertex scan fills the lattice memo with M = 0 as well
                 if mode == "vertex":
                     assert memo[()] == fresh[()], A
@@ -1173,6 +1197,138 @@ def test_scans_after_a_lift_build_their_cover_again_with_split_keys():
     assert (held.top, held.splits) == (14, None) and 85**2 > fibers._MEET_BITS
     assert atomic_scan(A, 3, mode="lattice") == fresh
     assert plan.covers[0] is held
+
+
+def _lattice_atoms_by_points(A, bound):
+    """The lattice atoms with M = 0 up to bound, by the verdict loop over points.
+
+    Each degree's points come from the fiber search and its verdict from
+    the certificates and the walk over them, on a plan with no cover, so no
+    split key decides any degree.
+    """
+    _clear_fiber_caches()
+    plan, zero = fibers._plan(A), MonomialIdeal.zero(A.ncols)
+    atoms = [b for b in _scan_universe(A, bound) if fibers._verdict(plan, zero, b, None)]
+    assert not plan.covers
+    _clear_fiber_caches()
+    return atoms
+
+
+def _points_free_cases(rng):
+    """Seeded (A, grade, bounds): matrices with a row of ones on 2 to 4 rows, and one row."""
+    cases = [(FiberMatrix(((1, 1, 1, 1), (0, 1, 3, 4))), 0, (2, 5, 11))]
+    cases += [(FiberMatrix(((2, 3, 5, 7),)), None, (2, 4, 6)), (FiberMatrix(((1, 2),)), None, (3, 9))]
+    for d in (2, 3, 4):
+        for _ in range(4):
+            n = rng.randint(2, 4)
+            rows = list(corpus.random_matrix(rng, d - 1, n, rng.choice((2, 9) if d == 2 else (1, 2))).rows)
+            rows.insert(rng.randint(0, d - 1), (1,) * n)
+            A = FiberMatrix(tuple(rows))
+            cases.append((A, _plan_ones(A), (1, 3, 6) if d == 2 else (1, 2, 4)))
+    for _ in range(5):
+        A = corpus.random_matrix(rng, 1, rng.randint(2, 4), 5)
+        if fibers._plan(A).ones is None:
+            cases.append((A, None, (2, 4, 7)))
+    return cases
+
+
+def test_points_free_lattice_scans_match_the_point_reading_loop(monkeypatch):
+    # a lattice scan with M = 0 whose cover carries split keys builds it
+    # with no points and returns the nonzero degrees whose keys are not
+    # split: the verdict loop over points agrees, on a row of ones of 2 to 4
+    # rows and on one row, at bounds where the bitsets pay and where they do
+    # not.  A scan below the top of a held cover reads that cover, weight
+    # filtered, and builds nothing
+    builds = []
+    real_bucketed = fibers._bucketed
+    monkeypatch.setattr(fibers, "_bucketed", lambda *args: builds.append(args) or real_bucketed(*args))
+    rng = corpus.make_rng("points-free-scan")
+    seen = collections.Counter()
+    for A, grade, bounds in _points_free_cases(rng):
+        expected = {bound: _lattice_atoms_by_points(A, bound) for bound in bounds}
+        for bound in bounds:
+            _clear_fiber_caches()
+            assert atomic_scan(A, bound, mode="lattice") == expected[bound], (A, bound)
+            cover = fibers._plan(A).covers.get(grade)
+            if cover is None:
+                seen["no cover"] += 1
+                continue
+            # a cover is points-free exactly when its bitsets pay
+            pays = fibers._bitsets_pay(fibers._plan(A).cols, cover.top)
+            assert (cover.fibers is None) is pays is (cover.splits is not None), (A, bound)
+            seen[A.nrows, pays] += 1
+            if not pays:
+                continue
+            assert cover.keyed is None and 0 in cover.present, (A, bound)
+            assert not (fibers._plan(A).fibers or fibers._plan(A).atomic), (A, bound)
+            # every lower bound reads the held cover
+            held = fibers._plan(A).covers[grade]
+            for low in [b for b in bounds if b < bound]:
+                builds.clear()
+                assert atomic_scan(A, low, mode="lattice") == expected[low], (A, bound, low)
+                assert builds == [] and fibers._plan(A).covers[grade] is held, (A, bound, low)
+                seen["below"] += 1
+    assert all(seen[d, True] for d in (1, 2, 3, 4)) and seen["below"], seen
+    assert any(seen[d, False] for d in (2, 3, 4)), seen
+
+
+def test_points_readers_after_a_points_free_cover_match_cold_queries(monkeypatch):
+    # after a lattice scan with M = 0 leaves a points-free cover, every
+    # reader of points on the same plan answers as on a cold plan: the
+    # first one builds the cover again with its points and its split keys.
+    # A degree outside NA is told by the cover's keys, with no points.  In
+    # the other order, a lattice scan after a vertex scan reads the vertex
+    # scan's cover and enumerates nothing
+    cases = [
+        (FiberMatrix(((1, 1, 1, 1), (0, 1, 3, 4))), 0, 6, (2, 5), (1, 2), [(2, 5)]),
+        (FiberMatrix(((2, 3, 5, 7),)), None, 4, (12,), (1,), [(10,)]),
+    ]
+    for A, grade, bound, b, outside, ideal_degrees in cases:
+        M = minimalize(A.ncols, [(1,) * A.ncols, (0, 2) + (0,) * (A.ncols - 2)])
+        readers = {
+            "vertex scan": lambda: atomic_scan(A, bound, mode="vertex"),
+            "fiber": lambda: fiber(A, b),
+            "fiber_points": lambda: fiber_points(A, b),
+            "is_atomic": lambda: is_atomic(A, b),
+            "ma_fiber": lambda: ma_fiber(M, A, b),
+            "is_ma_atomic": lambda: is_ma_atomic(M, A, b),
+            "lattice scan with M": lambda: atomic_scan(A, bound, mode="lattice", M=M),
+            "vertex_ideal_standard": lambda: vertex_ideal_standard(A, bound),
+            "monoid_lift": lambda: monoid_lift(A, ideal_degrees, bound),
+            "reachable_degrees": lambda: [
+                (d, hilbert_function(M, A, d)) for d in reachable_degrees(A, bound)
+            ],
+        }
+        _clear_fiber_caches()
+        lattice = atomic_scan(A, bound, mode="lattice")
+        cold = {}
+        for name, reader in readers.items():
+            _clear_fiber_caches()
+            cold[name] = reader()
+        for name, reader in readers.items():
+            _clear_fiber_caches()
+            assert atomic_scan(A, bound, mode="lattice") == lattice
+            plan = fibers._plan(A)
+            bare = plan.covers[grade]
+            assert bare.fibers is None and bare.splits is not None, (A, name)
+            assert fiber_points(A, outside) == [] and plan.covers[grade] is bare, (A, name)
+            assert reader() == cold[name], (A, name)
+            cover = plan.covers[grade]
+            if cover is not bare:
+                assert cover.fibers is not None and cover.splits == bare.splits, (A, name)
+            assert atomic_scan(A, bound, mode="lattice") == lattice, (A, name)
+        # the reverse order: one enumeration and no walk for the lattice scan
+        _clear_fiber_caches()
+        atomic_scan(A, bound, mode="vertex")
+        held = fibers._plan(A).covers[grade]
+        assert held.fibers is not None and held.splits is not None, A
+        builds, walks = [], []
+        with monkeypatch.context() as patch:
+            real_bucketed, real_atomic = fibers._bucketed, fibers._atomic
+            patch.setattr(fibers, "_bucketed", lambda *args: builds.append(args) or real_bucketed(*args))
+            patch.setattr(fibers, "_atomic", lambda *args: walks.append(args) or real_atomic(*args))
+            assert atomic_scan(A, bound, mode="lattice") == lattice, A
+        assert builds == walks == [] and fibers._plan(A).covers[grade] is held, A
 
 
 def test_scans_on_a_row_of_ones_build_no_search_tables():
