@@ -40,9 +40,8 @@ split keys, with no point, and its atoms are the keys not split, 0 aside
 (atomic_scan).  Every other reader reads points: vertex scans, scans with
 M != 0, fiber, ma_fiber, the checks, the vertex ideals, monoid lifts and
 hilbert.reachable_degrees.  The first of them to read a points-free
-cover builds it again with its points (_covered, called by _cover_of and
-_graded); until then _fiber_points tells a degree outside NA by the
-cover's keys.
+cover, _fiber_points' test of a degree outside NA included, builds it
+again with its points (_covered, called by _cover_of and _graded).
 
 Atomicity is otherwise decided in _verdict, the one kernel every check
 and every scan that reads points runs, save that a scan settles each
@@ -59,7 +58,6 @@ _check_in_na is the one test that a degree lies in NA.
 from __future__ import annotations
 
 import math
-from collections.abc import Collection
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
 from itertools import repeat
@@ -186,7 +184,8 @@ class _Plan:
       lex-sorted points, () when outside NA.
     - covers maps a grade (the index of a row of ones, or None for
       y = (1, ..., 1)) to its cover (_Cover), points-free when a lattice
-      scan with M = 0 built it and no reader of points has come since.
+      scan with M = 0 built it where none with points was held, and no
+      reader of points has come since.
     - scans maps a bound to the degrees a scan with no row of ones reads.
     - vertices maps a degree in NA to its hull vertices.
     - avoiding[M.gens][b], M nonzero, holds the points over b outside M.
@@ -293,11 +292,10 @@ class _Cover:
     each degree's key to the same tuple, with the place values powers and
     the columns' keys (_place_values).  split says whether a scan asked for
     it; splits holds the keys of the degrees one pair splits every point
-    of, or None (_bucketed).  present holds the keys of its degrees,
-    keyed's keys.  A points-free cover, which only a lattice scan with
-    M = 0 builds, holds no points: its fibers and keyed are None, and
-    _covered builds it again with points for the first reader of points
-    (_cover_of, _graded).
+    of, or None (_bucketed).  A points-free cover, which only a lattice
+    scan with M = 0 builds, holds no points: its fibers are None and keyed
+    maps each key to None, and _covered builds it again with points for
+    the first reader of points (_cover_of, _graded).
     """
 
     top: int
@@ -305,9 +303,8 @@ class _Cover:
     fibers: dict[Degree, tuple[Exponent, ...]] | None
     powers: list[int]
     keys: list[int]
-    keyed: dict[int, tuple[Exponent, ...]] | None
+    keyed: dict[int, tuple[Exponent, ...] | None]
     splits: set[int] | None
-    present: Collection[int]
 
 
 def _radix(cols, top: int) -> int:
@@ -366,8 +363,8 @@ def _bucketed(cols, weights, top: int, split: bool = False, points: bool = True)
     Without points, asked only by a lattice scan with M = 0, the cover is
     points-free when the bitsets are carried: each prefix is its key,
     weight and bitset alone, and a point only ANDs its bitset into the
-    meet of its key, so no tuple, bucket or degree is built.  The present
-    keys are those whose meet a point reached.  With no bitsets the points
+    meet of its key, so no tuple, bucket or degree is built.  The keys
+    kept are those whose meet a point reached.  With no bitsets the points
     are built all the same, as a cover with no split keys serves only its
     points' readers.
     """
@@ -410,9 +407,9 @@ def _bucketed(cols, weights, top: int, split: bool = False, points: bool = True)
                 meets[key] &= sub
                 sub |= sub << k
                 key += k
-        present = {key for key, meet in enumerate(meets) if meet != -1}
-        splits = {key for key in present if meets[key].bit_count() > 2}
-        return _Cover(top, split, None, powers, keys, None, splits, present)
+        keyed = dict.fromkeys(key for key, meet in enumerate(meets) if meet != -1)
+        splits = {key for key in keyed if meets[key].bit_count() > 2}
+        return _Cover(top, split, None, powers, keys, keyed, splits)
     else:
         level = [((), 0, 0, 1)]
         for k, w in zip(keys[:-1], weights[:-1]):
@@ -436,7 +433,7 @@ def _bucketed(cols, weights, top: int, split: bool = False, points: bool = True)
     splits = None if meets is None else {key for key in order if meets[key].bit_count() > 2}
     degrees = _decoded(order, powers, radix)
     keyed = dict(zip(order, points))
-    return _Cover(top, split, dict(zip(degrees, points)), powers, keys, keyed, splits, keyed.keys())
+    return _Cover(top, split, dict(zip(degrees, points)), powers, keys, keyed, splits)
 
 
 def _bitsets_pay(cols, top: int) -> bool:
@@ -450,15 +447,18 @@ def _covered(plan: _Plan, grade: int | None, top: int, split: bool = False, poin
 
     A cover is built up to top when it is not held that far, and so are
     its fibers into the memo.  A scan asks with split, which a cover keeps
-    as it grows; a cover no scan asked for is built once more with split,
-    at its own top if higher, when its bitsets pay there.  A reader of
-    points finds a points-free cover built again with its points, at its
-    own top: the keys are then the same, so its split keys carry over.  A
-    cover built again enumerates every u again, so the fibers the memo
-    already held are bucketed anew, to equal tuples.
+    as it grows, as it keeps its points; a cover no scan asked for is
+    built once more with split, at its own top if higher, when its bitsets
+    pay there.  A reader of points finds a points-free cover built again
+    with its points, at its own top: the keys are then the same, so its
+    split keys carry over.  A cover built again enumerates every u again,
+    so the fibers the memo already held are bucketed anew, to equal tuples.
     """
     cover = plan.covers.get(grade)
-    held, asked = (-1, False) if cover is None else (cover.top, cover.split)
+    if cover is None:
+        held, asked = -1, False
+    else:
+        held, asked, points = cover.top, cover.split, points or cover.fibers is not None
     grow = top > held or (split and not asked and _bitsets_pay(plan.cols, max(top, held)))
     if not (grow or (points and cover.fibers is None)):
         return cover
@@ -488,21 +488,19 @@ def _graded(
     return {b: pts for b, pts in cover.fibers.items() if _weight(b, grade) <= top}
 
 
-def _cover_of(plan: _Plan, b: Degree, points: bool = True) -> _Cover | None:
+def _cover_of(plan: _Plan, b: Degree) -> _Cover | None:
     """The cover that holds b, one with split keys first; None if none does.
 
-    With points, a points-free cover is built again with its points first.
+    A points-free cover is built again with its points first (_covered);
+    a cover with no split keys holds its points.
     """
     held = None
     for grade, cover in plan.covers.items():
         if _weight(b, grade) <= cover.top:
             if cover.splits is not None:
-                break
+                return _covered(plan, grade, cover.top)
             held = held or cover
-    else:
-        # a cover with no split keys holds its points
-        return held
-    return _covered(plan, grade, cover.top) if points and cover.fibers is None else cover
+    return held
 
 
 def _degree_groups(plan: _Plan, bound: int) -> dict[Degree, tuple[Exponent, ...]]:
@@ -577,21 +575,16 @@ def _fiber_points(plan: _Plan, b: Degree) -> tuple[Exponent, ...]:
     """All u with Au = b, lex sorted; empty iff b is outside NA.
 
     Read from the plan's fiber memo.  A degree missing from it is outside
-    NA when a cover holds it (_cover_of) and, if that cover is points-free,
-    its key is not present; a present key builds the cover again with its
-    points, which fills the memo.  A degree no cover holds is found by
-    _enumerate_fiber.  What is found is stored.
+    NA when a cover holds it (_cover_of), as a cover's fibers are in the
+    memo once it holds its points, and is otherwise found by
+    _enumerate_fiber and stored.
     """
     points = plan.fibers.get(b)
     if points is None:
-        cover = _cover_of(plan, b, points=False)
-        if cover is None:
-            points = tuple(_enumerate_fiber(plan, b))
-        elif cover.fibers is None and sum(map(mul, cover.powers, b)) in cover.present:
-            return _cover_of(plan, b).fibers[b]
+        if _cover_of(plan, b):
+            points = plan.fibers.setdefault(b, ())
         else:
-            points = ()
-        plan.fibers[b] = points
+            points = plan.fibers[b] = tuple(_enumerate_fiber(plan, b))
     return points
 
 
@@ -924,7 +917,8 @@ def atomic_scan(
     bits only for a unit vector.  On a row of ones the atoms are the
     cover's keys less its split keys and 0, decoded, and kept to weight
     <= bound; on one row, the scan's degrees whose key is not split.  Such
-    a scan builds its cover points-free and leaves no verdict in the memo.
+    a scan builds its cover points-free, save when it grows one that holds
+    points, and leaves no verdict in the memo.
     Every other scan reads each degree's points and settles it as
     _verdict does.
     """
@@ -954,7 +948,7 @@ def atomic_scan(
         # part has b1_r <= b_r, and no other cover of the matrix has split keys
         cover = _covered(plan, plan.ones, bound, True, not bare)
         if bare and cover.splits is not None:
-            keys = sorted(cover.present - cover.splits - {0})
+            keys = sorted(cover.keyed.keys() - cover.splits - {0})
             atoms = _decoded(keys, cover.powers, _radix(plan.cols, cover.top))
             return atoms if cover.top == bound else [b for b in atoms if b[plan.ones] <= bound]
         groups = _graded(plan, plan.ones, bound, split=True).items()
@@ -1011,13 +1005,16 @@ def _one_row_cover(plan: _Plan, degrees, bound: int, points: bool = True) -> _Co
     that, and gets none.  Counting costs no more than grouping the
     C(n + bound, n) u with |u| <= bound when top is at most that many; it
     is skipped otherwise, and when a cover already holds top, which is
-    returned as it is.  A scan that reads no points builds it without
-    (_covered).
+    returned as it is, points-free or not.  A scan that reads no points
+    builds it without (_covered).
     """
     row = plan.rows[0]
     top = max(row) * bound
-    if (held := _cover_of(plan, (top,), points=False)) or top > math.comb(len(row) + bound, bound):
+    # a matrix with one row and no row of ones has no cover but that of y = (1,)
+    if (held := plan.covers.get(None)) and held.top >= top:
         return held
+    if top > math.comb(len(row) + bound, bound):
+        return None
     counts = [1] + [0] * top
     for w in row:
         for t in range(w, top + 1):

@@ -960,9 +960,9 @@ def test_verdicts_match_the_oracle_walk_over_definition_vertices(monkeypatch):
                 assert isinstance(cover, fibers._Cover), (A, mode)
                 if cover.fibers is None:
                     # only a lattice scan with M = 0 leaves a points-free cover
-                    assert mode == "lattice" and cover.keyed is None and cover.splits is not None
+                    assert mode == "lattice" and cover.splits is not None, (A, mode)
+                    assert set(cover.keyed.values()) == {None}, (A, mode)
                     continue
-                assert cover.present == cover.keyed.keys(), (A, mode)
                 assert len(cover.keyed) == len(cover.fibers), (A, mode)
                 assert all(map(operator.is_, cover.keyed.values(), cover.fibers.values())), (A, mode)
         for mode, scan in scans.items():
@@ -1259,7 +1259,7 @@ def test_points_free_lattice_scans_match_the_point_reading_loop(monkeypatch):
             seen[A.nrows, pays] += 1
             if not pays:
                 continue
-            assert cover.keyed is None and 0 in cover.present, (A, bound)
+            assert 0 in cover.keyed and set(cover.keyed.values()) == {None}, (A, bound)
             assert not (fibers._plan(A).fibers or fibers._plan(A).atomic), (A, bound)
             # every lower bound reads the held cover
             held = fibers._plan(A).covers[grade]
@@ -1276,16 +1276,30 @@ def test_points_readers_after_a_points_free_cover_match_cold_queries(monkeypatch
     # after a lattice scan with M = 0 leaves a points-free cover, every
     # reader of points on the same plan answers as on a cold plan: the
     # first one builds the cover again with its points and its split keys.
-    # A degree outside NA is told by the cover's keys, with no points.  In
-    # the other order, a lattice scan after a vertex scan reads the vertex
-    # scan's cover and enumerates nothing
+    # That holds for degrees outside NA that the cover holds, (1, 27) among
+    # them, whose second digit is past the cover's radix of 25, so its key
+    # 25 + 27 is that of (2, 2), a degree in NA.  In the other order, a
+    # lattice scan after a vertex scan reads the vertex scan's cover and
+    # enumerates nothing, and one that grows a cover with points grows it
+    # with its points, which the next reader of points reads as it is
     cases = [
-        (FiberMatrix(((1, 1, 1, 1), (0, 1, 3, 4))), 0, 6, (2, 5), (1, 2), [(2, 5)]),
-        (FiberMatrix(((2, 3, 5, 7),)), None, 4, (12,), (1,), [(10,)]),
+        (FiberMatrix(((1, 1, 1, 1), (0, 1, 3, 4))), 0, 6, (2, 5), ((1, 2), (1, 27)), [(2, 5)]),
+        (FiberMatrix(((2, 3, 5, 7),)), None, 4, (12,), ((1,),), [(10,)]),
     ]
+
+    def raised(call):
+        try:
+            return call()
+        except ValueError as error:
+            return str(error)
+
     for A, grade, bound, b, outside, ideal_degrees in cases:
         M = minimalize(A.ncols, [(1,) * A.ncols, (0, 2) + (0,) * (A.ncols - 2)])
         readers = {
+            "outside NA": lambda: [
+                (fiber_points(A, d), raised(partial(is_atomic, A, d)), raised(partial(fiber, A, d)))
+                for d in outside
+            ],
             "vertex scan": lambda: atomic_scan(A, bound, mode="vertex"),
             "fiber": lambda: fiber(A, b),
             "fiber_points": lambda: fiber_points(A, b),
@@ -1311,7 +1325,6 @@ def test_points_readers_after_a_points_free_cover_match_cold_queries(monkeypatch
             plan = fibers._plan(A)
             bare = plan.covers[grade]
             assert bare.fibers is None and bare.splits is not None, (A, name)
-            assert fiber_points(A, outside) == [] and plan.covers[grade] is bare, (A, name)
             assert reader() == cold[name], (A, name)
             cover = plan.covers[grade]
             if cover is not bare:
@@ -1328,7 +1341,27 @@ def test_points_readers_after_a_points_free_cover_match_cold_queries(monkeypatch
             patch.setattr(fibers, "_bucketed", lambda *args: builds.append(args) or real_bucketed(*args))
             patch.setattr(fibers, "_atomic", lambda *args: walks.append(args) or real_atomic(*args))
             assert atomic_scan(A, bound, mode="lattice") == lattice, A
-        assert builds == walks == [] and fibers._plan(A).covers[grade] is held, A
+            assert builds == walks == [] and fibers._plan(A).covers[grade] is held, A
+            # a vertex scan at a lower bound, then a lattice scan and a
+            # vertex scan at the bound: one build, with points
+            _clear_fiber_caches()
+            atomic_scan(A, bound - 2, mode="vertex")
+            assert fibers._plan(A).covers[grade].fibers is not None, A
+            builds.clear()
+            assert atomic_scan(A, bound, mode="lattice") == lattice, A
+            assert atomic_scan(A, bound, mode="vertex") == cold["vertex scan"], A
+            assert len(builds) == 1 and fibers._plan(A).covers[grade].fibers is not None, A
+            # reachable_degrees, a lattice scan that grows its cover, and
+            # reachable_degrees again, on one row, where both read the cover
+            # of y = (1, ..., 1): one build, with points
+            if grade is None:
+                low = max(A.rows[0]) * bound // 2
+                _clear_fiber_caches()
+                reached = reachable_degrees(A, low)
+                builds.clear()
+                assert atomic_scan(A, bound, mode="lattice") == lattice, A
+                assert reachable_degrees(A, low) == reached, A
+                assert len(builds) == 1 and fibers._plan(A).covers[grade].fibers is not None, A
 
 
 def test_scans_on_a_row_of_ones_build_no_search_tables():
