@@ -13,17 +13,18 @@ rows and columns, the fiber search's tables, built on first use, and
 every memo this module keeps, so _plan.cache_clear() resets them all.
 The public functions check their arguments and look the plan up; every
 private function below them takes the plan in place of the matrix.  The
-memos are plan entries: fibers, graded covers, scan degrees, hull
-vertices, M-avoiding points and verdicts (see _Plan).
+memos are plan entries: fibers, graded covers, scan degrees, scan atoms,
+hull vertices, M-avoiding points and verdicts (see _Plan).
 
-A graded cover (_Cover) fills the fiber memo a whole grade at a time
-(_graded).  Pick y >= 0 with every entry of yA at least 1: the unit
-vector of a row of ones (a point's weight is then |u|), or
-y = (1, ..., 1), whose yA are the column sums.  The cover at weight W
-enumerates every u with (yA).u <= W once, bucketed by Au (_bucketed).
-Every u over b has weight y.b, so when y.b <= W the bucket of b is its
-whole fiber and a degree with no bucket is outside NA (_cover_of).  A
-scan on a row of ones reads that row's cover; any other scan reads its
+A graded cover (_Cover) holds a whole grade of fibers by integer key.
+Pick y >= 0 with every entry of yA at least 1: the unit vector of a row
+of ones (a point's weight is then |u|), or y = (1, ..., 1), whose yA
+are the column sums.  The cover at weight W enumerates every u with
+(yA).u <= W once, bucketed by the key of Au (_bucketed).  Every u over
+b has weight y.b, so when y.b <= W the bucket of b is its whole fiber
+and a degree with no bucket is outside NA.  The fiber memo keeps the
+fibers read off a cover (_fiber_points, _graded) or searched.  A scan
+on a row of ones walks that row's cover; any other scan reads its
 degrees off least-count levels of integer degree keys (_scan_degrees),
 and on one row also covers y = (1, ..., 1) when that holds at most twice
 the points of its own fibers (_one_row_cover), the cover
@@ -37,11 +38,11 @@ for a degree it holds, that is one set lookup, which settles the lattice
 verdict with M = 0 and rules out atomicity in every mode.  A lattice scan
 with M = 0 reads nothing else, so its cover is points-free: its keys and
 split keys, with no point, and its atoms are the keys not split, 0 aside
-(atomic_scan).  Every other reader reads points: vertex scans, scans with
+(_scan).  Every other reader reads points: vertex scans, scans with
 M != 0, fiber, ma_fiber, the checks, the vertex ideals, monoid lifts and
 hilbert.reachable_degrees.  The first of them to read a points-free
-cover, _fiber_points' test of a degree outside NA included, builds it
-again with its points (_covered, called by _cover_of and _graded).
+cover builds it again with its points (_covered, called by _cover_of and
+_graded).
 
 Atomicity is otherwise decided in _verdict, the one kernel every check
 and every scan that reads points runs, save that a scan settles each
@@ -180,13 +181,14 @@ class _Plan:
     solver _enumerate_fiber reads, built on its first read: a scan on a
     matrix with a row of ones reads every fiber from the cover and never
     searches.  The rest are memos.
-    - fibers maps each degree asked for or covered with points to its
-      lex-sorted points, () when outside NA.
+    - fibers maps each degree read or searched to its lex-sorted points,
+      () when outside NA.
     - covers maps a grade (the index of a row of ones, or None for
       y = (1, ..., 1)) to its cover (_Cover), points-free when a lattice
       scan with M = 0 built it where none with points was held, and no
       reader of points has come since.
     - scans maps a bound to the degrees a scan with no row of ones reads.
+    - atoms maps (bound, mode, M.gens) to the atoms of that scan.
     - vertices maps a degree in NA to its hull vertices.
     - avoiding[M.gens][b], M nonzero, holds the points over b outside M.
     - atomic[key][b] says whether b is atomic, key M.gens in lattice mode
@@ -202,6 +204,7 @@ class _Plan:
     fibers: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
     covers: dict[int | None, _Cover] = field(default_factory=dict)
     scans: dict[int, list[Degree]] = field(default_factory=dict)
+    atoms: dict[tuple, list[Degree]] = field(default_factory=dict)
     vertices: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
     avoiding: defaultdict[tuple, dict] = field(default_factory=partial(defaultdict, dict))
     atomic: defaultdict[tuple | None, dict] = field(default_factory=partial(defaultdict, dict))
@@ -286,21 +289,21 @@ _MEET_BITS_PER_POINT = 16
 
 @dataclass(slots=True)
 class _Cover:
-    """Every nonempty fiber of weight <= top for one y, by degree and by key.
+    """Every nonempty fiber of weight <= top for one y, by integer key alone.
 
-    fibers maps each degree to its lex-sorted points in lex order, keyed
-    each degree's key to the same tuple, with the place values powers and
-    the columns' keys (_place_values).  split says whether a scan asked for
-    it; splits holds the keys of the degrees one pair splits every point
-    of, or None (_bucketed).  A points-free cover, which only a lattice
-    scan with M = 0 builds, holds no points: its fibers are None and keyed
-    maps each key to None, and _covered builds it again with points for
-    the first reader of points (_cover_of, _graded).
+    keyed maps each degree's key to its lex-sorted points in key order,
+    lex order, with the place values powers of radix and the columns'
+    keys (_place_values); no key is decoded.  Every digit of a degree it
+    holds is below radix.  split says whether a scan asked for it; splits
+    holds the keys of the degrees one pair splits every point of, or None
+    (_bucketed).  A points-free cover, which only a lattice scan with
+    M = 0 builds, maps each key to None, and _covered builds it again with
+    points for the first reader of points (_cover_of, _graded).
     """
 
     top: int
     split: bool
-    fibers: dict[Degree, tuple[Exponent, ...]] | None
+    radix: int
     powers: list[int]
     keys: list[int]
     keyed: dict[int, tuple[Exponent, ...] | None]
@@ -327,6 +330,20 @@ def _decoded(keys, powers, radix: int) -> list[Degree]:
     return list(zip(*[[key // power % radix for key in keys] for power in powers]))
 
 
+def _by_degree(cover: _Cover) -> dict[Degree, tuple[Exponent, ...]]:
+    """A cover that holds its points, by degree in lex order: its keys decoded in bulk."""
+    keyed = cover.keyed
+    return dict(zip(_decoded(keyed, cover.powers, cover.radix), keyed.values()))
+
+
+def _tails(keys, weights, rest: int) -> list[tuple[Exponent, int]]:
+    """Every t with weights.t <= rest in lex order, with its key offset keys.t."""
+    tails = [((), 0, rest)]
+    for k, w in zip(keys, weights):
+        tails = [(t + (v,), off + v * k, left - v * w) for t, off, left in tails for v in range(left // w + 1)]
+    return [(t, off) for t, off, _ in tails]
+
+
 def _bucketed(cols, weights, top: int, split: bool = False, points: bool = True) -> _Cover:
     """The cover of every u with weights.u <= top, bucketed by Au.
 
@@ -338,8 +355,9 @@ def _bucketed(cols, weights, top: int, split: bool = False, points: bool = True)
     assigned.  The radix R = (max entry) top + 1 keeps the keys exact:
     weights are all >= 1, so every u has |u| <= weights.u <= top, and each
     b_r = sum_i A_ri u_i is at most (max entry) |u| < R, one digit.  The
-    buckets are emitted in sorted key order, lex order, and the sorted
-    keys are decoded in bulk (_decoded).
+    buckets are kept in sorted key order, lex order.  With no bitsets each
+    prefix takes the last columns, two of four or more and else one, off
+    a table per remaining weight (_tails), built once per call.
 
     With split, which only a scan asks, as its buckets are whole fibers,
     and when the bitsets pay (see below), each prefix and point u also
@@ -363,9 +381,9 @@ def _bucketed(cols, weights, top: int, split: bool = False, points: bool = True)
     Without points, asked only by a lattice scan with M = 0, the cover is
     points-free when the bitsets are carried: each prefix is its key,
     weight and bitset alone, and a point only ANDs its bitset into the
-    meet of its key, so no tuple, bucket or degree is built.  The keys
-    kept are those whose meet a point reached.  With no bitsets the points
-    are built all the same, as a cover with no split keys serves only its
+    meet of its key, so no tuple or bucket is built.  The keys kept are
+    those whose meet a point reached.  With no bitsets the points are
+    built all the same, as a cover with no split keys serves only its
     points' readers.
     """
     radix = _radix(cols, top)
@@ -376,8 +394,11 @@ def _bucketed(cols, weights, top: int, split: bool = False, points: bool = True)
     last = keys[-1], weights[-1]
     # three walks, so that a cover pays only for what it carries
     if meets is None:
+        # a table is read by more prefixes than it has remaining weights
+        # only when the columns before it are two or more
+        tabled = 2 if len(cols) > 3 else 1
         level = [((), 0, 0)]
-        for k, w in zip(keys[:-1], weights[:-1]):
+        for k, w in zip(keys[:-tabled], weights[:-tabled]):
             nxt = []
             for u, key, wt in level:
                 for v in range((top - wt) // w + 1):
@@ -385,11 +406,13 @@ def _bucketed(cols, weights, top: int, split: bool = False, points: bool = True)
                     key += k
                     wt += w
             level = nxt
-        k, w = last
+        tables: dict[int, list[tuple[Exponent, int]]] = {}
         for u, key, wt in level:
-            for v in range((top - wt) // w + 1):
-                buckets[key].append(u + (v,))
-                key += k
+            rest = top - wt
+            if (tails := tables.get(rest)) is None:
+                tails = tables[rest] = _tails(keys[-tabled:], weights[-tabled:], rest)
+            for tail, offset in tails:
+                buckets[key + offset].append(u + tail)
     elif not points:
         level = [(0, 0, 1)]
         for k, w in zip(keys[:-1], weights[:-1]):
@@ -409,7 +432,7 @@ def _bucketed(cols, weights, top: int, split: bool = False, points: bool = True)
                 key += k
         keyed = dict.fromkeys(key for key, meet in enumerate(meets) if meet != -1)
         splits = {key for key in keyed if meets[key].bit_count() > 2}
-        return _Cover(top, split, None, powers, keys, keyed, splits)
+        return _Cover(top, split, radix, powers, keys, keyed, splits)
     else:
         level = [((), 0, 0, 1)]
         for k, w in zip(keys[:-1], weights[:-1]):
@@ -429,11 +452,9 @@ def _bucketed(cols, weights, top: int, split: bool = False, points: bool = True)
                 sub |= sub << k
                 key += k
     order = sorted(buckets)
-    points = list(map(tuple, map(buckets.__getitem__, order)))
+    keyed = dict(zip(order, map(tuple, map(buckets.__getitem__, order))))
     splits = None if meets is None else {key for key in order if meets[key].bit_count() > 2}
-    degrees = _decoded(order, powers, radix)
-    keyed = dict(zip(order, points))
-    return _Cover(top, split, dict(zip(degrees, points)), powers, keys, keyed, splits)
+    return _Cover(top, split, radix, powers, keys, keyed, splits)
 
 
 def _bitsets_pay(cols, top: int) -> bool:
@@ -445,47 +466,44 @@ def _bitsets_pay(cols, top: int) -> bool:
 def _covered(plan: _Plan, grade: int | None, top: int, split: bool = False, points: bool = True) -> _Cover:
     """The cover of the y given by grade, up to top or above, built when it must be.
 
-    A cover is built up to top when it is not held that far, and so are
-    its fibers into the memo.  A scan asks with split, which a cover keeps
-    as it grows, as it keeps its points; a cover no scan asked for is
-    built once more with split, at its own top if higher, when its bitsets
-    pay there.  A reader of points finds a points-free cover built again
-    with its points, at its own top: the keys are then the same, so its
-    split keys carry over.  A cover built again enumerates every u again,
-    so the fibers the memo already held are bucketed anew, to equal tuples.
+    A cover is built up to top when it is not held that far.  A scan asks
+    with split, which a cover keeps as it grows, as it keeps its points; a
+    cover no scan asked for is built once more with split, at its own top
+    if higher, when its bitsets pay there.  A reader of points finds a
+    points-free cover built again with its points, at its own top: the
+    keys are then the same, so its split keys carry over.
     """
     cover = plan.covers.get(grade)
     if cover is None:
-        held, asked = -1, False
+        held, asked, bare = -1, False, not points
     else:
-        held, asked, points = cover.top, cover.split, points or cover.fibers is not None
+        # a points-free cover maps every key, 0 among them, to None
+        held, asked, bare = cover.top, cover.split, cover.keyed[0] is None
     grow = top > held or (split and not asked and _bitsets_pay(plan.cols, max(top, held)))
-    if not (grow or (points and cover.fibers is None)):
+    if not (grow or (points and bare)):
         return cover
     weights = tuple(map(sum, plan.cols)) if grade is None else plan.rows[grade]
     if grow:
-        cover = _bucketed(plan.cols, weights, max(top, held), split or asked, points)
+        cover = _bucketed(plan.cols, weights, max(top, held), split or asked, points or not bare)
     else:
         cover = replace(_bucketed(plan.cols, weights, held), split=True, splits=cover.splits)
     plan.covers[grade] = cover
-    if cover.fibers is not None:
-        plan.fibers.update(cover.fibers)
     return cover
 
 
-def _graded(
-    plan: _Plan, grade: int | None, top: int, split: bool = False
-) -> dict[Degree, tuple[Exponent, ...]]:
+def _graded(plan: _Plan, grade: int | None, top: int) -> dict[Degree, tuple[Exponent, ...]]:
     """Every nonempty fiber of weight <= top for the y given by grade, in lex order.
 
-    Read off the cover that holds them, with its points (_covered).  At
-    the cover's top the answer is the cover's own fibers, which callers
-    only read; below it, those of weight <= top.
+    Decoded off the cover that holds them, with its points (_covered), and
+    kept in the fiber memo as they are decoded.  A cover held above top
+    has its heavier fibers left out.
     """
-    cover = _covered(plan, grade, top, split)
-    if top == cover.top:
-        return cover.fibers
-    return {b: pts for b, pts in cover.fibers.items() if _weight(b, grade) <= top}
+    cover = _covered(plan, grade, top)
+    fibers = _by_degree(cover)
+    if top < cover.top:
+        fibers = {b: pts for b, pts in fibers.items() if _weight(b, grade) <= top}
+    plan.fibers.update(fibers)
+    return fibers
 
 
 def _cover_of(plan: _Plan, b: Degree) -> _Cover | None:
@@ -509,11 +527,11 @@ def _degree_groups(plan: _Plan, bound: int) -> dict[Degree, tuple[Exponent, ...]
     With a row of ones, |u| is u's weight in the cover for that row, so
     the groups are the fibers it covers up to weight bound; else they come
     from the same enumeration with unit weights, kept for this call only,
-    and no group is a whole fiber.
+    and no group is a whole fiber, so none enters the fiber memo.
     """
     if plan.ones is not None:
         return _graded(plan, plan.ones, bound)
-    return _bucketed(plan.cols, (1,) * len(plan.cols), bound).fibers
+    return _by_degree(_bucketed(plan.cols, (1,) * len(plan.cols), bound))
 
 
 def _enumerate_fiber(plan: _Plan, b: Degree) -> list[Exponent]:
@@ -574,17 +592,21 @@ def _enumerate_fiber(plan: _Plan, b: Degree) -> list[Exponent]:
 def _fiber_points(plan: _Plan, b: Degree) -> tuple[Exponent, ...]:
     """All u with Au = b, lex sorted; empty iff b is outside NA.
 
-    Read from the plan's fiber memo.  A degree missing from it is outside
-    NA when a cover holds it (_cover_of), as a cover's fibers are in the
-    memo once it holds its points, and is otherwise found by
-    _enumerate_fiber and stored.
+    Read from the plan's fiber memo, else off the cover that holds b
+    (_cover_of) by key, else by _enumerate_fiber, and stored.  A digit
+    past the cover's radix puts b outside NA, and its key may be another
+    degree's: (1, 27) in radix 25 keys as (2, 2).
     """
     points = plan.fibers.get(b)
     if points is None:
-        if _cover_of(plan, b):
-            points = plan.fibers.setdefault(b, ())
+        cover = _cover_of(plan, b)
+        if cover is None:
+            points = tuple(_enumerate_fiber(plan, b))
+        elif max(b) < cover.radix:
+            points = cover.keyed.get(sum(map(mul, cover.powers, b)), ())
         else:
-            points = plan.fibers[b] = tuple(_enumerate_fiber(plan, b))
+            points = ()
+        plan.fibers[b] = points
     return points
 
 
@@ -635,11 +657,12 @@ def _exposed(pts) -> set[Exponent]:
     out: it is constant over every fiber of a matrix with a row of ones.
     """
     weights = range(1, len(pts[0]) + 1)
+    end = len(pts) - 1
     exposed = set()
     for values in (*zip(*pts), [sum(map(mul, weights, p)) for p in pts]):
+        backwards = values[::-1]
         for extreme in (min(values), max(values)):
-            ties = [p for p, v in zip(pts, values) if v == extreme]
-            exposed.update((ties[0], ties[-1]))
+            exposed.update((pts[values.index(extreme)], pts[end - backwards.index(extreme)]))
     return exposed
 
 
@@ -908,67 +931,93 @@ def atomic_scan(
 
     mode "vertex" uses Minkowski decomposability of hulls; mode "lattice"
     uses additive splitting of the (M,A) fiber points, with M defaulting
-    to the zero ideal, and skips degrees whose points all lie in M.
+    to the zero ideal, and skips degrees whose points all lie in M.  The
+    plan keeps each scan's atoms (_scan) under (bound, mode, M's
+    generators), and each call returns a fresh list of them.
+    """
+    _check_int(bound, "bound", 1)
+    if mode not in ("vertex", "lattice"):
+        raise ValueError(f"unknown mode {mode!r}")
+    plan = _plan(A)
+    if mode == "vertex":
+        if M is not None:
+            raise ValueError("vertex mode takes no ideal")
+    elif M is None:
+        M = plan.zero
+    else:
+        _check_ring(M, A)
+    key = bound, mode, () if M is None else M.gens
+    atoms = plan.atoms.get(key)
+    if atoms is None:
+        atoms = plan.atoms[key] = _scan(plan, bound, M)
+    return list(atoms)
+
+
+def _scan(plan: _Plan, bound: int, M: MonomialIdeal | None) -> list[Degree]:
+    """atomic_scan's atoms, M None in vertex mode.
 
     A lattice scan with M = 0 whose cover carries split keys reads no
     point: a nonzero degree is then atomic exactly when its key is not
     split.  That holds for a lone point p too, whose meet, its sub-box,
     has prod(p_i + 1) bits, as no two u1 <= p lie over one degree, so two
     bits only for a unit vector.  On a row of ones the atoms are the
-    cover's keys less its split keys and 0, decoded, and kept to weight
-    <= bound; on one row, the scan's degrees whose key is not split.  Such
-    a scan builds its cover points-free, save when it grows one that holds
-    points, and leaves no verdict in the memo.
-    Every other scan reads each degree's points and settles it as
-    _verdict does.
+    cover's keys less its split keys and 0, and on one row the scan's
+    degrees whose key is not split.  Such a scan builds its cover
+    points-free, save when it grows one that holds points, and leaves no
+    verdict in the memo.
+
+    Every other scan reads whole fibers, so a nonzero degree with one
+    point p is atomic iff p is a unit vector that avoids M (_verdict's
+    certificates), iff b is a column and no generator of M divides p; the
+    rest go to _verdict with the cover that holds them.  On a row of ones
+    the scan walks the cover's keys and decodes, in bulk, only the keys
+    with two or more points, whose points it puts in the fiber memo, and
+    the atoms' keys at the end.  A column has weight 1, and a key's weight
+    is its digit on the row of ones, so a cover held above bound has its
+    heavier keys skipped with no decode.
     """
-    _check_int(bound, "bound", 1)
-    if mode not in ("vertex", "lattice"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "vertex":
-        if M is not None:
-            raise ValueError("vertex mode takes no ideal")
-    elif M is None:
-        M = MonomialIdeal.zero(A.ncols)
-    else:
-        _check_ring(M, A)
-    plan = _plan(A)
     gens = () if M is None else M.gens
-    # a lattice scan with M = 0 reads no points once its cover has split keys
-    bare = mode == "lattice" and not gens
+    bare = M is not None and not gens
     if plan.ones is None:
         degrees = _scan_degrees(plan, bound)
         cover = _one_row_cover(plan, degrees, bound, not bare) if len(plan.rows) == 1 else None
         if bare and cover is not None and cover.splits is not None:
             # on one row a degree's key is its one digit, and degrees[0] is 0
             return [b for b in degrees[1:] if b[0] not in cover.splits]
-        groups, cover = zip(degrees, map(_fiber_points, repeat(plan), degrees)), None
-    else:
-        # the row of ones' cover holds every fiber the scan reads, as a split
-        # part has b1_r <= b_r, and no other cover of the matrix has split keys
-        cover = _covered(plan, plan.ones, bound, True, not bare)
-        if bare and cover.splits is not None:
-            keys = sorted(cover.keyed.keys() - cover.splits - {0})
-            atoms = _decoded(keys, cover.powers, _radix(plan.cols, cover.top))
-            return atoms if cover.top == bound else [b for b in atoms if b[plan.ones] <= bound]
-        groups = _graded(plan, plan.ones, bound, split=True).items()
-    # Each group is a whole fiber, so a nonzero degree with one point p is
-    # atomic iff p is a unit vector that avoids M (_verdict's certificates;
-    # M is 0 in vertex mode), iff b is a column and no generator of M divides
-    # p.  The rest go to _verdict with the cover that holds them.
-    verdicts, lattice = plan.atomic[None if M is None else gens], plan.atomic[gens]
-    atoms = []
-    for b, points in groups:
-        verdict = verdicts.get(b)
-        if verdict is None:
-            if len(points) > 1:
-                verdict = _verdict(plan, M, b, cover or _cover_of(plan, b))
-            elif any(b):
-                verdict = b in plan.colset and not _has_divisor(gens, points[0])
-                verdicts[b] = lattice[b] = verdict
-        if verdict:
-            atoms.append(b)
-    return atoms
+        verdicts, lattice = plan.atomic[None if M is None else gens], plan.atomic[gens]
+        atoms = []
+        for b in degrees:
+            verdict = verdicts.get(b)
+            if verdict is None:
+                points = _fiber_points(plan, b)
+                if len(points) > 1:
+                    verdict = _verdict(plan, M, b, _cover_of(plan, b))
+                elif any(b):
+                    verdict = b in plan.colset and not _has_divisor(gens, points[0])
+                    verdicts[b] = lattice[b] = verdict
+            if verdict:
+                atoms.append(b)
+        return atoms
+    # the row of ones' cover holds every fiber the scan reads, as a split
+    # part has b1_r <= b_r, and no other cover of the matrix has split keys
+    cover = _covered(plan, plan.ones, bound, True, not bare)
+    powers, radix = cover.powers, cover.radix
+    if bare and cover.splits is not None:
+        keys = sorted(cover.keyed.keys() - cover.splits - {0})
+        atoms = _decoded(keys, powers, radix)
+        return atoms if cover.top == bound else [b for b in atoms if b[plan.ones] <= bound]
+    keyed, columns, weight = cover.keyed, set(cover.keys), powers[plan.ones]
+    atoms, several = [], []
+    for key, points in keyed.items():
+        if len(points) == 1:
+            if key in columns and not _has_divisor(gens, points[0]):
+                atoms.append(key)
+        elif key // weight % radix <= bound:
+            several.append(key)
+    degrees = _decoded(several, powers, radix)
+    plan.fibers.update(zip(degrees, map(keyed.__getitem__, several)))
+    atoms += [key for key, b in zip(several, degrees) if _verdict(plan, M, b, cover)]
+    return _decoded(sorted(atoms), powers, radix)
 
 
 def _scan_degrees(plan: _Plan, bound: int) -> list[Degree]:

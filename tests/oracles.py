@@ -6,8 +6,10 @@ affinely-independent-subset search instead of a feasibility tableau,
 hull vertices by that membership test on every point (or on every point
 that is no midpoint, compared coordinate by coordinate),
 exposed hull vertices by dot products with explicit weight vectors
-instead of reading the coordinates, splits of a degree from the
-sub-boxes of all its fiber points instead of one point's, atomicity by
+instead of reading the coordinates, or by listing every point tied at
+an extreme instead of finding the first and last by index, splits of a
+degree from the sub-boxes of all its fiber points instead of one
+point's, atomicity by
 a plain walk over one point's sub-box with box-enumerated fibers instead
 of exact certificates and a lattice screen, the split of
 a point set over b1 + b2 by the whole set of sums of the two box-enumerated
@@ -392,6 +394,22 @@ def exposed_points_by_weights(pts) -> set[tuple[int, ...]]:
         out.add(tops[0])
         out.add(tops[-1])
     return out
+
+
+def exposed_by_tie_lists(pts) -> set[tuple[int, ...]]:
+    """The points _exposed finds, each off the list of every point tied at an extreme.
+
+    pts is lex sorted and nonempty.  For each coordinate and for the
+    weight (1, 2, ..., n), the points of least value and those of greatest
+    value are listed in full, and the first and last of each list kept.
+    """
+    weights = range(1, len(pts[0]) + 1)
+    exposed = set()
+    for values in (*zip(*pts), [sum(w * x for w, x in zip(weights, p)) for p in pts]):
+        for extreme in (min(values), max(values)):
+            ties = [p for p, v in zip(pts, values) if v == extreme]
+            exposed.update((ties[0], ties[-1]))
+    return exposed
 
 
 def pair_chain_max_recursive(p) -> int:

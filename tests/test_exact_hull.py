@@ -190,6 +190,25 @@ def test_lp_gets_only_undecided_points_and_candidates(monkeypatch):
     assert len(asked) == 5  # the LP is exercised
 
 
+def test_exposed_points_match_the_tie_lists():
+    # _exposed finds each extreme's lex-first and lex-last point by index,
+    # where the tie-list oracle lists every point at the extreme; small
+    # coordinates make most extremes ties.  Both equal the maximizers of the
+    # explicit weight vectors, and each point they find is a hull vertex
+    # (checked on the first 40 sets, as the vertex oracle runs an LP per point)
+    rng = corpus.make_rng("exposed-ties")
+    tied = 0
+    for k in range(300):
+        n = rng.randint(1, 4)
+        pts = sorted({tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 12))})
+        exposed = fibers._exposed(pts)
+        assert exposed == oracles.exposed_by_tie_lists(pts) == oracles.exposed_points_by_weights(pts), pts
+        if k < 40:
+            assert exposed <= set(oracles.hull_vertices_by_definition_of_non_midpoints(pts)), pts
+        tied += any(min(col) == max(col) or list(col).count(max(col)) > 2 for col in zip(*pts))
+    assert tied > 100
+
+
 @functools.cache
 def _oracle_vertices(A, b):
     return oracles.hull_vertices_by_definition(fiber_points(A, b))

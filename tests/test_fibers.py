@@ -176,6 +176,18 @@ def _split_keys_held(A):
     return any(cover.splits is not None for cover in fibers._plan(A).covers.values())
 
 
+def _points_free(cover):
+    """Whether a cover holds no points: every key maps to None, or none does."""
+    values = set(map(type, cover.keyed.values()))
+    assert values in ({type(None)}, {tuple}), values
+    return values == {type(None)}
+
+
+def _multi_point(A, degrees):
+    """The degrees over which the box oracle finds two or more points."""
+    return {b for b in degrees if len(oracles.box_fiber_points(A.rows, b)) > 1}
+
+
 def test_cover_fibers_against_search_and_box_oracle():
     rng = corpus.make_rng("graded-cover")
     cases = [(A, _plan_ones(A)) for A in _ones_matrices(rng, 16)]
@@ -209,8 +221,9 @@ def test_cover_fibers_against_search_and_box_oracle():
 
 def test_scans_and_reachable_degrees_share_the_cover(monkeypatch):
     # a scan covers the row of ones, reachable_degrees y = (1, ..., 1); both
-    # covers fill the one fiber memo and persist, in either order, and a
-    # repeat call adds no memo entries and returns the cover's own dict.
+    # covers persist, in either order, the fibers read off them fill the
+    # one fiber memo, and a repeat call adds no memo entries and returns
+    # the cover's own tuples.
     # After reachable_degrees, whose cover holds the scan's degrees first,
     # a lattice scan with M = 0 still reads the split keys of its own
     # cover: no degree whose key is split is walked, and the cover lookup
@@ -237,13 +250,17 @@ def test_scans_and_reachable_degrees_share_the_cover(monkeypatch):
                     plan = fibers._plan(A)
                     assert {g: cover.top for g, cover in plan.covers.items()} == {r: 3, None: bound}
                     for grade, top in ((r, 3), (None, bound)):
-                        assert fibers._graded(plan, grade, top) is plan.covers[grade].fibers
+                        graded = fibers._graded(plan, grade, top)
+                        keyed = plan.covers[grade].keyed
+                        assert list(graded.values()) == list(keyed.values()), (A, grade)
+                        assert all(map(operator.is_, graded.values(), keyed.values())), (A, grade)
+                        assert all(plan.fibers[b] is pts for b, pts in graded.items()), (A, grade)
                     cover = plan.covers[r]
                     if cover.splits is not None:
-                        keyed = zip(cover.fibers, cover.keyed)
-                        split = {b for b, key in keyed if key in cover.splits}
+                        degrees = fibers._by_degree(cover)
+                        split = {b for b, key in zip(degrees, cover.keyed) if key in cover.splits}
                         assert split.isdisjoint(walked), (A, bound, first_scan)
-                        assert all(fibers._cover_of(plan, b) is cover for b in cover.fibers), A
+                        assert all(fibers._cover_of(plan, b) is cover for b in degrees), A
                         split_seen += bool(split) and not first_scan
                     rounds.append(dict(plan.fibers))
                 # the second round reused both covers and every fiber
@@ -282,13 +299,15 @@ def test_integer_keyed_cover_against_box_and_walk_oracles():
         for u in oracles.monomials_up_to(A.ncols, top):
             expected.setdefault(A.apply(u), []).append(u)
         cover = fibers._bucketed(cols, (1,) * A.ncols, top)
-        powers, keys, keyed, buckets = cover.powers, cover.keys, cover.keyed, cover.fibers
+        powers, keys, keyed = cover.powers, cover.keys, cover.keyed
+        buckets = fibers._by_degree(cover)
         # unit-weight groups are no whole fibers, so they carry no split keys
         assert cover.splits is None and not cover.split and cover.top == top, A
         assert buckets.keys() == expected.keys(), A
         # the key view: place values of a radix above every entry of a
         # degree, and each key holds the very tuple its degree does
         radix = max(map(max, A.rows)) * top + 1
+        assert cover.radix == radix, A
         assert powers == [radix**r for r in reversed(range(A.nrows))], A
         assert all(max(b) < radix for b in buckets), A
         assert keys == [sum(map(operator.mul, powers, c)) for c in cols], A
@@ -325,7 +344,7 @@ def test_integer_keyed_cover_against_box_and_walk_oracles():
         for grade, top in ((fibers._plan(A).ones, rng.randint(2, 3)), (None, A.nrows + rng.randint(3, 6))):
             _clear_fiber_caches()
             plan = fibers._plan(A)
-            fibers._graded(plan, grade, 1, split=True)
+            fibers._covered(plan, grade, 1, split=True)
             # a grown cover keeps the split keys a fresh one has
             fibers._graded(plan, grade, top)
             weights = A.rows[grade] if grade is not None else tuple(map(sum, plan.cols))
@@ -342,7 +361,7 @@ def test_integer_keyed_cover_against_box_and_walk_oracles():
                 sparse += bits <= fibers._MEET_BITS
                 continue
             assert split is not None and split <= keyed.keys(), (A, grade, top)
-            for b, points in cover.fibers.items():
+            for b, points in fibers._by_degree(cover).items():
                 pairs = oracles.split_pairs_from_points(A.rows, b, points)
                 unsplit = (oracles.first_unsplit_by_sums(A.rows, points, b1, b2) for b1, b2 in pairs)
                 expected = any(p is None for p in unsplit)
@@ -721,7 +740,7 @@ def test_zero_ideal_reads_the_fiber_memo():
     _clear_fiber_caches()
     scan = atomic_scan(A, 3, mode="lattice")
     plan = fibers._plan(A)
-    assert plan.covers[plan.ones].fibers is None
+    assert _points_free(plan.covers[plan.ones])
     assert not (plan.fibers or plan.atomic or plan.avoiding)
     groups = fibers._degree_groups(plan, 3)
     assert groups.keys() <= plan.fibers.keys()
@@ -733,7 +752,9 @@ def test_zero_ideal_reads_the_fiber_memo():
 
 def test_verdict_memo_survives_scans():
     # a repeated scan decides nothing again, and the verdicts a scan leaves
-    # behind are those of cold single queries
+    # behind are those of cold single queries.  A scan on a row of ones
+    # settles a degree with one point on its cover and keeps no verdict for
+    # it; every degree with more points keeps one
     rng = corpus.make_rng("verdict-memo")
     for A in _ones_matrices(rng, 3) + _no_ones_matrices(rng, 1):
         M = corpus.random_ideal(rng, A.ncols, 2, 2)
@@ -752,10 +773,17 @@ def test_verdict_memo_survives_scans():
             verdicts = {key: dict(memo) for key, memo in fibers._plan(A).atomic.items()}
             assert atomic_scan(A, 3, mode=mode, M=ideal) == scan
             assert fibers._plan(A).atomic == verdicts
-        assert set(universe) <= verdicts[M.gens].keys()
+        kept = set(universe) if fibers._plan(A).ones is None else _multi_point(A, universe)
+        assert kept <= verdicts.get(M.gens, {}).keys()
         for b in universe:
             assert (is_atomic(A, b), bool(ma_fiber(M, A, b)) and is_ma_atomic(M, A, b)) == cold[b]
-        assert fibers._plan(A).atomic == verdicts
+        # the single queries change no kept verdict, and add only those the
+        # scans did not keep
+        after = fibers._plan(A).atomic
+        assert after.keys() >= verdicts.keys()
+        for key, memo in after.items():
+            assert memo.items() >= verdicts.get(key, {}).items()
+            assert memo.keys() - verdicts.get(key, {}).keys() <= set(universe) - kept, (A, key)
 
 
 def _walk_and_step(A, b, gens):
@@ -847,9 +875,11 @@ def test_certificates_and_screen_match_the_plain_walk():
 def test_serial_scan_loop_matches_the_adapter_per_degree():
     # a scan decides every degree through one plan in one loop; the verdict
     # kernel on a fresh plan for each degree gives the same verdicts,
-    # whichever mode scanned first
+    # whichever mode scanned first.  A scan on a row of ones keeps the
+    # verdicts of the degrees with two or more points, any other every one
     for A, bound, M in _certificate_corpus():
         universe = _scan_universe(A, bound)
+        kept = set(universe) if fibers._plan(A).ones is None else _multi_point(A, universe)
         zero = MonomialIdeal.zero(A.ncols)
         modes = [("vertex", None, None), ("lattice", None, zero), ("lattice", M, M)]
         fresh = {}
@@ -865,7 +895,7 @@ def test_serial_scan_loop_matches_the_adapter_per_degree():
                 assert scan == [b for b in universe if fresh[key, b]], (A, mode, ideal)
                 verdicts = fibers._plan(A).atomic[None if key is None else key.gens]
                 if not (key is zero and _split_keys_held(A)):
-                    assert verdicts.keys() >= set(universe), (A, mode)
+                    assert verdicts.keys() >= kept, (A, mode)
                 assert all(verdicts[b] is fresh[key, b] for b in universe if b in verdicts), (A, mode)
 
 
@@ -886,9 +916,11 @@ def test_certified_vertex_scan_builds_no_hull(monkeypatch):
 
 
 def test_lattice_scan_reads_the_verdicts_a_vertex_scan_left(monkeypatch):
-    # the vertex scan keeps each lattice verdict with M = 0 it settles or
-    # screens with, so a later lattice scan walks no degree; a vertex atom
-    # is a lattice atom, as a pair splitting every point splits every vertex
+    # the vertex scan keeps each lattice verdict with M = 0 it screens
+    # with, one per degree with two or more points (one point settles on the
+    # cover, with no verdict kept), so a later lattice scan walks no degree;
+    # a vertex atom is a lattice atom, as a pair splitting every point
+    # splits every vertex
     A = FiberMatrix(((1, 1, 1, 1), (0, 1, 3, 4)))
     _clear_fiber_caches()
     lattice = atomic_scan(A, 5, mode="lattice")
@@ -901,7 +933,7 @@ def test_lattice_scan_reads_the_verdicts_a_vertex_scan_left(monkeypatch):
     plan = fibers._plan(A)
     universe = {b for b in fibers._degree_groups(plan, 5) if any(b)}
     # the lattice verdicts with M = 0 are kept under the zero ideal's generators, ()
-    assert set(plan.atomic[()]) == universe
+    assert set(plan.atomic[()]) == _multi_point(A, universe)
     walks.clear()
     assert atomic_scan(A, 5, mode="lattice") == lattice
     assert walks == []
@@ -956,15 +988,18 @@ def test_verdicts_match_the_oracle_walk_over_definition_vertices(monkeypatch):
             assert scan() == expected[mode], (A, mode)
             walked[mode] += any(cover is not None for cover in given)
             plan = fibers._plan(A)
-            for cover in plan.covers.values():
+            for grade, cover in plan.covers.items():
                 assert isinstance(cover, fibers._Cover), (A, mode)
-                if cover.fibers is None:
+                if _points_free(cover):
                     # only a lattice scan with M = 0 leaves a points-free cover
                     assert mode == "lattice" and cover.splits is not None, (A, mode)
-                    assert set(cover.keyed.values()) == {None}, (A, mode)
                     continue
-                assert len(cover.keyed) == len(cover.fibers), (A, mode)
-                assert all(map(operator.is_, cover.keyed.values(), cover.fibers.values())), (A, mode)
+                # the cover is the one store of its points: a fiber the scan
+                # read off it is kept in the memo as the cover's own tuple
+                for b, points in plan.fibers.items():
+                    key = sum(map(operator.mul, cover.powers, b))
+                    if fibers._weight(b, grade) <= cover.top and points:
+                        assert points is cover.keyed[key], (A, mode, b)
         for mode, scan in scans.items():
             assert scan() == expected[mode], (A, mode)
     assert len(walked) == 3 and all(walked.values()), walked
@@ -1110,7 +1145,8 @@ def test_scans_settle_one_point_degrees_on_the_cover(monkeypatch):
     # nonzero degree with one point by whether it is a column and, with
     # M != 0, whether the point avoids M, and hands only degrees with two
     # or more points to _verdict; its memo is that of _verdict run on each
-    # degree, in either mode, with or without M, in any order
+    # degree, in either mode, with or without M, in any order, save that a
+    # scan on a row of ones keeps no verdict for a degree with one point
     rng = corpus.make_rng("one-point-degrees")
     cases = [(A, rng.randint(2, 4)) for A in _ones_matrices(rng, 8)]
     # the certificate corpus with a row of ones put on top
@@ -1141,6 +1177,7 @@ def test_scans_settle_one_point_degrees_on_the_cover(monkeypatch):
         units = [tuple(int(j == i) for j in range(A.ncols)) for i in range(A.ncols)]
         in_M += any(sizes.get(A.apply(e)) == 1 and oracles.member(M.gens, e) for e in units)
         modes = [("vertex", None), ("lattice", None), ("lattice", M)]
+        ones = fibers._plan(A).ones
         for order in (modes, modes[::-1]):
             _clear_fiber_caches()
             for k, (mode, ideal) in enumerate(order):
@@ -1152,14 +1189,17 @@ def test_scans_settle_one_point_degrees_on_the_cover(monkeypatch):
                 if k == 0:
                     assert sorted(calls) == [b for b in universe if sizes[b] > 1], (A, mode)
                 memo = fibers._plan(A).atomic
+                # a scan on a row of ones keeps no verdict for a degree with
+                # one point, which it settles on the cover
+                kept = {k: {b: v for b, v in fresh[k].items() if ones is None or sizes[b] > 1} for k in fresh}
                 if key == () and _split_keys_held(A):
                     # the scan read split keys alone and kept no verdict
                     assert memo[key].items() <= fresh[key].items(), (A, mode)
                 else:
-                    assert memo[key] == fresh[key], (A, mode)
+                    assert memo[key] == kept[key], (A, mode)
                 # a vertex scan fills the lattice memo with M = 0 as well
                 if mode == "vertex":
-                    assert memo[()] == fresh[()], A
+                    assert memo[()] == kept[()], A
     assert settled and in_M and without_ones
 
 
@@ -1255,7 +1295,7 @@ def test_points_free_lattice_scans_match_the_point_reading_loop(monkeypatch):
                 continue
             # a cover is points-free exactly when its bitsets pay
             pays = fibers._bitsets_pay(fibers._plan(A).cols, cover.top)
-            assert (cover.fibers is None) is pays is (cover.splits is not None), (A, bound)
+            assert _points_free(cover) is pays is (cover.splits is not None), (A, bound)
             seen[A.nrows, pays] += 1
             if not pays:
                 continue
@@ -1324,17 +1364,17 @@ def test_points_readers_after_a_points_free_cover_match_cold_queries(monkeypatch
             assert atomic_scan(A, bound, mode="lattice") == lattice
             plan = fibers._plan(A)
             bare = plan.covers[grade]
-            assert bare.fibers is None and bare.splits is not None, (A, name)
+            assert _points_free(bare) and bare.splits is not None, (A, name)
             assert reader() == cold[name], (A, name)
             cover = plan.covers[grade]
             if cover is not bare:
-                assert cover.fibers is not None and cover.splits == bare.splits, (A, name)
+                assert not _points_free(cover) and cover.splits == bare.splits, (A, name)
             assert atomic_scan(A, bound, mode="lattice") == lattice, (A, name)
         # the reverse order: one enumeration and no walk for the lattice scan
         _clear_fiber_caches()
         atomic_scan(A, bound, mode="vertex")
         held = fibers._plan(A).covers[grade]
-        assert held.fibers is not None and held.splits is not None, A
+        assert not _points_free(held) and held.splits is not None, A
         builds, walks = [], []
         with monkeypatch.context() as patch:
             real_bucketed, real_atomic = fibers._bucketed, fibers._atomic
@@ -1346,11 +1386,11 @@ def test_points_readers_after_a_points_free_cover_match_cold_queries(monkeypatch
             # vertex scan at the bound: one build, with points
             _clear_fiber_caches()
             atomic_scan(A, bound - 2, mode="vertex")
-            assert fibers._plan(A).covers[grade].fibers is not None, A
+            assert not _points_free(fibers._plan(A).covers[grade]), A
             builds.clear()
             assert atomic_scan(A, bound, mode="lattice") == lattice, A
             assert atomic_scan(A, bound, mode="vertex") == cold["vertex scan"], A
-            assert len(builds) == 1 and fibers._plan(A).covers[grade].fibers is not None, A
+            assert len(builds) == 1 and not _points_free(fibers._plan(A).covers[grade]), A
             # reachable_degrees, a lattice scan that grows its cover, and
             # reachable_degrees again, on one row, where both read the cover
             # of y = (1, ..., 1): one build, with points
@@ -1361,7 +1401,197 @@ def test_points_readers_after_a_points_free_cover_match_cold_queries(monkeypatch
                 builds.clear()
                 assert atomic_scan(A, bound, mode="lattice") == lattice, A
                 assert reachable_degrees(A, low) == reached, A
-                assert len(builds) == 1 and fibers._plan(A).covers[grade].fibers is not None, A
+                assert len(builds) == 1 and not _points_free(fibers._plan(A).covers[grade]), A
+
+
+def _point_answers(A, M, b):
+    """fiber_points, fiber, is_atomic and is_ma_atomic over b; a ValueError gives its message."""
+
+    def answer(call, *args):
+        try:
+            return call(*args)
+        except ValueError as error:
+            return str(error)
+
+    return fiber_points(A, b), answer(fiber, A, b), answer(is_atomic, A, b), answer(is_ma_atomic, M, A, b)
+
+
+def _oracle_point_answers(A, M, b):
+    """_point_answers by box enumeration, vertices by definition and the plain walk."""
+    points = oracles.box_fiber_points(A.rows, b)
+    if not points:
+        empty = f"empty fiber over {b}"
+        return [], empty, empty, f"empty (M,A) fiber over {b}"
+    vertices = oracles.hull_vertices_by_definition_of_non_midpoints(points)
+    avoiding = [u for u in points if not oracles.member(M.gens, u)]
+    lattice = oracles.atomic_by_sub_box_walk(A.rows, b, avoiding) if avoiding else f"empty (M,A) fiber over {b}"
+    return (
+        points,
+        fibers.Fiber(b, tuple(points), tuple(vertices)),
+        oracles.atomic_by_sub_box_walk(A.rows, b, vertices),
+        lattice,
+    )
+
+
+def test_key_reads_after_every_reader_match_fresh_plans_and_the_oracles():
+    # one plan is read by a points-free lattice scan, a vertex scan, a
+    # lattice scan with M != 0, a monoid lift and reachable_degrees, in
+    # either order.  The point readers then answer, off its covers by key,
+    # as a fresh plan and the oracles do: on every degree a cover holds, and
+    # on degrees of covered weight outside NA, a digit past the cover's
+    # radix among them.  (1, 27) has one on the first matrix after a bound-6
+    # scan, radix 25, and keys as (2, 2), a degree in NA
+    rng = corpus.make_rng("key-reads")
+    cases = [(FiberMatrix(((1, 1, 1, 1), (0, 1, 3, 4))), 6), (FiberMatrix(((2, 3, 5, 7),)), 4)]
+    cases += [(A, 3) for A in _ones_matrices(rng, 3)]
+    colliding = 0
+    for A, bound in cases:
+        M = corpus.random_ideal(rng, A.ncols, 2, 2)
+        readers = [
+            partial(atomic_scan, A, bound, mode="lattice"),
+            partial(atomic_scan, A, bound, mode="vertex"),
+            partial(atomic_scan, A, bound, mode="lattice", M=M),
+            partial(monoid_lift, A, [A.column(0)], bound),
+            partial(reachable_degrees, A, bound),
+        ]
+        for order in (readers, readers[::-1]):
+            _clear_fiber_caches()
+            for reader in order:
+                reader()
+            plan = fibers._plan(A)
+            assert plan.covers, A
+            covered, nearby = set(), set()
+            for grade, cover in plan.covers.items():
+                held = fibers._decoded(cover.keyed, cover.powers, cover.radix)
+                covered.update(held)
+                # one step up on a row is often outside NA, and of covered
+                # weight when the row is not the grade's
+                nearby.update(b[:r] + (b[r] + 1,) + b[r + 1 :] for b in held for r in range(A.nrows))
+                if grade is not None:
+                    # weight 1, and a digit past the radix on every other row
+                    past = tuple(1 if r == grade else cover.radix + 2 for r in range(A.nrows))
+                    colliding += sum(map(operator.mul, cover.powers, past)) in cover.keyed
+                    nearby.add(past)
+            if A == cases[0][0]:
+                assert plan.covers[0].radix == 25 and (1, 27) in nearby, A
+            degrees = sorted(covered) + sorted(nearby - covered)
+            shared = {b: _point_answers(A, M, b) for b in degrees}
+            for b in degrees:
+                _clear_fiber_caches()
+                assert shared[b] == _point_answers(A, M, b), (A, b)
+                assert shared[b] == _oracle_point_answers(A, M, b), (A, b)
+    assert colliding
+
+
+def _scan_by_degree(A, bound, M):
+    """The scan loop on a row of ones that the key walk replaced, kept as an oracle.
+
+    Every degree the row's cover holds to weight bound is decoded with
+    its points (_graded), and settled in lex order: a nonzero degree with
+    one point by whether it is a column whose unit vector avoids M, one
+    with more points by _verdict.  M is None in vertex mode.
+    """
+    plan = fibers._plan(A)
+    gens = () if M is None else M.gens
+    cover = fibers._covered(plan, plan.ones, bound, True)
+    verdicts, lattice = plan.atomic[None if M is None else gens], plan.atomic[gens]
+    atoms = []
+    for b, points in fibers._graded(plan, plan.ones, bound).items():
+        verdict = verdicts.get(b)
+        if verdict is None:
+            if len(points) > 1:
+                verdict = fibers._verdict(plan, M, b, cover)
+            elif any(b):
+                verdict = b in plan.colset and not oracles.member(gens, points[0])
+                verdicts[b] = lattice[b] = verdict
+        if verdict:
+            atoms.append(b)
+    return atoms
+
+
+def test_key_walk_matches_the_degree_by_degree_loop(monkeypatch):
+    # a scan on a row of ones walks its cover's keys and decodes only the
+    # keys with two or more points and the atoms; the loop it replaced
+    # decoded every degree.  Both agree on seeded matrices of 1 to 4 rows,
+    # in vertex mode, in lattice mode with M = 0 and with M != 0, on cold
+    # plans and on the plan the other scans left, and below the top of a
+    # held cover.  The walk runs in lattice mode with M = 0 only on a
+    # cover with no split keys, which entries up to 9 on 3 and 4 rows give
+    walks = []
+    real_scan = fibers._scan
+    monkeypatch.setattr(fibers, "_scan", lambda *args: walks.append(args) or real_scan(*args))
+    rng = corpus.make_rng("key-walk-loop")
+    cases = [(FiberMatrix(((1,) * n,)), rng.randint(2, 6)) for n in (2, 3, 4)]
+    cases.append((FiberMatrix(((1, 1, 1, 1), (0, 1, 3, 4))), 6))
+    for d in (2, 3, 4):
+        for _ in range(5):
+            n = rng.randint(2, 4)
+            rows = list(corpus.random_matrix(rng, d - 1, n, rng.choice((2, 9))).rows)
+            rows.insert(rng.randint(0, d - 1), (1,) * n)
+            cases.append((FiberMatrix(tuple(rows)), rng.randint(2, 4)))
+    no_split = 0
+    for A, bound in cases:
+        M = corpus.random_ideal(rng, A.ncols, 2, 2)
+        modes = [("vertex", None, None), ("lattice", None, fibers._plan(A).zero), ("lattice", M, M)]
+        expected = {}
+        for mode, ideal, key in modes:
+            for top in (bound, bound - 1):
+                _clear_fiber_caches()
+                expected[top, mode, ideal] = _scan_by_degree(A, top, key)
+        for order in (modes, modes[::-1]):
+            _clear_fiber_caches()
+            # the lower bound reads the cover held at bound, weight filtered
+            for top in (bound, bound - 1):
+                for mode, ideal, _ in order:
+                    assert atomic_scan(A, top, mode=mode, M=ideal) == expected[top, mode, ideal], (A, mode)
+                    plan = fibers._plan(A)
+                    cover = plan.covers[plan.ones]
+                    if _points_free(cover) or (mode, ideal) == ("lattice", None) and cover.splits is not None:
+                        continue
+                    # a walk keeps each fiber of two or more points up to
+                    # its bound in the memo, as the cover's own tuple
+                    several = {b: pts for b, pts in fibers._by_degree(cover).items() if len(pts) > 1}
+                    assert all(plan.fibers.get(b) is pts for b, pts in several.items() if b[plan.ones] <= top), A
+        no_split +=fibers._plan(A).covers[fibers._plan(A).ones].splits is None
+    assert walks and no_split
+
+
+def test_scan_memo_returns_fresh_lists_kept_apart_by_mode_and_ideal(monkeypatch):
+    # the plan keeps each scan's atoms under (bound, mode, M's generators):
+    # a repeated scan returns an equal list that is not the kept one, runs
+    # no scan, and is not changed by a caller's edits; vertex mode, lattice
+    # mode and each M are kept apart at one bound, and _plan.cache_clear()
+    # empties the memo.  A lattice scan with M omitted reads the plan's zero
+    # ideal, and builds none
+    rng = corpus.make_rng("scan-memo")
+    cases = [(A, 3) for A in _ones_matrices(rng, 3)] + [(A, 3) for A in _no_ones_matrices(rng, 2)]
+    for A, bound in cases:
+        M = corpus.random_ideal(rng, A.ncols, 2, 2)
+        modes = [("vertex", None), ("lattice", None), ("lattice", M)]
+        fresh = {}
+        for mode, ideal in modes:
+            _clear_fiber_caches()
+            fresh[mode, ideal] = atomic_scan(A, bound, mode=mode, M=ideal)
+        _clear_fiber_caches()
+        first = {(mode, ideal): atomic_scan(A, bound, mode=mode, M=ideal) for mode, ideal in modes}
+        assert first == fresh, A
+        plan = fibers._plan(A)
+        assert plan.atoms.keys() == {(bound, "vertex", ()), (bound, "lattice", ()), (bound, "lattice", M.gens)}, A
+        with monkeypatch.context() as patch:
+            patch.setattr(MonomialIdeal, "zero", None)
+            deeper = atomic_scan(A, bound + 1, mode="lattice")
+            patch.setattr(fibers, "_scan", None)
+            for mode, ideal in modes:
+                again = atomic_scan(A, bound, mode=mode, M=ideal)
+                assert again == fresh[mode, ideal] and again is not first[mode, ideal], (A, mode)
+                assert again is not plan.atoms[bound, mode, () if ideal is None else ideal.gens]
+                again.append((-1,))
+                first[mode, ideal].clear()
+                assert atomic_scan(A, bound, mode=mode, M=ideal) == fresh[mode, ideal], (A, mode)
+        fibers._plan.cache_clear()
+        assert fibers._plan(A).atoms == {}
+        assert atomic_scan(A, bound + 1, mode="lattice") == deeper, A
+        assert fibers._plan(A).atoms.keys() == {(bound + 1, "lattice", ())}
 
 
 def test_scans_on_a_row_of_ones_build_no_search_tables():
