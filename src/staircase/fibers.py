@@ -13,8 +13,8 @@ rows and columns, the fiber search's tables, built on first use, and
 every memo this module keeps, so _plan.cache_clear() resets them all.
 The public functions check their arguments and look the plan up; every
 private function below them takes the plan in place of the matrix.  The
-memos are plan entries: fibers, graded covers, scan degrees, scan atoms,
-hull vertices, M-avoiding points and verdicts (see _Plan).
+memos are plan entries: fibers, graded covers, scan atoms, hull
+vertices, M-avoiding points and verdicts (see _Plan).
 
 A graded cover (_Cover) holds a whole grade of fibers by integer key.
 Pick y >= 0 with every entry of yA at least 1: the unit vector of a row
@@ -27,7 +27,7 @@ fibers read off a cover (_fiber_points, _graded) or searched.  A scan
 on a row of ones walks that row's cover; any other scan reads its
 degrees off least-count levels of integer degree keys (_scan_degrees),
 and on one row also covers y = (1, ..., 1) when that holds at most twice
-the points of its own fibers (_one_row_cover), the cover
+the points of its own fibers (_one_row_top), the cover
 hilbert.reachable_degrees reads.  Every other fiber is found by a search
 that assigns one column at a time and solves the last two together
 (_enumerate_fiber).
@@ -35,14 +35,10 @@ that assigns one column at a time and solves the last two together
 A scan's cover carries each point's sub-box as an integer bitset and
 keeps the keys of the degrees one pair splits every point of (_bucketed):
 for a degree it holds, that is one set lookup, which settles the lattice
-verdict with M = 0 and rules out atomicity in every mode.  A lattice scan
-with M = 0 reads nothing else, so its cover is points-free: its keys and
-split keys, with no point, and its atoms are the keys not split, 0 aside
-(_scan).  Every other reader reads points: vertex scans, scans with
-M != 0, fiber, ma_fiber, the checks, the vertex ideals, monoid lifts and
-hilbert.reachable_degrees.  The first of them to read a points-free
-cover builds it again with its points (_covered, called by _cover_of and
-_graded).
+verdict with M = 0 and rules out atomicity in every mode.  Every cover
+holds its points.  A lattice scan with M = 0 reads nothing but split
+keys, so when the bitsets pay it walks them with no points, keeps nothing
+of the walk (_split_walk), and returns the keys not split, 0 aside (_scan).
 
 Atomicity is otherwise decided in _verdict, the one kernel every check
 and every scan that reads points runs, save that a scan settles each
@@ -59,7 +55,7 @@ _check_in_na is the one test that a degree lies in NA.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import repeat
 from collections import defaultdict
@@ -88,7 +84,10 @@ class FiberMatrix:
 
     def __post_init__(self):
         # rows given as lists are stored as tuples, so they hash and compare
-        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
+        try:
+            object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
+        except TypeError:
+            raise ValueError(f"rows must be a sequence of integer rows, got {self.rows!r}") from None
         if not self.rows:
             raise ValueError("matrix needs at least one row")
         n = len(self.rows[0])
@@ -144,8 +143,11 @@ class Fiber:
     vertices: tuple[Exponent, ...]
 
 
-def _check_degree(A: FiberMatrix, b) -> Degree:
-    b = tuple(b)
+def _check_degree(A: FiberMatrix, b, name: str = "b") -> Degree:
+    try:
+        b = tuple(b)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of integers, got {b!r}") from None
     if len(b) != A.nrows:
         raise ValueError(f"degree {b} has length {len(b)}, matrix has {A.nrows} rows")
     return check_exponent(b)
@@ -157,7 +159,7 @@ def _check_in_na(A: FiberMatrix, b, *pair) -> tuple:
     Every length is checked first.  A pair b1, b2 must then sum to b, and
     b1, then b2, must lie in NA, so b does too; with no pair, b must.
     """
-    plan, b, pair = _plan(A), _check_degree(A, b), [_check_degree(A, d) for d in pair]
+    plan, b, pair = _plan(A), _check_degree(A, b), [_check_degree(A, d, f"b{k}") for k, d in enumerate(pair, 1)]
     if pair and tuple(map(add, *pair)) != b:
         raise ValueError("degree mismatch: {} + {} != {}".format(*pair, b))
     for d in pair or (b,):
@@ -184,10 +186,7 @@ class _Plan:
     - fibers maps each degree read or searched to its lex-sorted points,
       () when outside NA.
     - covers maps a grade (the index of a row of ones, or None for
-      y = (1, ..., 1)) to its cover (_Cover), points-free when a lattice
-      scan with M = 0 built it where none with points was held, and no
-      reader of points has come since.
-    - scans maps a bound to the degrees a scan with no row of ones reads.
+      y = (1, ..., 1)) to its cover (_Cover), which holds its points.
     - atoms maps (bound, mode, M.gens) to the atoms of that scan.
     - vertices maps a degree in NA to its hull vertices.
     - avoiding[M.gens][b], M nonzero, holds the points over b outside M.
@@ -203,7 +202,6 @@ class _Plan:
     zero: MonomialIdeal
     fibers: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
     covers: dict[int | None, _Cover] = field(default_factory=dict)
-    scans: dict[int, list[Degree]] = field(default_factory=dict)
     atoms: dict[tuple, list[Degree]] = field(default_factory=dict)
     vertices: dict[Degree, tuple[Exponent, ...]] = field(default_factory=dict)
     avoiding: defaultdict[tuple, dict] = field(default_factory=partial(defaultdict, dict))
@@ -294,19 +292,16 @@ class _Cover:
     keyed maps each degree's key to its lex-sorted points in key order,
     lex order, with the place values powers of radix and the columns'
     keys (_place_values); no key is decoded.  Every digit of a degree it
-    holds is below radix.  split says whether a scan asked for it; splits
-    holds the keys of the degrees one pair splits every point of, or None
-    (_bucketed).  A points-free cover, which only a lattice scan with
-    M = 0 builds, maps each key to None, and _covered builds it again with
-    points for the first reader of points (_cover_of, _graded).
+    holds is below radix.  splits holds the keys of the degrees one pair
+    splits every point of, or None (_bucketed); a scan asked for the cover
+    when it is not None.
     """
 
     top: int
-    split: bool
     radix: int
     powers: list[int]
     keys: list[int]
-    keyed: dict[int, tuple[Exponent, ...] | None]
+    keyed: dict[int, tuple[Exponent, ...]]
     splits: set[int] | None
 
 
@@ -331,7 +326,7 @@ def _decoded(keys, powers, radix: int) -> list[Degree]:
 
 
 def _by_degree(cover: _Cover) -> dict[Degree, tuple[Exponent, ...]]:
-    """A cover that holds its points, by degree in lex order: its keys decoded in bulk."""
+    """A cover's points by degree in lex order: its keys decoded in bulk."""
     keyed = cover.keyed
     return dict(zip(_decoded(keyed, cover.powers, cover.radix), keyed.values()))
 
@@ -344,7 +339,7 @@ def _tails(keys, weights, rest: int) -> list[tuple[Exponent, int]]:
     return [(t, off) for t, off, _ in tails]
 
 
-def _bucketed(cols, weights, top: int, split: bool = False, points: bool = True) -> _Cover:
+def _bucketed(cols, weights, top: int, split: bool = False) -> _Cover:
     """The cover of every u with weights.u <= top, bucketed by Au.
 
     The columns are extended one at a time, each prefix by every value
@@ -376,23 +371,15 @@ def _bucketed(cols, weights, top: int, split: bool = False, points: bool = True)
     cover of fewer than R^d / _MEET_BITS_PER_POINT points most fibers have
     one point, which the scan settles with no walk.  The points are counted
     as the C(n + top, n) u with |u| <= top, which hold them all, and are
-    them on a row of ones.  Else the split keys are None.
-
-    Without points, asked only by a lattice scan with M = 0, the cover is
-    points-free when the bitsets are carried: each prefix is its key,
-    weight and bitset alone, and a point only ANDs its bitset into the
-    meet of its key, so no tuple or bucket is built.  The keys kept are
-    those whose meet a point reached.  With no bitsets the points are
-    built all the same, as a cover with no split keys serves only its
-    points' readers.
+    them on a row of ones.  Else the split keys are None.  _split_walk
+    walks the same bitsets with no points.
     """
     radix = _radix(cols, top)
     powers, keys = _place_values(cols, radix)
     # meets[key] is -1 until a point over key comes
     meets = [-1] * radix ** len(powers) if split and _bitsets_pay(cols, top) else None
     buckets: defaultdict[int, list[Exponent]] = defaultdict(list)
-    last = keys[-1], weights[-1]
-    # three walks, so that a cover pays only for what it carries
+    # two walks, so that a cover pays only for what it carries
     if meets is None:
         # a table is read by more prefixes than it has remaining weights
         # only when the columns before it are two or more
@@ -413,26 +400,6 @@ def _bucketed(cols, weights, top: int, split: bool = False, points: bool = True)
                 tails = tables[rest] = _tails(keys[-tabled:], weights[-tabled:], rest)
             for tail, offset in tails:
                 buckets[key + offset].append(u + tail)
-    elif not points:
-        level = [(0, 0, 1)]
-        for k, w in zip(keys[:-1], weights[:-1]):
-            nxt = []
-            for key, wt, sub in level:
-                for _ in range((top - wt) // w + 1):
-                    nxt.append((key, wt, sub))
-                    key += k
-                    wt += w
-                    sub |= sub << k
-            level = nxt
-        k, w = last
-        for key, wt, sub in level:
-            for _ in range((top - wt) // w + 1):
-                meets[key] &= sub
-                sub |= sub << k
-                key += k
-        keyed = dict.fromkeys(key for key, meet in enumerate(meets) if meet != -1)
-        splits = {key for key in keyed if meets[key].bit_count() > 2}
-        return _Cover(top, split, radix, powers, keys, keyed, splits)
     else:
         level = [((), 0, 0, 1)]
         for k, w in zip(keys[:-1], weights[:-1]):
@@ -444,7 +411,7 @@ def _bucketed(cols, weights, top: int, split: bool = False, points: bool = True)
                     wt += w
                     sub |= sub << k
             level = nxt
-        k, w = last
+        k, w = keys[-1], weights[-1]
         for u, key, wt, sub in level:
             for v in range((top - wt) // w + 1):
                 buckets[key].append(u + (v,))
@@ -454,7 +421,40 @@ def _bucketed(cols, weights, top: int, split: bool = False, points: bool = True)
     order = sorted(buckets)
     keyed = dict(zip(order, map(tuple, map(buckets.__getitem__, order))))
     splits = None if meets is None else {key for key in order if meets[key].bit_count() > 2}
-    return _Cover(top, split, radix, powers, keys, keyed, splits)
+    return _Cover(top, radix, powers, keys, keyed, splits)
+
+
+def _split_walk(cols, weights, top: int) -> tuple[list[int], set[int]]:
+    """The keys of A u for every u with weights.u <= top, in order, and the split keys.
+
+    _bucketed's walk with split, less its points, for a caller that checked
+    that the bitsets pay (_bitsets_pay): each prefix is its key, weight
+    and sub-box bitset alone, and a point only ANDs its bitset into the
+    meet of its key, so no tuple or bucket is built.  The keys are those
+    whose meet a point reached, and the split keys those whose meet holds
+    a third b1.  A lattice scan with M = 0 reads this alone (_scan).
+    """
+    radix = _radix(cols, top)
+    keys = _place_values(cols, radix)[1]
+    meets = [-1] * radix ** len(cols[0])
+    level = [(0, 0, 1)]
+    for k, w in zip(keys[:-1], weights[:-1]):
+        nxt = []
+        for key, wt, sub in level:
+            for _ in range((top - wt) // w + 1):
+                nxt.append((key, wt, sub))
+                key += k
+                wt += w
+                sub |= sub << k
+        level = nxt
+    k, w = keys[-1], weights[-1]
+    for key, wt, sub in level:
+        for _ in range((top - wt) // w + 1):
+            meets[key] &= sub
+            sub |= sub << k
+            key += k
+    held = [key for key, meet in enumerate(meets) if meet != -1]
+    return held, {key for key in held if meets[key].bit_count() > 2}
 
 
 def _bitsets_pay(cols, top: int) -> bool:
@@ -463,40 +463,28 @@ def _bitsets_pay(cols, top: int) -> bool:
     return size <= _MEET_BITS and size <= _MEET_BITS_PER_POINT * math.comb(len(cols) + top, top)
 
 
-def _covered(plan: _Plan, grade: int | None, top: int, split: bool = False, points: bool = True) -> _Cover:
+def _covered(plan: _Plan, grade: int | None, top: int, split: bool = False) -> _Cover:
     """The cover of the y given by grade, up to top or above, built when it must be.
 
     A cover is built up to top when it is not held that far.  A scan asks
-    with split, which a cover keeps as it grows, as it keeps its points; a
-    cover no scan asked for is built once more with split, at its own top
-    if higher, when its bitsets pay there.  A reader of points finds a
-    points-free cover built again with its points, at its own top: the
-    keys are then the same, so its split keys carry over.
+    with split, and a cover with split keys keeps them as it grows; a
+    cover with none is built once more with split, at its own top if
+    higher, when a scan asks and the bitsets pay there.
     """
     cover = plan.covers.get(grade)
-    if cover is None:
-        held, asked, bare = -1, False, not points
-    else:
-        # a points-free cover maps every key, 0 among them, to None
-        held, asked, bare = cover.top, cover.split, cover.keyed[0] is None
-    grow = top > held or (split and not asked and _bitsets_pay(plan.cols, max(top, held)))
-    if not (grow or (points and bare)):
-        return cover
-    weights = tuple(map(sum, plan.cols)) if grade is None else plan.rows[grade]
-    if grow:
-        cover = _bucketed(plan.cols, weights, max(top, held), split or asked, points or not bare)
-    else:
-        cover = replace(_bucketed(plan.cols, weights, held), split=True, splits=cover.splits)
-    plan.covers[grade] = cover
+    held, asked = (-1, False) if cover is None else (cover.top, cover.splits is not None)
+    if top > held or (split and not asked and _bitsets_pay(plan.cols, max(top, held))):
+        weights = tuple(map(sum, plan.cols)) if grade is None else plan.rows[grade]
+        cover = plan.covers[grade] = _bucketed(plan.cols, weights, max(top, held), split or asked)
     return cover
 
 
 def _graded(plan: _Plan, grade: int | None, top: int) -> dict[Degree, tuple[Exponent, ...]]:
     """Every nonempty fiber of weight <= top for the y given by grade, in lex order.
 
-    Decoded off the cover that holds them, with its points (_covered), and
-    kept in the fiber memo as they are decoded.  A cover held above top
-    has its heavier fibers left out.
+    Decoded off the cover that holds them (_covered), and kept in the
+    fiber memo as they are decoded.  A cover held above top has its
+    heavier fibers left out.
     """
     cover = _covered(plan, grade, top)
     fibers = _by_degree(cover)
@@ -507,16 +495,12 @@ def _graded(plan: _Plan, grade: int | None, top: int) -> dict[Degree, tuple[Expo
 
 
 def _cover_of(plan: _Plan, b: Degree) -> _Cover | None:
-    """The cover that holds b, one with split keys first; None if none does.
-
-    A points-free cover is built again with its points first (_covered);
-    a cover with no split keys holds its points.
-    """
+    """The plan's cover that holds b, one with split keys first; None if none does."""
     held = None
     for grade, cover in plan.covers.items():
         if _weight(b, grade) <= cover.top:
             if cover.splits is not None:
-                return _covered(plan, grade, cover.top)
+                return cover
             held = held or cover
     return held
 
@@ -956,56 +940,55 @@ def atomic_scan(
 def _scan(plan: _Plan, bound: int, M: MonomialIdeal | None) -> list[Degree]:
     """atomic_scan's atoms, M None in vertex mode.
 
-    A lattice scan with M = 0 whose cover carries split keys reads no
-    point: a nonzero degree is then atomic exactly when its key is not
-    split.  That holds for a lone point p too, whose meet, its sub-box,
-    has prod(p_i + 1) bits, as no two u1 <= p lie over one degree, so two
-    bits only for a unit vector.  On a row of ones the atoms are the
-    cover's keys less its split keys and 0, and on one row the scan's
-    degrees whose key is not split.  Such a scan builds its cover
-    points-free, save when it grows one that holds points, and leaves no
-    verdict in the memo.
+    A lattice scan with M = 0 whose bitsets pay at its top, bound on a row
+    of ones and max(row) * bound on one row (_one_row_top), reads split
+    keys alone (_split_walk): a nonzero degree is then atomic exactly when
+    its key is not split.  That holds for a lone point p too, whose meet,
+    its sub-box, has prod(p_i + 1) bits, as no two u1 <= p lie over one
+    degree, so two bits only for a unit vector.  On a row of ones the atoms
+    are the walk's keys less its split keys and 0, and on one row the
+    scan's degrees whose key, their one digit, is not split.  Such a scan
+    reads no cover and keeps nothing of its walk.
 
     Every other scan reads whole fibers, so a nonzero degree with one
     point p is atomic iff p is a unit vector that avoids M (_verdict's
-    certificates), iff b is a column and no generator of M divides p; the
-    rest go to _verdict with the cover that holds them.  On a row of ones
-    the scan walks the cover's keys and decodes, in bulk, only the keys
-    with two or more points, whose points it puts in the fiber memo, and
-    the atoms' keys at the end.  A column has weight 1, and a key's weight
-    is its digit on the row of ones, so a cover held above bound has its
-    heavier keys skipped with no decode.
+    certificates), iff b is a column and no generator of M divides p.  The
+    scan settles those itself and keeps no verdict for them; the rest go
+    to _verdict with the cover that holds them.  On a row of ones the scan
+    walks the cover's keys and decodes, in bulk, only the keys with two or
+    more points, whose points it puts in the fiber memo, and the atoms'
+    keys at the end.  A column has weight 1, and a key's weight is its
+    digit on the row of ones, so a cover held above bound has its heavier
+    keys skipped with no decode.
     """
     gens = () if M is None else M.gens
     bare = M is not None and not gens
     if plan.ones is None:
         degrees = _scan_degrees(plan, bound)
-        cover = _one_row_cover(plan, degrees, bound, not bare) if len(plan.rows) == 1 else None
-        if bare and cover is not None and cover.splits is not None:
+        top = _one_row_top(plan, degrees, bound) if len(plan.rows) == 1 else None
+        if bare and top is not None and _bitsets_pay(plan.cols, top):
             # on one row a degree's key is its one digit, and degrees[0] is 0
-            return [b for b in degrees[1:] if b[0] not in cover.splits]
-        verdicts, lattice = plan.atomic[None if M is None else gens], plan.atomic[gens]
-        atoms = []
-        for b in degrees:
-            verdict = verdicts.get(b)
-            if verdict is None:
-                points = _fiber_points(plan, b)
-                if len(points) > 1:
-                    verdict = _verdict(plan, M, b, _cover_of(plan, b))
-                elif any(b):
-                    verdict = b in plan.colset and not _has_divisor(gens, points[0])
-                    verdicts[b] = lattice[b] = verdict
-            if verdict:
-                atoms.append(b)
-        return atoms
+            splits = _split_walk(plan.cols, plan.rows[0], top)[1]
+            return [b for b in degrees[1:] if b[0] not in splits]
+        if top is not None:
+            _covered(plan, None, top, True)
+
+        def atomic(b):
+            points = _fiber_points(plan, b)
+            if len(points) == 1:
+                return b in plan.colset and not _has_divisor(gens, points[0])
+            return _verdict(plan, M, b, _cover_of(plan, b))
+
+        return list(filter(atomic, degrees))
+    if bare and _bitsets_pay(plan.cols, bound):
+        held, splits = _split_walk(plan.cols, plan.rows[plan.ones], bound)
+        radix = _radix(plan.cols, bound)
+        atoms = [key for key in held if key and key not in splits]
+        return _decoded(atoms, _place_values(plan.cols, radix)[0], radix)
     # the row of ones' cover holds every fiber the scan reads, as a split
     # part has b1_r <= b_r, and no other cover of the matrix has split keys
-    cover = _covered(plan, plan.ones, bound, True, not bare)
+    cover = _covered(plan, plan.ones, bound, True)
     powers, radix = cover.powers, cover.radix
-    if bare and cover.splits is not None:
-        keys = sorted(cover.keyed.keys() - cover.splits - {0})
-        atoms = _decoded(keys, powers, radix)
-        return atoms if cover.top == bound else [b for b in atoms if b[plan.ones] <= bound]
     keyed, columns, weight = cover.keyed, set(cover.keys), powers[plan.ones]
     atoms, several = [], []
     for key, points in keyed.items():
@@ -1026,51 +1009,46 @@ def _scan_degrees(plan: _Plan, bound: int) -> list[Degree]:
     least[t] is the least |u| with key(Au) = t, in radix (max entry) bound
     + 1, filled a level at a time: level k, the t with least[t] = k, holds
     the sums t + k_i of a t in level k - 1 and a column key k_i that no
-    lower level holds.  The degrees are the t with least[t] <= bound, kept
-    in the plan.  Each is expanded once, in n steps, where grouping the u
-    with |u| <= bound takes a step per u.
+    lower level holds.  The degrees are the t with least[t] <= bound.  Each
+    is expanded once, in n steps, where grouping the u with |u| <= bound
+    takes a step per u.
     """
-    if bound not in plan.scans:
-        radix = _radix(plan.cols, bound)
-        powers, keys = _place_values(plan.cols, radix)
-        seen, level = {0}, {0}
-        for _ in range(bound):
-            level = {t + k for k in keys for t in level} - seen
-            seen |= level
-        plan.scans[bound] = _decoded(sorted(seen), powers, radix)
-    return plan.scans[bound]
+    radix = _radix(plan.cols, bound)
+    powers, keys = _place_values(plan.cols, radix)
+    seen, level = {0}, {0}
+    for _ in range(bound):
+        level = {t + k for k in keys for t in level} - seen
+        seen |= level
+    return _decoded(sorted(seen), powers, radix)
 
 
-def _one_row_cover(plan: _Plan, degrees, bound: int, points: bool = True) -> _Cover | None:
-    """The cover of y = (1,) up to max(row) * bound, if held or at most twice what the scan reads.
+def _one_row_top(plan: _Plan, degrees, bound: int) -> int | None:
+    """max(row) * bound, the top of the y = (1,) cover a one-row scan reads, or None for no cover.
 
     On one row every degree a scan reads, its own and each split part
-    b1 <= b, is at most top = max(row) * bound, so that one cover holds
-    every fiber the scan reads.  counts[t], counted over the row's entries
-    in O(n top) steps, is the size of the fiber over t, so the cover holds
-    sum(counts) points.  The scan reads the fiber over each of its degrees
-    and keeps it in the memo: the counts over the degrees.  A row with
-    spread entries such as (1, 1, 120) at bound 10 has a cover 32 times
-    that, and gets none.  Counting costs no more than grouping the
+    b1 <= b, is at most top = max(row) * bound, so the cover up to top
+    holds every fiber the scan reads.  counts[t], counted over the row's
+    entries in O(n top) steps, is the size of the fiber over t, so the
+    cover holds sum(counts) points.  The scan reads the fiber over each of
+    its degrees and keeps it in the memo: the counts over the degrees.  A
+    row with spread entries such as (1, 1, 120) at bound 10 has a cover 32
+    times that, and gets None.  Counting costs no more than grouping the
     C(n + bound, n) u with |u| <= bound when top is at most that many; it
-    is skipped otherwise, and when a cover already holds top, which is
-    returned as it is, points-free or not.  A scan that reads no points
-    builds it without (_covered).
+    is skipped otherwise, and when a cover already holds top.  The cover is
+    taken when held or at most twice what the scan reads.
     """
     row = plan.rows[0]
     top = max(row) * bound
     # a matrix with one row and no row of ones has no cover but that of y = (1,)
     if (held := plan.covers.get(None)) and held.top >= top:
-        return held
+        return top
     if top > math.comb(len(row) + bound, bound):
         return None
     counts = [1] + [0] * top
     for w in row:
         for t in range(w, top + 1):
             counts[t] += counts[t - w]
-    if sum(counts) <= 2 * sum(counts[b] for (b,) in degrees):
-        return _covered(plan, None, top, True, points)
-    return None
+    return top if sum(counts) <= 2 * sum(counts[b] for (b,) in degrees) else None
 
 
 def atomicity_ideal(A: FiberMatrix, b) -> MonomialIdeal:
@@ -1139,7 +1117,7 @@ def monoid_lift(G: FiberMatrix, ideal_degrees, bound: int) -> MonomialIdeal:
     value.
     """
     _check_int(bound, "bound", 0)
-    degrees = [_check_degree(G, b) for b in ideal_degrees]
+    degrees = [_check_degree(G, b, f"ideal_degrees[{k}]") for k, b in enumerate(ideal_degrees)]
     values, gens, plan = set(), [], _plan(G)
     # with a row of ones, a gap's weight is at most |a| <= bound, so the
     # cover answers membership in NG

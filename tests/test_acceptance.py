@@ -264,3 +264,27 @@ def test_criterion_7_sagbi_desk_check():
         ok,
         f"basis={basis} failures={bad if bad else 0}",
     )
+
+
+def test_public_names_are_pinned():
+    # a refactor keeps the public API: exactly these 50 names, in this order
+    import staircase
+
+    names = """
+        Exponent Fiber FiberMatrix FiniteOrderIdeal Grading IdealFamily
+        MonomialIdeal MonomialPrime PrimaryComponent XDualOrderIdeal
+        associated_primes atomic_scan atomicity_ideal descending_chain_max
+        divides elements_with_j_below exponents_up_to_degree
+        extract_descending_chain fiber fiber_points find_comparable_pair
+        group_by_associated_primes hilbert_function hilbert_numerator
+        hull_vertices in_hull irreducible_decomposition is_antichain
+        is_atomic is_ma_atomic lcm_exponent ma_decomposes ma_fiber
+        minimalize minkowski_decomposes monoid_lift numerator_fine_count
+        primary_decomposition reachable_degrees refine_by_standard_trace
+        s_family sagbi_generators same_hilbert_up_to verify_s_antichain
+        vertex_ideal_gens_truncated vertex_ideal_standard x_doi_contains
+        x_less young_cocomplement young_complement
+    """.split()
+    assert len(names) == 50
+    assert staircase.__all__ == names
+    assert all(hasattr(staircase, name) for name in names)

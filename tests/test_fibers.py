@@ -58,6 +58,27 @@ def test_matrix_validation():
         FiberMatrix(((1, 1), (1,)))
     with pytest.raises(ValueError):
         FiberMatrix(())
+    # an int as the rows or as a row raised "'int' object is not iterable"
+    for rows in (5, (1, 2)):
+        with pytest.raises(ValueError, match=r"^rows must be a sequence of integer rows, got "):
+            FiberMatrix(rows)
+
+
+def test_degrees_that_are_no_sequences_name_the_argument():
+    # None as a degree raised "'NoneType' object is not iterable"
+    A = FiberMatrix(((1, 1), (0, 1)))
+    M = MonomialIdeal.zero(2)
+    single = (fiber_points, fiber, is_atomic, atomicity_ideal, partial(ma_fiber, M), partial(is_ma_atomic, M))
+    calls = [("b", partial(call, A, None)) for call in single]
+    calls += [
+        ("b", partial(minkowski_decomposes, A, None, (1, 0), (1, 1))),
+        ("b1", partial(minkowski_decomposes, A, (2, 1), None, (1, 1))),
+        ("b2", partial(ma_decomposes, M, A, (2, 1), (1, 0), None)),
+        (r"ideal_degrees\[1\]", partial(monoid_lift, A, [(1, 0), None], 2)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=rf"^{name} must be a sequence of integers, got None$"):
+            call()
 
 
 def test_matrix_rows_given_as_lists():
@@ -171,16 +192,27 @@ def _clear_fiber_caches():
     fibers._plan.cache_clear()
 
 
-def _split_keys_held(A):
-    """Whether a cover of A's plan has split keys, which a lattice scan with M = 0 reads alone."""
-    return any(cover.splits is not None for cover in fibers._plan(A).covers.values())
+@pytest.fixture
+def enumerations(monkeypatch):
+    """The names of the _bucketed and _split_walk calls, the walks over a grade, in order.
+
+    Both are counted, so no walk hides from a check that a call enumerates
+    nothing; clear the list to count from a point on.
+    """
+    calls = []
+    for name in ("_bucketed", "_split_walk"):
+        traced = partial(lambda name, real, *args: calls.append(name) or real(*args), name, getattr(fibers, name))
+        monkeypatch.setattr(fibers, name, traced)
+    return calls
 
 
-def _points_free(cover):
-    """Whether a cover holds no points: every key maps to None, or none does."""
-    values = set(map(type, cover.keyed.values()))
-    assert values in ({type(None)}, {tuple}), values
-    return values == {type(None)}
+def _check_covers(A):
+    """Every cover of A's plan maps every key to a nonempty lex-sorted tuple over the key's degree."""
+    for cover in fibers._plan(A).covers.values():
+        degrees = fibers._decoded(cover.keyed, cover.powers, cover.radix)
+        for b, points in zip(degrees, cover.keyed.values()):
+            assert type(points) is tuple and points and list(points) == sorted(points), (A, b)
+            assert all(tuple(sum(map(operator.mul, row, u)) for row in A.rows) == b for u in points), (A, b)
 
 
 def _multi_point(A, degrees):
@@ -220,14 +252,15 @@ def test_cover_fibers_against_search_and_box_oracle():
 
 
 def test_scans_and_reachable_degrees_share_the_cover(monkeypatch):
-    # a scan covers the row of ones, reachable_degrees y = (1, ..., 1); both
-    # covers persist, in either order, the fibers read off them fill the
-    # one fiber memo, and a repeat call adds no memo entries and returns
-    # the cover's own tuples.
+    # a vertex scan covers the row of ones, reachable_degrees y = (1, ..., 1);
+    # both covers persist, in either order, the fibers read off them fill
+    # the one fiber memo, and a repeat call adds no memo entries and returns
+    # the cover's own tuples.  A lattice scan with M = 0 after them answers
+    # as before.
     # After reachable_degrees, whose cover holds the scan's degrees first,
-    # a lattice scan with M = 0 still reads the split keys of its own
-    # cover: no degree whose key is split is walked, and the cover lookup
-    # finds the cover with split keys
+    # the vertex scan still reads the split keys of its own cover: no
+    # degree whose key is split is walked, and the cover lookup finds the
+    # cover with split keys
     walked = []
     real_atomic = fibers._atomic
     monkeypatch.setattr(fibers, "_atomic", lambda *args: walked.append(args[1]) or real_atomic(*args))
@@ -235,7 +268,7 @@ def test_scans_and_reachable_degrees_share_the_cover(monkeypatch):
     split_seen = 0
     for A in _ones_matrices(rng, 6):
         r = _plan_ones(A)
-        scan = atomic_scan(A, 3, mode="lattice")
+        scans = {mode: atomic_scan(A, 3, mode=mode) for mode in ("vertex", "lattice")}
         for bound in (5, 2):
             walk = oracles.reachable_degrees_by_walk(A.rows, bound)
             for first_scan in (True, False):
@@ -243,11 +276,13 @@ def test_scans_and_reachable_degrees_share_the_cover(monkeypatch):
                 rounds = []
                 for _ in range(2):
                     if first_scan:
-                        assert atomic_scan(A, 3, mode="lattice") == scan
+                        assert atomic_scan(A, 3, mode="vertex") == scans["vertex"]
                     assert reachable_degrees(A, bound) == walk
                     walked.clear()
-                    assert atomic_scan(A, 3, mode="lattice") == scan
+                    assert atomic_scan(A, 3, mode="vertex") == scans["vertex"]
+                    assert atomic_scan(A, 3, mode="lattice") == scans["lattice"]
                     plan = fibers._plan(A)
+                    _check_covers(A)
                     assert {g: cover.top for g, cover in plan.covers.items()} == {r: 3, None: bound}
                     for grade, top in ((r, 3), (None, bound)):
                         graded = fibers._graded(plan, grade, top)
@@ -302,7 +337,7 @@ def test_integer_keyed_cover_against_box_and_walk_oracles():
         powers, keys, keyed = cover.powers, cover.keys, cover.keyed
         buckets = fibers._by_degree(cover)
         # unit-weight groups are no whole fibers, so they carry no split keys
-        assert cover.splits is None and not cover.split and cover.top == top, A
+        assert cover.splits is None and cover.top == top, A
         assert buckets.keys() == expected.keys(), A
         # the key view: place values of a radix above every entry of a
         # degree, and each key holds the very tuple its degree does
@@ -333,7 +368,8 @@ def test_integer_keyed_cover_against_box_and_walk_oracles():
         for b, points in cover.items():
             assert list(points) == oracles.box_fiber_points(A.rows, b), (A, b)
         # covers no scan asked for carry no split keys
-        assert all(c.splits is None and not c.split for c in plan.covers.values()), A
+        assert all(c.splits is None for c in plan.covers.values()), A
+        _check_covers(A)
     # a scan's covers carry split keys: a covered degree's key is split iff
     # one nontrivial pair leaves no point over it unsplit, by the oracle's
     # sums.  A cover of more than _MEET_BITS key bits, or of more than
@@ -348,10 +384,11 @@ def test_integer_keyed_cover_against_box_and_walk_oracles():
             # a grown cover keeps the split keys a fresh one has
             fibers._graded(plan, grade, top)
             weights = A.rows[grade] if grade is not None else tuple(map(sum, plan.cols))
-            fresh = fibers._bucketed(plan.cols, weights, top, split=True).splits
+            built = fibers._bucketed(plan.cols, weights, top, split=True)
             cover = plan.covers[grade]
             powers, keyed, split = cover.powers, cover.keyed, cover.splits
-            assert split == fresh and cover.split, (A, grade, top)
+            assert split == built.splits, (A, grade, top)
+            _check_covers(A)
             # C(n + top, n) u have |u| <= top: the cover's points, or more
             bits = (max(map(max, A.rows)) * top + 1) ** A.nrows
             count = math.comb(A.ncols + top, top)
@@ -361,6 +398,8 @@ def test_integer_keyed_cover_against_box_and_walk_oracles():
                 sparse += bits <= fibers._MEET_BITS
                 continue
             assert split is not None and split <= keyed.keys(), (A, grade, top)
+            # the points-free walk finds the same keys and split keys
+            assert fibers._split_walk(plan.cols, weights, top) == (list(built.keyed), split), (A, grade)
             for b, points in fibers._by_degree(cover).items():
                 pairs = oracles.split_pairs_from_points(A.rows, b, points)
                 unsplit = (oracles.first_unsplit_by_sums(A.rows, points, b1, b2) for b1, b2 in pairs)
@@ -368,6 +407,20 @@ def test_integer_keyed_cover_against_box_and_walk_oracles():
                 assert (sum(map(operator.mul, powers, b)) in split) == expected, (A, grade, b)
             carried += 1
     assert carried and above and sparse
+    # and so it does on one row, the y = (1,) cover, wherever the bitsets
+    # pay; entries of 150 or more make them cost over _MEET_BITS bits
+    rows = [(2, 3, 5, 7), (1, 2), (3,), (1, 300), (150,)]
+    rows += [tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 4))) for _ in range(8)]
+    walked = collections.Counter()
+    for row in rows:
+        cols = tuple((e,) for e in row)
+        for top in range(1, 13):
+            pays = fibers._bitsets_pay(cols, top)
+            walked[pays] += 1
+            if pays:
+                built = fibers._bucketed(cols, row, top, split=True)
+                assert fibers._split_walk(cols, row, top) == (list(built.keyed), built.splits), (row, top)
+    assert walked[True] and walked[False], walked
 
 
 def test_atomic_scan_cover_matches_search_in_either_order():
@@ -732,17 +785,17 @@ def test_plan_is_the_only_cache():
 
 
 def test_zero_ideal_reads_the_fiber_memo():
-    # a lattice scan with M = 0 reads its cover's split keys alone, so it
-    # leaves no fiber, verdict or M-avoiding memo; the zero ideal's fibers
+    # a lattice scan with M = 0 walks split keys alone, so it leaves no
+    # cover, fiber, verdict or M-avoiding memo; the zero ideal's fibers
     # read then are the fiber memo's own tuples, and fill no M-avoiding memo
     A = FiberMatrix(((1, 1, 1), (0, 1, 2)))
     zero = MonomialIdeal.zero(3)
     _clear_fiber_caches()
     scan = atomic_scan(A, 3, mode="lattice")
     plan = fibers._plan(A)
-    assert _points_free(plan.covers[plan.ones])
-    assert not (plan.fibers or plan.atomic or plan.avoiding)
+    assert not (plan.covers or plan.fibers or plan.atomic or plan.avoiding)
     groups = fibers._degree_groups(plan, 3)
+    _check_covers(A)
     assert groups.keys() <= plan.fibers.keys()
     for b in groups:
         assert fibers._ma_fiber(plan, zero, b) is fibers._fiber_points(plan, b)
@@ -752,9 +805,9 @@ def test_zero_ideal_reads_the_fiber_memo():
 
 def test_verdict_memo_survives_scans():
     # a repeated scan decides nothing again, and the verdicts a scan leaves
-    # behind are those of cold single queries.  A scan on a row of ones
-    # settles a degree with one point on its cover and keeps no verdict for
-    # it; every degree with more points keeps one
+    # behind are those of cold single queries.  A scan settles a degree
+    # with one point itself and keeps no verdict for it; every degree with
+    # more points keeps one
     rng = corpus.make_rng("verdict-memo")
     for A in _ones_matrices(rng, 3) + _no_ones_matrices(rng, 1):
         M = corpus.random_ideal(rng, A.ncols, 2, 2)
@@ -773,7 +826,7 @@ def test_verdict_memo_survives_scans():
             verdicts = {key: dict(memo) for key, memo in fibers._plan(A).atomic.items()}
             assert atomic_scan(A, 3, mode=mode, M=ideal) == scan
             assert fibers._plan(A).atomic == verdicts
-        kept = set(universe) if fibers._plan(A).ones is None else _multi_point(A, universe)
+        kept = _multi_point(A, universe)
         assert kept <= verdicts.get(M.gens, {}).keys()
         for b in universe:
             assert (is_atomic(A, b), bool(ma_fiber(M, A, b)) and is_ma_atomic(M, A, b)) == cold[b]
@@ -872,14 +925,15 @@ def test_certificates_and_screen_match_the_plain_walk():
     }
 
 
-def test_serial_scan_loop_matches_the_adapter_per_degree():
+def test_serial_scan_loop_matches_the_adapter_per_degree(enumerations):
     # a scan decides every degree through one plan in one loop; the verdict
     # kernel on a fresh plan for each degree gives the same verdicts,
-    # whichever mode scanned first.  A scan on a row of ones keeps the
-    # verdicts of the degrees with two or more points, any other every one
+    # whichever mode scanned first.  A scan keeps the verdicts of the
+    # degrees with two or more points, save a lattice scan with M = 0 that
+    # walks split keys alone and keeps none
     for A, bound, M in _certificate_corpus():
         universe = _scan_universe(A, bound)
-        kept = set(universe) if fibers._plan(A).ones is None else _multi_point(A, universe)
+        kept = _multi_point(A, universe)
         zero = MonomialIdeal.zero(A.ncols)
         modes = [("vertex", None, None), ("lattice", None, zero), ("lattice", M, M)]
         fresh = {}
@@ -891,10 +945,12 @@ def test_serial_scan_loop_matches_the_adapter_per_degree():
         for order in (modes, modes[::-1]):
             _clear_fiber_caches()
             for mode, ideal, key in order:
+                enumerations.clear()
                 scan = atomic_scan(A, bound, mode=mode, M=ideal)
                 assert scan == [b for b in universe if fresh[key, b]], (A, mode, ideal)
+                _check_covers(A)
                 verdicts = fibers._plan(A).atomic[None if key is None else key.gens]
-                if not (key is zero and _split_keys_held(A)):
+                if "_split_walk" not in enumerations:
                     assert verdicts.keys() >= kept, (A, mode)
                 assert all(verdicts[b] is fresh[key, b] for b in universe if b in verdicts), (A, mode)
 
@@ -902,7 +958,8 @@ def test_serial_scan_loop_matches_the_adapter_per_degree():
 def test_certified_vertex_scan_builds_no_hull(monkeypatch):
     # independent columns leave one point over each degree: a unit vector,
     # over a column, which is atomic, or a point some variable divides; no
-    # degree is walked and none builds a hull
+    # degree is walked, none builds a hull, and the scan settles each
+    # itself and keeps no verdict
     A = FiberMatrix(((1, 0, 2), (0, 1, 1), (1, 1, 0)))
     walks = []
     real_atomic = fibers._atomic
@@ -911,8 +968,8 @@ def test_certified_vertex_scan_builds_no_hull(monkeypatch):
     assert atomic_scan(A, 4, mode="vertex") == sorted(A.column(i) for i in range(3))
     plan = fibers._plan(A)
     assert walks == [] and plan.vertices == {}
-    verdicts = sum(map(len, plan.atomic.values()))
-    assert verdicts == 2 * len({b for b in fibers._degree_groups(plan, 4) if any(b)})
+    assert len({b for b in fibers._degree_groups(plan, 4) if any(b)}) > 3
+    assert sum(map(len, plan.atomic.values())) == 0
 
 
 def test_lattice_scan_reads_the_verdicts_a_vertex_scan_left(monkeypatch):
@@ -988,12 +1045,9 @@ def test_verdicts_match_the_oracle_walk_over_definition_vertices(monkeypatch):
             assert scan() == expected[mode], (A, mode)
             walked[mode] += any(cover is not None for cover in given)
             plan = fibers._plan(A)
+            _check_covers(A)
             for grade, cover in plan.covers.items():
                 assert isinstance(cover, fibers._Cover), (A, mode)
-                if _points_free(cover):
-                    # only a lattice scan with M = 0 leaves a points-free cover
-                    assert mode == "lattice" and cover.splits is not None, (A, mode)
-                    continue
                 # the cover is the one store of its points: a fiber the scan
                 # read off it is kept in the memo as the cover's own tuple
                 for b, points in plan.fibers.items():
@@ -1023,11 +1077,13 @@ def _one_row_cover_by_box(A, bound) -> bool:
     return sum(sizes.values()) <= 2 * sum(sizes[b] for b in degrees)
 
 
-def test_one_row_scans_read_one_cover_and_match_the_oracle_walk(monkeypatch):
+def test_one_row_scans_read_one_cover_and_match_the_oracle_walk(monkeypatch, enumerations):
     # a one-row scan whose cover costs at most twice the fibers it reads
     # covers y = (1,) up to max(row) * bound before its verdict loop, so
     # every fiber it reads, over its degrees and their split parts, comes
-    # from that one enumeration and none is searched for
+    # from that one enumeration and none is searched for.  A lattice scan
+    # with M = 0 whose bitsets pay at that top walks its split keys alone
+    # instead, and keeps no cover
     searches = []
     real_search = fibers._enumerate_fiber
     monkeypatch.setattr(
@@ -1040,7 +1096,7 @@ def test_one_row_scans_read_one_cover_and_match_the_oracle_walk(monkeypatch):
     for _ in range(8):
         n = rng.randint(2, 4)
         cases.append((corpus.random_matrix(rng, 1, n, 5), rng.randint(1, 5 if n == 4 else 8)))
-    covered = 0
+    covered, walked = 0, 0
     for A, bound in cases:
         M = corpus.random_ideal(rng, A.ncols, 2, 2)
         expected = _oracle_scans(A, bound, M)
@@ -1051,19 +1107,27 @@ def test_one_row_scans_read_one_cover_and_match_the_oracle_walk(monkeypatch):
         }
         cover = _one_row_cover_by_box(A, bound)
         covered += cover
+        # a row of ones is its own cover, up to bound
+        top = bound if fibers._plan(A).ones is not None else max(A.rows[0]) * bound
+        bits, count = max(A.rows[0]) * top + 1, math.comb(A.ncols + top, top)
+        pays = bits <= fibers._MEET_BITS and bits <= fibers._MEET_BITS_PER_POINT * count
         for mode, scan in scans.items():
             _clear_fiber_caches()
             searches.clear()
+            enumerations.clear()
             assert scan() == expected[mode], (A, bound, mode)
             plan = fibers._plan(A)
-            # a row of ones is its own cover, up to bound
-            covers = {None: max(A.rows[0]) * bound} if cover else {}
-            if plan.ones is not None:
-                covers = {0: bound}
+            _check_covers(A)
+            covers = {0 if plan.ones is not None else None: top} if cover or plan.ones is not None else {}
+            split_walk = bool(covers) and mode == "lattice" and pays
+            if split_walk:
+                covers = {}
+                assert enumerations == ["_split_walk"], (A, bound)
+                walked += 1
             assert {g: cover.top for g, cover in plan.covers.items()} == covers, (A, bound)
-            if covers:
+            if covers or split_walk:
                 assert searches == [], (A, bound, mode)
-    assert 0 < covered < len(cases)
+    assert 0 < covered < len(cases) and walked
 
 
 def test_one_row_scans_on_spread_rows_keep_no_cover(monkeypatch):
@@ -1119,8 +1183,6 @@ def test_one_row_degree_table_matches_the_groups():
             plan = fibers._plan(A)
             expected = list(fibers._degree_groups(plan, bound))
             assert fibers._scan_degrees(plan, bound) == expected, (A, bound)
-            # the plan keeps them for the next scan at that bound
-            assert fibers._scan_degrees(plan, bound) is plan.scans[bound], (A, bound)
             if A.nrows == 1:
                 guard[max(A.rows[0]) * bound <= math.comb(A.ncols + bound, bound)] += 1
             else:
@@ -1139,14 +1201,14 @@ def _verdicts_on_fresh_plans(A, universe, M):
     return fresh
 
 
-def test_scans_settle_one_point_degrees_on_the_cover(monkeypatch):
+def test_scans_settle_one_point_degrees_on_the_cover(monkeypatch, enumerations):
     # every group a scan reads is a whole fiber, off the cover of a row of
     # ones or read per degree on any other matrix: a scan settles a
     # nonzero degree with one point by whether it is a column and, with
     # M != 0, whether the point avoids M, and hands only degrees with two
     # or more points to _verdict; its memo is that of _verdict run on each
     # degree, in either mode, with or without M, in any order, save that a
-    # scan on a row of ones keeps no verdict for a degree with one point
+    # scan keeps no verdict for a degree with one point
     rng = corpus.make_rng("one-point-degrees")
     cases = [(A, rng.randint(2, 4)) for A in _ones_matrices(rng, 8)]
     # the certificate corpus with a row of ones put on top
@@ -1177,22 +1239,23 @@ def test_scans_settle_one_point_degrees_on_the_cover(monkeypatch):
         units = [tuple(int(j == i) for j in range(A.ncols)) for i in range(A.ncols)]
         in_M += any(sizes.get(A.apply(e)) == 1 and oracles.member(M.gens, e) for e in units)
         modes = [("vertex", None), ("lattice", None), ("lattice", M)]
-        ones = fibers._plan(A).ones
         for order in (modes, modes[::-1]):
             _clear_fiber_caches()
             for k, (mode, ideal) in enumerate(order):
                 calls.clear()
+                enumerations.clear()
                 scan = atomic_scan(A, bound, mode=mode, M=ideal)
+                _check_covers(A)
                 key = None if mode == "vertex" else () if ideal is None else M.gens
                 assert scan == [b for b in universe if fresh[key][b]], (A, mode)
                 assert all(sizes[b] > 1 for b in calls), (A, mode)
                 if k == 0:
                     assert sorted(calls) == [b for b in universe if sizes[b] > 1], (A, mode)
                 memo = fibers._plan(A).atomic
-                # a scan on a row of ones keeps no verdict for a degree with
-                # one point, which it settles on the cover
-                kept = {k: {b: v for b, v in fresh[k].items() if ones is None or sizes[b] > 1} for k in fresh}
-                if key == () and _split_keys_held(A):
+                # a scan keeps no verdict for a degree with one point, which
+                # it settles itself
+                kept = {k: {b: v for b, v in fresh[k].items() if sizes[b] > 1} for k in fresh}
+                if "_split_walk" in enumerations:
                     # the scan read split keys alone and kept no verdict
                     assert memo[key].items() <= fresh[key].items(), (A, mode)
                 else:
@@ -1203,12 +1266,14 @@ def test_scans_settle_one_point_degrees_on_the_cover(monkeypatch):
     assert settled and in_M and without_ones
 
 
-def test_scans_after_a_lift_build_their_cover_again_with_split_keys():
+def test_scans_after_a_lift_build_their_cover_again_with_split_keys(enumerations):
     # monoid_lift covers the row of ones with no sub-box bitsets; a scan
-    # that finds that cover at its bound or above builds it once more with
-    # them, at the higher of the two tops, so its split keys settle the
-    # degrees they hold; the verdicts are those of a scan on a fresh plan,
-    # and a second scan builds nothing
+    # that reads points and finds that cover at its bound or above builds
+    # it once more with them, at the higher of the two tops, so its split
+    # keys settle the degrees they hold.  A lattice scan with M = 0 walks
+    # its own split keys and leaves the lift's cover as it is.  The
+    # verdicts are those of a scan on a fresh plan, and a second scan
+    # enumerates nothing
     A = FiberMatrix(((1, 1, 1, 1, 1), (0, 1, 3, 4, 6)))
     M = minimalize(5, [(0, 2, 0, 0, 0), (1, 0, 0, 1, 0)])
     for bound, lift in ((7, 7), (6, 7), (7, 5)):
@@ -1219,24 +1284,37 @@ def test_scans_after_a_lift_build_their_cover_again_with_split_keys():
             _clear_fiber_caches()
             monoid_lift(A, [(2, 5)], lift)
             plan = fibers._plan(A)
-            assert plan.covers[0].splits is None and not plan.covers[0].split
+            lifted = plan.covers[0]
+            assert lifted.splits is None
+            enumerations.clear()
             assert atomic_scan(A, bound, mode=mode, M=ideal) == fresh, (bound, lift, mode)
+            _check_covers(A)
             cover = plan.covers[0]
-            assert cover.split and cover.splits and cover.top == max(bound, lift), (bound, lift)
+            if (mode, ideal) == ("lattice", None):
+                assert enumerations == ["_split_walk"] and cover is lifted, (bound, lift)
+            else:
+                assert enumerations == ["_bucketed"], (bound, lift, mode)
+                assert cover.splits and cover.top == max(bound, lift), (bound, lift)
             assert plan.atomic == fresh_memo, (bound, lift, mode)
+            enumerations.clear()
             assert atomic_scan(A, bound, mode=mode, M=ideal) == fresh
-            assert plan.covers[0] is cover
+            assert plan.covers[0] is cover and enumerations == []
     # a cover held at a top where the bitsets would not pay, here 85^2 key
-    # bits at top 14, is read as it is, with no split keys
-    _clear_fiber_caches()
-    fresh = atomic_scan(A, 3, mode="lattice")
+    # bits at top 14, is read as it is, with no split keys, by a vertex
+    # scan; a lattice scan with M = 0 walks its own split keys at bound 3
+    fresh = {}
+    for mode in ("vertex", "lattice"):
+        _clear_fiber_caches()
+        fresh[mode] = atomic_scan(A, 3, mode=mode)
     _clear_fiber_caches()
     vertex_ideal_standard(A, 14)
     plan = fibers._plan(A)
     held = plan.covers[0]
     assert (held.top, held.splits) == (14, None) and 85**2 > fibers._MEET_BITS
-    assert atomic_scan(A, 3, mode="lattice") == fresh
-    assert plan.covers[0] is held
+    for mode, walks in (("vertex", []), ("lattice", ["_split_walk"])):
+        enumerations.clear()
+        assert atomic_scan(A, 3, mode=mode) == fresh[mode]
+        assert plan.covers[0] is held and enumerations == walks, mode
 
 
 def _lattice_atoms_by_points(A, bound):
@@ -1272,56 +1350,57 @@ def _points_free_cases(rng):
     return cases
 
 
-def test_points_free_lattice_scans_match_the_point_reading_loop(monkeypatch):
-    # a lattice scan with M = 0 whose cover carries split keys builds it
-    # with no points and returns the nonzero degrees whose keys are not
-    # split: the verdict loop over points agrees, on a row of ones of 2 to 4
-    # rows and on one row, at bounds where the bitsets pay and where they do
-    # not.  A scan below the top of a held cover reads that cover, weight
-    # filtered, and builds nothing
-    builds = []
-    real_bucketed = fibers._bucketed
-    monkeypatch.setattr(fibers, "_bucketed", lambda *args: builds.append(args) or real_bucketed(*args))
+def test_points_free_lattice_scans_match_the_point_reading_loop(enumerations):
+    # a lattice scan with M = 0 whose bitsets pay walks split keys with no
+    # points and returns the nonzero degrees whose keys are not split: the
+    # verdict loop over points agrees, on a row of ones of 2 to 4 rows and
+    # on one row, at bounds where the bitsets pay and where they do not.
+    # It keeps no cover, fiber or verdict.  Where they do not pay it builds
+    # a cover with points, and a scan below its top reads that cover,
+    # weight filtered, and builds nothing, or walks its own split keys
     rng = corpus.make_rng("points-free-scan")
     seen = collections.Counter()
     for A, grade, bounds in _points_free_cases(rng):
         expected = {bound: _lattice_atoms_by_points(A, bound) for bound in bounds}
         for bound in bounds:
             _clear_fiber_caches()
+            enumerations.clear()
             assert atomic_scan(A, bound, mode="lattice") == expected[bound], (A, bound)
-            cover = fibers._plan(A).covers.get(grade)
-            if cover is None:
+            plan = fibers._plan(A)
+            _check_covers(A)
+            if grade is None and not _one_row_cover_by_box(A, bound):
+                assert enumerations == [] and not plan.covers, (A, bound)
                 seen["no cover"] += 1
                 continue
-            # a cover is points-free exactly when its bitsets pay
-            pays = fibers._bitsets_pay(fibers._plan(A).cols, cover.top)
-            assert _points_free(cover) is pays is (cover.splits is not None), (A, bound)
+            top = bound if grade is not None else max(A.rows[0]) * bound
+            pays = fibers._bitsets_pay(plan.cols, top)
             seen[A.nrows, pays] += 1
-            if not pays:
+            if pays:
+                assert enumerations == ["_split_walk"], (A, bound)
+                assert not (plan.covers or plan.fibers or plan.atomic), (A, bound)
                 continue
-            assert 0 in cover.keyed and set(cover.keyed.values()) == {None}, (A, bound)
-            assert not (fibers._plan(A).fibers or fibers._plan(A).atomic), (A, bound)
+            assert enumerations == ["_bucketed"] and plan.covers[grade].splits is None, (A, bound)
             # every lower bound reads the held cover
-            held = fibers._plan(A).covers[grade]
+            held = plan.covers[grade]
             for low in [b for b in bounds if b < bound]:
-                builds.clear()
+                enumerations.clear()
                 assert atomic_scan(A, low, mode="lattice") == expected[low], (A, bound, low)
-                assert builds == [] and fibers._plan(A).covers[grade] is held, (A, bound, low)
-                seen["below"] += 1
-    assert all(seen[d, True] for d in (1, 2, 3, 4)) and seen["below"], seen
+                assert enumerations in ([], ["_split_walk"]) and plan.covers[grade] is held, (A, bound, low)
+                seen["below", enumerations == []] += 1
+    assert all(seen[d, True] for d in (1, 2, 3, 4)) and seen["below", True], seen
     assert any(seen[d, False] for d in (2, 3, 4)), seen
 
 
-def test_points_readers_after_a_points_free_cover_match_cold_queries(monkeypatch):
-    # after a lattice scan with M = 0 leaves a points-free cover, every
-    # reader of points on the same plan answers as on a cold plan: the
-    # first one builds the cover again with its points and its split keys.
-    # That holds for degrees outside NA that the cover holds, (1, 27) among
-    # them, whose second digit is past the cover's radix of 25, so its key
-    # 25 + 27 is that of (2, 2), a degree in NA.  In the other order, a
-    # lattice scan after a vertex scan reads the vertex scan's cover and
-    # enumerates nothing, and one that grows a cover with points grows it
-    # with its points, which the next reader of points reads as it is
+def test_points_readers_after_a_points_free_cover_match_cold_queries(monkeypatch, enumerations):
+    # after a lattice scan with M = 0 walks split keys alone, every reader
+    # of points on the same plan answers as on a cold plan, off a cover it
+    # builds with its points.  That holds for degrees outside NA that the
+    # cover holds, (1, 27) among them, whose second digit is past the
+    # cover's radix of 25, so its key 25 + 27 is that of (2, 2), a degree
+    # in NA.  In the other order, a lattice scan after a vertex scan walks
+    # its split keys once, walks no degree and leaves the vertex scan's
+    # cover as it is, and so it does between scans and reads that grow a
+    # cover, which the next reader of points reads as it is
     cases = [
         (FiberMatrix(((1, 1, 1, 1), (0, 1, 3, 4))), 0, 6, (2, 5), ((1, 2), (1, 27)), [(2, 5)]),
         (FiberMatrix(((2, 3, 5, 7),)), None, 4, (12,), ((1,),), [(10,)]),
@@ -1363,45 +1442,48 @@ def test_points_readers_after_a_points_free_cover_match_cold_queries(monkeypatch
             _clear_fiber_caches()
             assert atomic_scan(A, bound, mode="lattice") == lattice
             plan = fibers._plan(A)
-            bare = plan.covers[grade]
-            assert _points_free(bare) and bare.splits is not None, (A, name)
+            assert not plan.covers, (A, name)
             assert reader() == cold[name], (A, name)
-            cover = plan.covers[grade]
-            if cover is not bare:
-                assert not _points_free(cover) and cover.splits == bare.splits, (A, name)
+            _check_covers(A)
             assert atomic_scan(A, bound, mode="lattice") == lattice, (A, name)
-        # the reverse order: one enumeration and no walk for the lattice scan
+        # the reverse order: one walk of split keys, and no walk of a degree,
+        # for the lattice scan
         _clear_fiber_caches()
         atomic_scan(A, bound, mode="vertex")
         held = fibers._plan(A).covers[grade]
-        assert not _points_free(held) and held.splits is not None, A
-        builds, walks = [], []
+        assert held.splits is not None, A
+        walks = []
         with monkeypatch.context() as patch:
-            real_bucketed, real_atomic = fibers._bucketed, fibers._atomic
-            patch.setattr(fibers, "_bucketed", lambda *args: builds.append(args) or real_bucketed(*args))
+            real_atomic = fibers._atomic
             patch.setattr(fibers, "_atomic", lambda *args: walks.append(args) or real_atomic(*args))
+            enumerations.clear()
             assert atomic_scan(A, bound, mode="lattice") == lattice, A
-            assert builds == walks == [] and fibers._plan(A).covers[grade] is held, A
+            assert enumerations == ["_split_walk"] and walks == [], A
+            assert fibers._plan(A).covers[grade] is held, A
             # a vertex scan at a lower bound, then a lattice scan and a
-            # vertex scan at the bound: one build, with points
+            # vertex scan at the bound: one walk of split keys, and one
+            # build, with points
             _clear_fiber_caches()
             atomic_scan(A, bound - 2, mode="vertex")
-            assert not _points_free(fibers._plan(A).covers[grade]), A
-            builds.clear()
+            enumerations.clear()
             assert atomic_scan(A, bound, mode="lattice") == lattice, A
             assert atomic_scan(A, bound, mode="vertex") == cold["vertex scan"], A
-            assert len(builds) == 1 and not _points_free(fibers._plan(A).covers[grade]), A
-            # reachable_degrees, a lattice scan that grows its cover, and
-            # reachable_degrees again, on one row, where both read the cover
-            # of y = (1, ..., 1): one build, with points
+            assert enumerations == ["_split_walk", "_bucketed"], A
+            _check_covers(A)
+            # reachable_degrees, a lattice scan whose top is above that
+            # cover, and reachable_degrees again, on one row, where both
+            # read the cover of y = (1, ..., 1): one walk of split keys, and
+            # the cover is read as it is
             if grade is None:
                 low = max(A.rows[0]) * bound // 2
                 _clear_fiber_caches()
                 reached = reachable_degrees(A, low)
-                builds.clear()
+                held = fibers._plan(A).covers[grade]
+                enumerations.clear()
                 assert atomic_scan(A, bound, mode="lattice") == lattice, A
                 assert reachable_degrees(A, low) == reached, A
-                assert len(builds) == 1 and not _points_free(fibers._plan(A).covers[grade]), A
+                assert enumerations == ["_split_walk"] and fibers._plan(A).covers[grade] is held, A
+                _check_covers(A)
 
 
 def _point_answers(A, M, b):
@@ -1509,14 +1591,15 @@ def _scan_by_degree(A, bound, M):
     return atoms
 
 
-def test_key_walk_matches_the_degree_by_degree_loop(monkeypatch):
+def test_key_walk_matches_the_degree_by_degree_loop(monkeypatch, enumerations):
     # a scan on a row of ones walks its cover's keys and decodes only the
     # keys with two or more points and the atoms; the loop it replaced
     # decoded every degree.  Both agree on seeded matrices of 1 to 4 rows,
     # in vertex mode, in lattice mode with M = 0 and with M != 0, on cold
     # plans and on the plan the other scans left, and below the top of a
-    # held cover.  The walk runs in lattice mode with M = 0 only on a
-    # cover with no split keys, which entries up to 9 on 3 and 4 rows give
+    # held cover.  The walk runs in lattice mode with M = 0 only where the
+    # bitsets do not pay, as entries up to 9 on 3 and 4 rows give, and the
+    # split keys are walked with no points elsewhere
     walks = []
     real_scan = fibers._scan
     monkeypatch.setattr(fibers, "_scan", lambda *args: walks.append(args) or real_scan(*args))
@@ -1543,11 +1626,13 @@ def test_key_walk_matches_the_degree_by_degree_loop(monkeypatch):
             # the lower bound reads the cover held at bound, weight filtered
             for top in (bound, bound - 1):
                 for mode, ideal, _ in order:
+                    enumerations.clear()
                     assert atomic_scan(A, top, mode=mode, M=ideal) == expected[top, mode, ideal], (A, mode)
                     plan = fibers._plan(A)
-                    cover = plan.covers[plan.ones]
-                    if _points_free(cover) or (mode, ideal) == ("lattice", None) and cover.splits is not None:
+                    _check_covers(A)
+                    if "_split_walk" in enumerations:
                         continue
+                    cover = plan.covers[plan.ones]
                     # a walk keeps each fiber of two or more points up to
                     # its bound in the memo, as the cover's own tuple
                     several = {b: pts for b, pts in fibers._by_degree(cover).items() if len(pts) > 1}
@@ -1814,15 +1899,19 @@ def test_is_atomic_examples():
     assert is_ma_atomic(minimalize(2, [(1, 0)]), SEGMENT, (0,)) is False
     with pytest.raises(ValueError):
         is_atomic(FiberMatrix(((2, 3),)), (1,))
-    # the same after a scan has built a cover with split keys: the zero
-    # degree's meet is {0}, which holds no split, yet 0 is no atom
+    # the same after scans, one of which, in vertex mode, has built a cover
+    # with split keys: the zero degree's meet is {0}, which holds no split,
+    # yet 0 is no atom
     for A in (SEGMENT, FiberMatrix(((1, 1, 1), (0, 1, 2)))):
         zero = (0,) * A.nrows
-        for mode in ("vertex", "lattice"):
+        for modes in (("vertex",), ("lattice",), ("lattice", "vertex")):
             _clear_fiber_caches()
-            assert zero not in atomic_scan(A, 3, mode=mode)
+            for mode in modes:
+                assert zero not in atomic_scan(A, 3, mode=mode)
             plan = fibers._plan(A)
-            assert plan.covers[plan.ones].splits is not None, A
+            _check_covers(A)
+            if "vertex" in modes:
+                assert plan.covers[plan.ones].splits is not None, A
             assert is_atomic(A, zero) is False
             assert is_ma_atomic(MonomialIdeal.zero(A.ncols), A, zero) is False
             assert is_ma_atomic(minimalize(A.ncols, [(1,) + (0,) * (A.ncols - 1)]), A, zero) is False
